@@ -1,9 +1,7 @@
 """Command-line entry point: one subcommand per toolkit area, file I/O only.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
-All outputs land under the directory given by --output.  The environment
-variable MUSIELAK_THREADS caps the worker count used for independent
-per-node table builds.
+All outputs land under the directory given by --output.
 """
 
 from __future__ import annotations
@@ -11,9 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +17,7 @@ import numpy as np
 
 from . import degiorgi, embedding_lab, io, solver
 from .conjugate import conjugate_batch, verify_conjugate_bounds, verify_trace_bound
-from .errors import ToolkitError
+from .errors import ConvergenceError
 from .modular import GridFunction, boundary_norm, luxemburg_norm, modular_rho, sobolev_norm
 from .phi_core import PhiSpec, validate_hypotheses
 
@@ -30,14 +26,6 @@ __all__ = ["RunConfig", "run", "main"]
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-def worker_count() -> int:
-    raw = os.environ.get("MUSIELAK_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -172,33 +160,25 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
     normalized = bool(payload.get("normalized", False))
 
     crit_spec = PhiSpec.critical(field)
-
-    def one_node(x):
+    rows, all_pass = [], True
+    for x in nodes:
         samples = [(x, t) for t in ts]
         p, q, mu = field.at(x)
         h_star = conjugate_batch(field.N, p, q, mu, ts, tol=min(cfg.tol, 1e-10),
                                  normalized=normalized)
         rep = verify_conjugate_bounds(field, samples, tol=cfg.tol, normalized=normalized)
         rep_t = verify_trace_bound(field, samples, tol=cfg.tol, normalized=normalized)
-        crit = np.array([float(crit_spec(x, t)) for t in ts])
-        return x, h_star, crit, rep, rep_t
+        all_pass = all_pass and rep.all_pass and rep_t.all_pass
+        rows.extend(zip([x] * len(ts), ts, h_star, crit_spec(x, ts),
+                        rep.slacks["power_p"], rep.slacks["power_q"],
+                        rep.slacks["critical_domination"], rep_t.slacks["trace_domination"]))
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(one_node, nodes))
-
-    all_pass = True
     with open(cfg.output / "conjugate_table.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_index", "t", "conjugate", "critical_value",
                          "slack_power_p", "slack_power_q",
                          "slack_critical", "slack_trace"])
-        for x, h_star, crit, rep, rep_t in results:
-            all_pass = all_pass and rep.all_pass and rep_t.all_pass
-            for i, t in enumerate(ts):
-                writer.writerow([x, t, h_star[i], crit[i],
-                                 rep.slacks["power_p"][i], rep.slacks["power_q"][i],
-                                 rep.slacks["critical_domination"][i],
-                                 rep_t.slacks["trace_domination"][i]])
+        writer.writerows(rows)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -348,12 +328,14 @@ def run(config: RunConfig) -> int:
     config.output.mkdir(parents=True, exist_ok=True)
     try:
         return handler(config)
-    except _InputError as exc:
+    except (_InputError, KeyError, ValueError) as exc:
+        # ValueError covers every toolkit error about the input: DomainError,
+        # GridMismatchError, HypothesisError, SingularityError, ContractError.
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (KeyError, ValueError, ToolkitError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR if isinstance(exc, KeyError) else EXIT_CHECK_FAILED
+        return EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

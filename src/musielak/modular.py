@@ -7,19 +7,23 @@ to the boundary also absorb the adjacent half-cells, so the interior weights
 sum exactly to the box volume.  Boundary nodes carry trapezoidal facet
 weights that sum exactly to the surface measure of the box.
 
-Norms are computed from modulars by monotone bisection: for u != 0 the map
-``lam -> modular(u / lam)`` is continuous and strictly decreasing, so the
-Luxemburg norm is the unique lam with unit modular.
+For u != 0 the map ``lam -> modular(u / lam)`` is continuous and strictly
+decreasing, so each norm is the unique lam with unit modular.  All three
+norms share one routine: the quadrature weights and the nodal magnitudes
+(plus the gradient magnitude for the Sobolev norm) are built once, the
+modular of u seeds the power bracket, and ``phi_core._unit_root`` solves
+for lam by Illinois regula falsi in log lam.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridMismatchError
-from .phi_core import ExponentField, PhiSpec
+from .phi_core import ExponentField, PhiSpec, _unit_root
 
 __all__ = [
     "GridDomain",
@@ -245,39 +249,23 @@ def boundary_modular(spec: PhiSpec, u: GridFunction) -> float:
     return float(np.sum(w * spec.evaluate_nodes(np.abs(u.values))))
 
 
-def _norm_by_bisection(modular_fn, rho_u, lo_exp, hi_exp, tol, max_iter=300):
-    """Solve modular(u/lam) = 1 for lam by bracketed bisection.
+def _norm(spec: PhiSpec, terms, rho_u: float, tol: float) -> NormResult:
+    """The lam with sum of w * phi(t / lam) over ``terms`` = 1, to ``tol``.
 
-    Initial bracket from the two-sided power bounds (modular of u/lam lies
-    between (1/lam)^hi and (1/lam)^lo times the modular of u, for lam >= 1,
-    reversed below 1), then safety doubling.
+    ``terms`` are (weights, magnitudes) pairs over the nodes of ``spec``;
+    ``rho_u`` is the modular at lam = 1.
     """
-    lo = min(rho_u ** (1.0 / lo_exp), rho_u ** (1.0 / hi_exp)) * 0.5
-    hi = max(rho_u ** (1.0 / lo_exp), rho_u ** (1.0 / hi_exp)) * 2.0
-    lo = max(lo, 1e-300)
-    it = 0
-    while modular_fn(lo) < 1.0 and it < max_iter:
-        lo *= 0.5
-        it += 1
-    while modular_fn(hi) > 1.0 and it < max_iter:
-        hi *= 2.0
-        it += 1
-    if it >= max_iter:
-        raise ConvergenceError(f"could not bracket unit modular in [{lo}, {hi}]")
-    lam, val = hi, modular_fn(hi)
-    for _ in range(max_iter):
-        lam = 0.5 * (lo + hi)
-        val = modular_fn(lam)
-        it += 1
-        if abs(val - 1.0) <= tol:
-            return lam, val, it
-        if val > 1.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-16 * hi:
-            return lam, val, it
-    raise ConvergenceError(f"norm bisection stalled: bracket [{lo}, {hi}], modular {val}")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    if rho_u == 0.0:
+        return NormResult(0.0, 0.0, 0)
+    lam, val, it = _unit_root(
+        lambda lam: float(sum(np.sum(w * spec.evaluate_nodes(t / lam)) for w, t in terms)),
+        rho_u, *spec.exponent_bounds(), math.log1p(tol),
+    )
+    if abs(val - 1.0) > tol:
+        raise ConvergenceError(f"norm root-finder stalled at lam={lam} with modular {val}")
+    return NormResult(lam, val, it)
 
 
 def luxemburg_norm(spec: PhiSpec, u: GridFunction, tol: float = 1e-10) -> NormResult:
@@ -286,45 +274,18 @@ def luxemburg_norm(spec: PhiSpec, u: GridFunction, tol: float = 1e-10) -> NormRe
     Zero function maps to norm 0; otherwise the unique lam > 0 with
     modular(u/lam) = 1 is found to within ``tol`` in the modular value.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    rho_u = modular_rho(spec, u)
-    if rho_u == 0.0:
-        return NormResult(0.0, 0.0, 0)
-    lo_exp, hi_exp = spec.exponent_bounds()
-    lam, val, it = _norm_by_bisection(
-        lambda lam: modular_rho(spec, GridFunction(u.domain, u.values / lam)),
-        rho_u, lo_exp, hi_exp, tol,
-    )
-    return NormResult(lam, val, it)
+    terms = [(u.domain.interior_weights, np.abs(u.values))]
+    return _norm(spec, terms, modular_rho(spec, u), tol)
 
 
 def sobolev_norm(field: ExponentField, u: GridFunction, tol: float = 1e-10) -> NormResult:
     """Luxemburg-type norm driven by the gradient-plus-function modular."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    rho_u = modular_sobolev(field, u)
-    if rho_u == 0.0:
-        return NormResult(0.0, 0.0, 0)
-    spec = PhiSpec.double_phase(field)
-    lo_exp, hi_exp = spec.exponent_bounds()
-    lam, val, it = _norm_by_bisection(
-        lambda lam: modular_sobolev(field, GridFunction(u.domain, u.values / lam)),
-        rho_u, lo_exp, hi_exp, tol,
-    )
-    return NormResult(lam, val, it)
+    w = u.domain.interior_weights
+    terms = [(w, np.abs(u.values)), (w, u.gradient_magnitude())]
+    return _norm(PhiSpec.double_phase(field), terms, modular_sobolev(field, u), tol)
 
 
 def boundary_norm(spec: PhiSpec, u: GridFunction, tol: float = 1e-10) -> NormResult:
     """Luxemburg norm over the boundary layer with facet weights."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    rho_u = boundary_modular(spec, u)
-    if rho_u == 0.0:
-        return NormResult(0.0, 0.0, 0)
-    lo_exp, hi_exp = spec.exponent_bounds()
-    lam, val, it = _norm_by_bisection(
-        lambda lam: boundary_modular(spec, GridFunction(u.domain, u.values / lam)),
-        rho_u, lo_exp, hi_exp, tol,
-    )
-    return NormResult(lam, val, it)
+    terms = [(u.domain.boundary_weights, np.abs(u.values))]
+    return _norm(spec, terms, boundary_modular(spec, u), tol)

@@ -18,6 +18,7 @@ describe spatially constant data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,6 +81,9 @@ class ExponentField:
         object.__setattr__(self, "p", _as_field_array(self.p, shape))
         object.__setattr__(self, "q", _as_field_array(self.q, shape))
         object.__setattr__(self, "mu", _as_field_array(self.mu, shape))
+        # An infinite mu stays: validate_hypotheses reports it as "mu bounded".
+        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.q))) or np.any(np.isnan(self.mu)):
+            raise DomainError("p and q must be finite and mu must not be NaN")
         if self.spacing is not None:
             object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
 
@@ -112,17 +116,17 @@ class ExponentField:
 
     def critical(self, which: str = "p") -> np.ndarray:
         """Nodewise critical exponent array: Nr/(N-r) for r = p or q."""
-        r = self.p if which == "p" else self.q
-        if np.any(r >= self.N):
-            raise SingularityError(f"{which}(x) >= N somewhere: critical exponent undefined")
-        return self.N * r / (self.N - r)
+        return self._critical(which, self.N)
 
     def critical_trace(self, which: str = "p") -> np.ndarray:
         """Nodewise trace critical exponent array: (N-1)r/(N-r) for r = p or q."""
+        return self._critical(which, self.N - 1)
+
+    def _critical(self, which, numerator):
         r = self.p if which == "p" else self.q
         if np.any(r >= self.N):
-            raise SingularityError(f"{which}(x) >= N somewhere: trace exponent undefined")
-        return (self.N - 1) * r / (self.N - r)
+            raise SingularityError(f"{which}(x) >= N={self.N} somewhere: critical exponent undefined")
+        return numerator * r / (self.N - r)
 
 
 class CriticalExponents(NamedTuple):
@@ -138,14 +142,10 @@ def critical_exponents(field: ExponentField, x=None) -> CriticalExponents:
     Returns (Np/(N-p), Nq/(N-q), (N-1)p/(N-p), (N-1)q/(N-q)).  Raises
     SingularityError when p(x) or q(x) reaches N.
     """
-    p, q, _ = field.at(x)
-    N = field.N
-    for r, name in ((p, "p"), (q, "q")):
-        if r >= N:
-            raise SingularityError(f"{name}(x)={r} >= N={N}: critical exponent undefined")
-    return CriticalExponents(
-        N * p / (N - p), N * q / (N - q), (N - 1) * p / (N - p), (N - 1) * q / (N - q)
-    )
+    node = ExponentField(field.N, *field.at(x))
+    return CriticalExponents(*(
+        float(fn(which)) for fn in (node.critical, node.critical_trace) for which in ("p", "q")
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +323,12 @@ class PhiSpec:
         hi = float(max(np.max(self.lo), np.max(self.hi)))
         return lo, hi
 
-    def _params_at(self, x):
-        if np.shape(self.lo) == () or x is None:
-            return float(self.lo), float(self.hi), float(self.weight)
-        return float(self.lo[x]), float(self.hi[x]), float(self.weight[x])
-
     def __call__(self, x, t):
         return eval_phi(self, x, t)
 
     def evaluate_nodes(self, t: np.ndarray) -> np.ndarray:
         """Vectorized evaluation with one t value per node (shapes must broadcast)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise DomainError("Phi-functions are defined for t >= 0 only")
-        if self.kind == "double_phase_normalized":
-            at_one = 1.0 + self.base.mu
-            raw = _power_form(t, self.lo, self.hi, self.weight)
-            return np.where(t <= 1.0, t * at_one, raw)
-        return _power_form(t, self.lo, self.hi, self.weight)
+        return _phi(self.kind, t, self.lo, self.hi, self.weight)
 
 
 def _mu_power(mu, expo):
@@ -351,12 +339,19 @@ def _mu_power(mu, expo):
     return out
 
 
-def _power_form(t, lo, hi, w):
+def _phi(kind, t, lo, hi, w):
+    """The one Phi formula: ``t^lo + w t^hi``, linear below t=1 for the
+    normalized kind, whose (lo, hi, w) are (p, q, mu)."""
     t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise DomainError("Phi-functions are defined for t >= 0 only")
     with np.errstate(invalid="ignore"):
         first = np.where(t > 0.0, np.power(t, lo), 0.0)
         second = np.where(t > 0.0, np.power(t, hi), 0.0)
-    return first + w * second
+    out = first + w * second
+    if kind == "double_phase_normalized":
+        return np.where(t <= 1.0, t * (1.0 + w), out)
+    return out
 
 
 def _check_subcritical_window(base, lo, hi, cap_lo, cap_hi, mode):
@@ -377,52 +372,82 @@ def eval_phi(spec: PhiSpec, x, t):
     ``t`` may be a scalar or an array; the node data are taken at ``x``
     (``None`` selects the single node of a constant field).
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("Phi-functions are defined for t >= 0 only")
-    scalar = t.ndim == 0
-    tv = np.atleast_1d(t)
-    if spec.kind == "double_phase_normalized":
-        p, q, mu = spec.base.at(x)
-        raw = _power_form(tv, p, q, mu)
-        out = np.where(tv <= 1.0, tv * (1.0 + mu), raw)
-    else:
-        lo, hi, w = spec._params_at(x)
-        out = _power_form(tv, lo, hi, w)
-    return float(out[0]) if scalar else out
+    node = () if x is None or np.shape(spec.lo) == () else x
+    out = _phi(spec.kind, t, spec.lo[node], spec.hi[node], spec.weight[node])
+    return float(out) if out.ndim == 0 else out
+
+
+_LN2 = math.log(2.0)
+
+
+def _unit_root(rho, rho_one, lo_exp, hi_exp, tol, max_iter=100):
+    """The lam > 0 with rho(lam) = 1 for a continuous decreasing ``rho``.
+
+    ``rho_one`` is rho(1).  When rho(lam) / rho(1) lies between lam^-hi_exp
+    and lam^-lo_exp, the root lies between rho(1)^(1/hi_exp) and
+    rho(1)^(1/lo_exp).  That bracket, widened by a factor 2 at each end (and
+    further while it does not hold) and cut at lam = 1, whose value is known,
+    is searched in y = log lam, where log rho is almost linear, by regula
+    falsi with the Illinois modification (Dowell and Jarratt, BIT 11, 1971).
+    Stops when |log rho| <= ``tol`` or the bracket has collapsed.  Returns
+    (lam, rho(lam), evaluations of rho) at the latest evaluation.
+    """
+    evals = 0
+    g = math.log(rho_one)
+    last = (1.0, rho_one, g)  # (lam, rho, log rho) of the latest evaluation
+
+    def f(y):
+        nonlocal evals, last
+        evals += 1
+        if evals > max_iter:
+            raise ConvergenceError(f"no unit root in {max_iter} evaluations; last (lam, rho) {last[:2]}")
+        val = rho(math.exp(y))
+        last = (math.exp(y), val, math.log(val) if val > 0.0 else -math.inf)
+        return last[2]
+
+    a = min(g / lo_exp, g / hi_exp) - _LN2
+    b = max(g / lo_exp, g / hi_exp) + _LN2
+    fa = fb = math.nan  # not yet evaluated
+    if a < 0.0 < g:
+        a, fa = 0.0, g
+    if b > 0.0 > g:
+        b, fb = 0.0, g
+    while abs(last[2]) > tol and not fa > 0.0:
+        if fa < 0.0:
+            a, b, fb = a - _LN2, a, fa
+        fa = f(a)
+    while abs(last[2]) > tol and not fb < 0.0:
+        if fb > 0.0:
+            a, fa, b = b, fb, b + _LN2
+        fb = f(b)
+    ends, side = [[a, fa], [b, fb]], None  # log rho > 0 at ends[0], < 0 at ends[1]
+    while abs(last[2]) > tol:
+        (a, fa), (b, fb) = ends
+        if b - a <= 4e-16 * max(1.0, abs(a), abs(b)):
+            break
+        y = (a * fb - b * fa) / (fb - fa)
+        if not a < y < b:
+            y = 0.5 * (a + b)
+        fy = f(y)
+        k = 0 if fy > 0.0 else 1
+        if k == side:  # Illinois: the other end was kept twice running
+            ends[1 - k][1] *= 0.5
+        ends[k], side = [y, fy], k
+    return last[0], last[1], evals
 
 
 def phi_inverse(spec: PhiSpec, x, s: float, tol: float = 1e-12, max_iter: int = 400) -> float:
     """Invert the strictly increasing map t -> phi(x, t) at the value ``s``.
 
-    Bracketing bisection with a doubling upper bracket; the returned t
-    satisfies ``|phi(x, t) - s| <= tol * max(1, s)``.
+    Finds lam = 1/t with phi(x, 1/lam) / s = 1 by ``_unit_root``; the
+    returned t satisfies ``|phi(x, t) - s| <= tol * max(1, s)``.
     """
     if s < 0:
         raise DomainError("phi values are nonnegative")
     if s == 0.0:
         return 0.0
-    target = tol * max(1.0, s)
-
-    f = lambda t: eval_phi(spec, x, t)
-    hi = 1.0
-    for _ in range(max_iter):
-        if f(hi) >= s:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket phi_inverse target s={s}")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val - s) <= target:
-            return mid
-        if val < s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, hi):
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(f"phi_inverse did not reach tol={tol} for s={s}")
+    lam, _, _ = _unit_root(
+        lambda lam: eval_phi(spec, x, 1.0 / lam) / s, eval_phi(spec, x, 1.0) / s,
+        *spec.exponent_bounds(), math.log1p(tol * max(1.0, s) / s), max_iter,
+    )
+    return 1.0 / lam

@@ -219,3 +219,42 @@ class TestBoundaryNorms:
         vals[~unit_square.boundary_mask] = rng.normal(size=int(np.sum(~unit_square.boundary_mask)))
         res = boundary_norm(spec, GridFunction(unit_square, vals))
         assert res.value == pytest.approx(4.0, abs=1e-9)
+
+
+def _norm_cases():
+    dom = GridDomain.box((33, 33), (2.0, 2.0), (-1.0, -1.0))
+    x, y = dom.coordinates
+    p = 1.5 + 0.2 * np.sin(x)
+    q = 1.25 * p
+    field = ExponentField(3, p, q, 1.0 + 0.5 * np.cos(y), spacing=dom.spacing)
+    u = np.exp(-3.0 * (x * x + y * y)) * np.cos(1.2 * x + 0.5) + 0.3
+
+    def mid(lo, cap):
+        return 0.5 * (lo + cap)
+
+    luxemburg = {
+        "double_phase": PhiSpec.double_phase(field),
+        "double_phase_normalized": PhiSpec.double_phase_normalized(field),
+        "critical": PhiSpec.critical(field),
+        "critical_trace": PhiSpec.critical_trace(field),
+        "subcritical": PhiSpec.subcritical(field, mid(p, field.critical("p")), mid(q, field.critical("q"))),
+        "subcritical_trace": PhiSpec.subcritical_trace(
+            field, mid(p, field.critical_trace("p")), mid(q, field.critical_trace("q"))),
+        "weighted": PhiSpec.weighted(field, 1.3, 2.6, 1.5),
+    }
+    cases = {f"luxemburg-{k}": (lambda v, t, s=s: luxemburg_norm(s, v, tol=t)) for k, s in luxemburg.items()}
+    cases["sobolev"] = lambda v, t: sobolev_norm(field, v, tol=t)
+    cases["boundary"] = lambda v, t: boundary_norm(luxemburg["critical_trace"], v, tol=t)
+    return dom, u, cases
+
+
+_DOMAIN, _PROFILE, _NORMS = _norm_cases()
+
+
+@pytest.mark.parametrize("which", sorted(_NORMS))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_every_norm_converges_in_few_modular_evaluations(which, scale, tol):
+    res = _NORMS[which](GridFunction(_DOMAIN, scale * _PROFILE), tol)
+    assert res.iterations <= 10
+    assert abs(res.modular_at_value - 1.0) <= tol

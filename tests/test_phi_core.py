@@ -21,6 +21,46 @@ def const_field(N, p, q, mu, **kw):
     return ExponentField(N, float(p), float(q), float(mu), **kw)
 
 
+def nodewise_specs():
+    """One spec of every kind over a three-node field."""
+    p = np.array([1.4, 1.7, 2.0])
+    q = 1.2 * p
+    f = ExponentField(4, p, q, np.array([0.0, 0.7, 2.0]))
+
+    def mid(lo, cap):
+        return 0.5 * (lo + cap)
+
+    return [
+        PhiSpec.double_phase(f),
+        PhiSpec.double_phase_normalized(f),
+        PhiSpec.critical(f),
+        PhiSpec.critical_trace(f),
+        PhiSpec.subcritical(f, mid(p, f.critical("p")), mid(q, f.critical("q"))),
+        PhiSpec.subcritical_trace(f, mid(p, f.critical_trace("p")), mid(q, f.critical_trace("q"))),
+        PhiSpec.weighted(f, 1.5, 2.5, 1.3),
+    ]
+
+
+class TestExponentFieldData:
+    @pytest.mark.parametrize("name", ["p", "q", "mu"])
+    def test_nan_rejected(self, name):
+        data = {"p": np.array([1.5, 1.6]), "q": np.array([1.8, 1.9]), "mu": np.array([0.0, 1.0])}
+        data[name][1] = np.nan
+        with pytest.raises(DomainError):
+            ExponentField(3, **data)
+
+    @pytest.mark.parametrize("name", ["p", "q"])
+    def test_infinite_exponent_rejected(self, name):
+        data = {"p": 1.5, "q": 1.8, "mu": 1.0}
+        data[name] = np.inf
+        with pytest.raises(DomainError):
+            ExponentField(3, **data)
+
+    def test_infinite_weight_kept_for_validation(self):
+        report = validate_hypotheses(ExponentField(3, 1.5, 1.8, np.inf), "H2")
+        assert report.conditions() == ["mu bounded"]
+
+
 class TestValidateHypotheses:
     def test_h3_pass_example(self):
         rep = validate_hypotheses(const_field(3, 1.5, 1.6, 0.5), "H3")
@@ -118,6 +158,14 @@ class TestEvalPhi:
         assert eval_phi(spec, 0, 2.0) == pytest.approx(4.0)
         assert eval_phi(spec, 1, 2.0) == pytest.approx(8.0 + 16.0)
 
+    @pytest.mark.parametrize("spec", nodewise_specs(), ids=lambda s: s.kind)
+    def test_scalar_path_matches_vectorized(self, spec):
+        ts = np.array([0.0, 0.3, 1.0, 2.5])
+        for x in range(3):
+            by_node = [spec.evaluate_nodes(np.full(3, t))[x] for t in ts]
+            assert [eval_phi(spec, x, t) for t in ts] == pytest.approx(by_node, rel=1e-15)
+            assert eval_phi(spec, x, ts) == pytest.approx(by_node, rel=1e-15)
+
     def test_strict_monotonicity_sampled(self, rng):
         for _ in range(50):
             f = random_field_h3(rng)
@@ -201,6 +249,14 @@ class TestPhiInverse:
         spec = PhiSpec.double_phase(const_field(3, 2.0, 2.5, 0.0))
         with pytest.raises(DomainError):
             phi_inverse(spec, None, -1.0)
+
+    @pytest.mark.parametrize("spec", nodewise_specs(), ids=lambda s: s.kind)
+    def test_round_trip_every_kind(self, spec):
+        tol = 1e-12
+        for x in range(3):
+            for s in (1e-6, 0.3, 1.0, 7.0, 1e4):
+                t = phi_inverse(spec, x, s, tol=tol)
+                assert abs(eval_phi(spec, x, t) - s) <= tol * max(1.0, s)
 
 
 class TestPhiSpecWindows:
