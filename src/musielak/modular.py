@@ -249,6 +249,11 @@ def boundary_modular(spec: PhiSpec, u: GridFunction) -> float:
     return float(np.sum(w * spec.evaluate_nodes(np.abs(u.values))))
 
 
+def _terms_modular(spec: PhiSpec, terms, lam: float = 1.0) -> float:
+    """Sum of w * phi(t / lam) over the (weights, magnitudes) ``terms``."""
+    return float(sum(np.sum(w * spec.evaluate_nodes(t / lam)) for w, t in terms))
+
+
 def _norm(spec: PhiSpec, terms, rho_u: float, tol: float) -> NormResult:
     """The lam with sum of w * phi(t / lam) over ``terms`` = 1, to ``tol``.
 
@@ -260,8 +265,7 @@ def _norm(spec: PhiSpec, terms, rho_u: float, tol: float) -> NormResult:
     if rho_u == 0.0:
         return NormResult(0.0, 0.0, 0)
     lam, val, it = _unit_root(
-        lambda lam: float(sum(np.sum(w * spec.evaluate_nodes(t / lam)) for w, t in terms)),
-        rho_u, *spec.exponent_bounds(), math.log1p(tol),
+        lambda lam: _terms_modular(spec, terms, lam), rho_u, *spec.exponent_bounds(), math.log1p(tol),
     )
     if abs(val - 1.0) > tol:
         raise ConvergenceError(f"norm root-finder stalled at lam={lam} with modular {val}")
@@ -280,9 +284,11 @@ def luxemburg_norm(spec: PhiSpec, u: GridFunction, tol: float = 1e-10) -> NormRe
 
 def sobolev_norm(field: ExponentField, u: GridFunction, tol: float = 1e-10) -> NormResult:
     """Luxemburg-type norm driven by the gradient-plus-function modular."""
+    spec = PhiSpec.double_phase(field)
+    _require_same_nodes(spec, u)
     w = u.domain.interior_weights
     terms = [(w, np.abs(u.values)), (w, u.gradient_magnitude())]
-    return _norm(PhiSpec.double_phase(field), terms, modular_sobolev(field, u), tol)
+    return _norm(spec, terms, _terms_modular(spec, terms), tol)
 
 
 def boundary_norm(spec: PhiSpec, u: GridFunction, tol: float = 1e-10) -> NormResult:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import musielak
-from musielak import ConvergenceError, ExponentField, PhiSpec, eval_phi
+from musielak import (ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi,
+                      verify_conjugate_bounds, verify_trace_bound)
 from musielak import cli
 
 
@@ -81,3 +82,90 @@ def test_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+class TestNodeList:
+    TWO = {"N": 3, "p": [1.5, 1.6], "q": [1.8, 1.9], "mu": [0.0, 1.0]}
+
+    def _reject(self, tmp_path, capsys, payload, needle):
+        code, out = _run(tmp_path, "conjugate-table", dict(payload, t_values=[1.0]))
+        assert code == cli.EXIT_INPUT_ERROR
+        assert needle in capsys.readouterr().err
+        assert not (out / "conjugate_table.csv").exists()
+
+    @pytest.mark.parametrize("bad", [2, 5])
+    def test_index_past_the_last_node(self, tmp_path, capsys, bad):
+        self._reject(tmp_path, capsys, {"field": self.TWO, "nodes": [0, bad]}, f"node {bad} ")
+
+    def test_negative_index(self, tmp_path, capsys):
+        self._reject(tmp_path, capsys, {"field": self.TWO, "nodes": [-1]}, "node -1 ")
+
+    def test_node_varying_field_without_nodes(self, tmp_path, capsys):
+        self._reject(tmp_path, capsys, {"field": self.TWO}, "'nodes'")
+
+
+# Nodes with mu = 0 and mu > 0; t from 0 across t = 1.
+MIXED = {"N": 3, "p": [1.4, 1.6, 1.5, 1.7], "q": [1.7, 2.0, 1.9, 2.2], "mu": [0.0, 1.5, 0.0, 0.7]}
+MIXED_TS = [0.0, 0.03, 0.4, 1.0, 2.5, 7.0, 15.0]
+SLACK_COLUMNS = {"slack_power_p": "power_p", "slack_power_q": "power_q",
+                 "slack_critical": "critical_domination", "slack_trace": "trace_domination"}
+
+
+def _conjugate_rtol(t):
+    # conjugate_batch stops when |t - H*^{-1}(h)| <= tol * max(1, t): absolute
+    # below t = 1, so two solves agree only to about tol / t there.
+    return 1e-9 * max(1.0, 1.0 / t) if t > 0 else 0.0
+
+
+def _slack_close(got, ref):
+    return abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_one_pass_table_matches_separate_solves(tmp_path, normalized):
+    payload = {"field": MIXED, "nodes": [0, 1, 2, 3], "t_values": MIXED_TS, "normalized": normalized}
+    code, out = _run(tmp_path, "conjugate-table", payload)
+    assert code == cli.EXIT_OK
+    rows = _read_table(out / "conjugate_table.csv")
+    assert [(int(r["x_index"]), float(r["t"])) for r in rows] == [(x, t) for x in range(4) for t in MIXED_TS]
+    field = ExponentField(3, *(np.array(MIXED[k]) for k in ("p", "q", "mu")))
+    crit_spec = PhiSpec.critical(field)
+    ts = np.array(MIXED_TS)
+    for x in range(4):
+        node_rows = rows[x * ts.size:(x + 1) * ts.size]
+        h_ref = conjugate_batch(3, *field.at(x), ts, tol=1e-10, normalized=normalized)
+        samples = [(x, t) for t in ts]
+        slacks = {**verify_conjugate_bounds(field, samples, normalized=normalized).slacks,
+                  **verify_trace_bound(field, samples, normalized=normalized).slacks}
+        for i, (row, t) in enumerate(zip(node_rows, ts)):
+            assert float(row["conjugate"]) == pytest.approx(h_ref[i], rel=_conjugate_rtol(t), abs=0.0)
+            assert float(row["critical_value"]) == crit_spec(x, ts)[i]
+            for col, name in SLACK_COLUMNS.items():
+                assert _slack_close(float(row[col]), slacks[name][i]), (x, t, col)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("variant", ["raw", "normalized"])
+def test_conjugate_table_golden(tmp_path, variant):
+    # The CSVs were written by the three-solves-per-node table that preceded
+    # tabulate_bounds; x_index, t and the critical column must match exactly.
+    code, out = _run(tmp_path, "conjugate-table", None,
+                     text=(DATA / f"conjugate_golden_{variant}.json").read_text())
+    assert code == cli.EXIT_OK
+    rows = _read_table(out / "conjugate_table.csv")
+    golden = _read_table(DATA / f"conjugate_golden_{variant}.csv")
+    assert len(rows) == len(golden) == 64
+    for row, ref in zip(rows, golden):
+        assert list(row) == list(ref)
+        assert (row["x_index"], row["t"], row["critical_value"]) == (ref["x_index"], ref["t"], ref["critical_value"])
+        t = float(ref["t"])
+        assert float(row["conjugate"]) == pytest.approx(float(ref["conjugate"]), rel=_conjugate_rtol(t), abs=0.0)
+        for col in SLACK_COLUMNS:
+            assert _slack_close(float(row[col]), float(ref[col])), (ref["x_index"], t, col)

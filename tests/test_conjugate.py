@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from musielak import (
     conjugate_inverse,
     conjugate_inverse_batch,
     eval_phi,
+    tabulate_bounds,
     verify_conjugate_bounds,
     verify_trace_bound,
 )
@@ -173,3 +176,81 @@ class TestBoundVerification:
         f = ExponentField(4, 2.0, 3.0, 16.0)
         spec = PhiSpec.critical(f)
         assert eval_phi(spec, None, 1.0) == pytest.approx(65537.0)
+
+
+class TestTabulateBounds:
+    FIELD = ExponentField(3, np.linspace(1.35, 1.8, 30), np.linspace(1.7, 2.3, 30),
+                          np.where(np.arange(30) % 3 == 0, 0.0, np.linspace(0.1, 2.0, 30)))
+    TS = np.linspace(0.0, 9.0, 10)
+
+    def test_one_solve_per_sample(self, monkeypatch):
+        module = importlib.import_module("musielak.conjugate")
+        sizes = []
+
+        def counted(N, p, q, mu, t, **kw):
+            sizes.append(np.size(t))
+            return conjugate_batch(N, p, q, mu, t, **kw)
+
+        monkeypatch.setattr(module, "conjugate_batch", counted)
+        nodes = list(range(12))
+        report = tabulate_bounds(self.FIELD, nodes, self.TS)
+        assert sum(sizes) == len(nodes) * self.TS.size == report.conjugate.size == len(report.samples)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_blocks_across_nodes_match_per_node_tables(self, monkeypatch, block):
+        module = importlib.import_module("musielak.conjugate")
+        if block is not None:
+            monkeypatch.setattr(module, "_BLOCK", block)
+        nodes = list(range(30))
+        assert len(nodes) * self.TS.size > module._BLOCK
+        for normalized in (False, True):
+            report = tabulate_bounds(self.FIELD, nodes, self.TS, normalized=normalized)
+            for x in nodes:
+                rows = slice(x * self.TS.size, (x + 1) * self.TS.size)
+                rep_node = tabulate_bounds(self.FIELD, [x], self.TS, normalized=normalized)
+                assert report.samples[rows] == rep_node.samples
+                np.testing.assert_allclose(report.conjugate[rows], rep_node.conjugate, rtol=1e-12, atol=0.0)
+                for name, vals in rep_node.slacks.items():
+                    assert np.all(np.abs(report.slacks[name][rows] - vals) <= 1e-12 * np.maximum(1.0, np.abs(vals)))
+
+    def test_slacks_match_the_verify_functions(self):
+        nodes = [0, 1, 2]
+        samples = [(x, t) for x in nodes for t in self.TS]
+        report = tabulate_bounds(self.FIELD, nodes, self.TS, tol=1e-9)
+        ref = {**verify_conjugate_bounds(self.FIELD, samples).slacks,
+               **verify_trace_bound(self.FIELD, samples).slacks}
+        assert report.samples == samples and report.tol == 1e-9
+        assert set(report.slacks) == set(ref)
+        for name, vals in ref.items():
+            assert np.all(np.abs(report.slacks[name] - vals) <= 1e-12 * np.maximum(1.0, np.abs(vals)))
+        assert report.all_pass
+
+    def test_inadmissible_field_rejected(self):
+        with pytest.raises(HypothesisError):
+            tabulate_bounds(ExponentField(3, 1.5, 3.5, 0.0), [None], self.TS)
+
+    def test_trace_bound_reuses_a_given_conjugate(self, monkeypatch):
+        samples = [(x, t) for x in (0, 1, 3) for t in self.TS]
+        checks = verify_conjugate_bounds(self.FIELD, samples, normalized=True)
+        h_ref = np.concatenate([conjugate_batch(3, *self.FIELD.at(x), self.TS, tol=1e-11,
+                                                normalized=True) for x in (0, 1, 3)])
+        np.testing.assert_allclose(checks.conjugate, h_ref, rtol=1e-12, atol=0.0)
+        solved = verify_trace_bound(self.FIELD, samples, normalized=True)
+        monkeypatch.setattr(importlib.import_module("musielak.conjugate"), "conjugate_batch", None)
+        given = verify_trace_bound(self.FIELD, samples, conjugate=checks.conjugate)
+        assert given.samples == solved.samples
+        np.testing.assert_array_equal(given.conjugate, solved.conjugate)
+        np.testing.assert_array_equal(given.slacks["trace_domination"], solved.slacks["trace_domination"])
+        with pytest.raises(DomainError):
+            verify_trace_bound(self.FIELD, samples, conjugate=checks.conjugate[:-1])
+
+    def test_one_field_lookup_per_node(self, monkeypatch):
+        calls = []
+        lookup = ExponentField.at
+        monkeypatch.setattr(ExponentField, "at", lambda f, x: calls.append(x) or lookup(f, x))
+        nodes = [4, 2, 7]
+        tabulate_bounds(self.FIELD, nodes, self.TS)
+        assert calls == nodes * 2
+        calls.clear()
+        verify_trace_bound(self.FIELD, [(4, 1.0), (2, 1.0), (4, 2.0)])
+        assert calls == [4, 2, 4]

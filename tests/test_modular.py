@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,19 @@ def test_every_norm_converges_in_few_modular_evaluations(which, scale, tol):
     res = _NORMS[which](GridFunction(_DOMAIN, scale * _PROFILE), tol)
     assert res.iterations <= 10
     assert abs(res.modular_at_value - 1.0) <= tol
+
+
+def test_sobolev_norm_seeds_with_the_sobolev_modular(monkeypatch, rng, unit_square):
+    # sobolev_norm builds its terms once and seeds the root-finder from them
+    field = random_field_h3(rng, unit_square, N=3)
+    u = random_grid_function(rng, unit_square)
+    module = importlib.import_module("musielak.modular")
+    norm, seeds = module._norm, []
+
+    def spy(spec, terms, rho_u, tol):
+        seeds.append(rho_u)
+        return norm(spec, terms, rho_u, tol)
+
+    monkeypatch.setattr(module, "_norm", spy)
+    sobolev_norm(field, u)
+    assert seeds == [pytest.approx(modular_sobolev(field, u), rel=1e-13, abs=0.0)]
