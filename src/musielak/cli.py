@@ -175,6 +175,8 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
         rng = np.random.default_rng(cfg.seed)
         ts = np.sort(rng.uniform(0.0, payload.get("t_max", 10.0), payload.get("n_samples", 32)))
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise _InputError("t values must be a flat list of finite numbers")
     normalized = bool(payload.get("normalized", False))
 
     report = tabulate_bounds(field, nodes, ts, tol=cfg.tol, normalized=normalized)
@@ -279,6 +281,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
         "grad_norm": report.grad_norm,
         "step_norm": report.step_norm,
         "message": report.message,
+        "factorizations": report.factorizations,
+        "linear_iterations": report.linear_iterations,
         "weak_residual": solver.weak_residual(spec, u),
     })
     return EXIT_OK if report.converged else EXIT_CHECK_FAILED

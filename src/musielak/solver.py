@@ -14,6 +14,25 @@ metric).  For p = q = 2 the metric is the exact Hessian and the method
 converges in one step; in general it keeps the iteration count in the tens
 where plain gradient descent would need millions of steps on fine lattices.
 
+The metric changes little from one outer iteration to the next, so it is not
+factored every time.  Each direction solves the current metric, applied
+matrix-free through the cell gradient and its adjoint, by conjugate gradients
+to a fixed relative residual (an inexact Newton forcing term, Eisenstat and
+Walker 1996).  CG is preconditioned by one cached sparse LU factor of an
+earlier metric: it is made on the first outer iteration and made again only
+after a direction needed more than a few CG iterations, the sign that the
+cached metric has drifted.  On a fresh factor CG converges in one iteration.
+CG started from zero returns a descent direction even when stopped early.
+In the Neumann case the metric has a kernel (the constants, and from 2D on
+sign patterns such as the checkerboard, which the averaged cell gradient
+cannot see); a tiny diagonal shift makes it definite, and the matrix-free
+operator adds the same shift as the factor, so the kernel is no harder for
+CG than the rest.
+
+The loop stops when the gradient drops below ``grad_tol``, or when the step
+drops below ``step_tol`` and the gradient has stopped falling; either way the
+report carries the gradient at the returned iterate.
+
 A tiny regularization ``eps_reg`` is added under the gradient powers so the
 density stays differentiable at zero gradient when p < 2; the constant shift
 is removed so the energy of the zero function is exactly zero, and for p = 2
@@ -48,7 +67,9 @@ class ProblemSpec:
 
     ``bc`` is "dirichlet-zero" (homogeneous essential condition; only interior
     nodes are degrees of freedom) or "neumann" (natural condition with
-    boundary flux ``flux``).
+    boundary flux ``flux``).  Neumann data must be compatible: source and flux
+    together integrate to zero, or the energy is unbounded below along the
+    constants and ``DomainError`` is raised.
     """
 
     domain: GridDomain
@@ -73,6 +94,14 @@ class ProblemSpec:
         if self.bc == "neumann" and self.flux is not None:
             if self.flux.domain.shape != self.domain.shape:
                 raise DomainError("flux term lives on a different grid")
+        if self.bc == "neumann":
+            # Constants are free, so the energy is bounded below only when
+            # the load integrates to zero.
+            load = _load_vector(self)
+            total = float(np.sum(load))
+            if not abs(total) <= 1e-8 * float(np.sum(np.abs(load))):
+                raise DomainError(
+                    f"incompatible Neumann data: source and flux integrate to {total:.3e}, not 0")
 
     @property
     def free_mask(self) -> np.ndarray:
@@ -230,6 +259,11 @@ def _cell_operators(domain: GridDomain):
 
 
 def _metric(spec: ProblemSpec, coeff_cells: np.ndarray, ops, free_idx):
+    """Factor the lagged-diffusivity metric on the free nodes.
+
+    Returns the LU factor and the diagonal shift that was added to the matrix
+    before factoring (zero unless the problem is Neumann).
+    """
     dom = spec.domain
     w = sp.diags(dom.cell_measure * coeff_cells.ravel())
     M = None
@@ -237,16 +271,82 @@ def _metric(spec: ProblemSpec, coeff_cells: np.ndarray, ops, free_idx):
         term = op.T @ w @ op
         M = term if M is None else M + term
     M = M.tocsr()[free_idx, :][:, free_idx].tocsc()
+    shift = 0.0
     if spec.bc == "neumann":
-        # Constants are in the kernel; a tiny diagonal shift keeps the
-        # factorization well posed without disturbing the descent direction.
+        # Constants (and, from 2D on, sign patterns such as the checkerboard)
+        # are in the kernel; a tiny diagonal shift keeps the factorization
+        # well posed without disturbing the descent direction.
         shift = 1e-10 * float(np.mean(M.diagonal()) + 1.0)
         M = M + shift * sp.identity(M.shape[0], format="csc")
-    return splu(M)
+    return splu(M), shift
+
+
+def _metric_operator(spec: ProblemSpec, coeff_cells: np.ndarray, free_idx, shift: float):
+    """The metric on the free nodes, applied matrix-free.
+
+    It is the matrix that ``_metric`` factors for the same coefficients plus
+    ``shift`` times the identity.  The shift must be the one of the factor used
+    as preconditioner: the kernel modes see only the shift, in both.
+    """
+    dom = spec.domain
+    weight = dom.cell_measure * coeff_cells
+    full = np.zeros(dom.shape)
+
+    def apply(v):
+        full.ravel()[free_idx] = v
+        comps = _cell_gradient(dom, full)
+        return _cell_gradient_adjoint(dom, [weight * c for c in comps]).ravel()[free_idx] + shift * v
+
+    return apply
+
+
+# Forcing term of the inexact linear solves (Eisenstat-Walker with a fixed
+# tolerance): CG stops once the residual is this fraction of the right side.
+_CG_RTOL = 1e-2
+# A cached factor that needed more CG iterations than this is refactored at
+# the next outer iteration: by then a fresh factor is cheaper than the solves.
+_STALE_AFTER = 6
+# Upper bound on the CG iterations of one direction.  Any CG iterate started
+# from zero is a descent direction, so stopping early is safe.
+_CG_MAXITER = 50
+
+
+def _pcg(apply, precondition, b):
+    """Preconditioned CG for ``apply(x) = b`` from ``x = 0``.
+
+    Stops at relative residual ``_CG_RTOL``, after ``_CG_MAXITER`` iterations,
+    or when the operator is not positive along the search direction.  Returns
+    the iterate and the number of iterations taken.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    d = z.copy()
+    rz = float(r @ z)
+    target = _CG_RTOL * float(np.linalg.norm(b))
+    its = 0
+    while its < _CG_MAXITER:
+        ad = apply(d)
+        dad = float(d @ ad)
+        if not dad > 0.0:
+            break
+        step = rz / dad
+        x += step * d
+        r -= step * ad
+        its += 1
+        if float(np.linalg.norm(r)) <= target:
+            break
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
+    return x, its
 
 
 @dataclass
 class ConvergenceReport:
+    """How a solve ended.  ``factorizations`` counts the sparse LU factors
+    made and ``linear_iterations`` the CG iterations of all outer iterations."""
+
     converged: bool
     iterations: int
     energy: float
@@ -254,6 +354,8 @@ class ConvergenceReport:
     step_norm: float
     message: str
     energy_history: list = dc_field(default_factory=list)
+    factorizations: int = 0
+    linear_iterations: int = 0
 
 
 def solve(spec: ProblemSpec, u0: GridFunction | None = None):
@@ -261,7 +363,8 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
 
     Preconditioned descent with Armijo backtracking.  Accepted steps never
     increase the energy; the loop stops when either the gradient or the
-    preconditioned step drops below the configured tolerances.  Hitting the
+    preconditioned step drops below the configured tolerances, and in both
+    cases ``grad_norm`` is the gradient at the returned iterate.  Hitting the
     iteration cap returns the last iterate with ``converged=False``.
     """
     dom = spec.domain
@@ -278,10 +381,12 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
     p, q, mu = _cell_fields(spec)
     history = []
     e = energy(spec, GridFunction(dom, u))
-    grad_norm = np.inf
+    grad_norm = prev_grad_norm = np.inf
     step_norm = np.inf
     message = "iteration cap reached"
     converged = False
+    lu = None
+    factorizations = linear_iterations = 0
     it = 0
     for it in range(1, spec.max_iter + 1):
         g = energy_gradient(spec, GridFunction(dom, u)).values
@@ -289,13 +394,26 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
         if grad_norm <= spec.grad_tol:
             converged, message = True, "gradient tolerance reached"
             break
+        # A small step alone does not stop the loop: for p < 2 the metric is
+        # large where the gradient of u vanishes, so steps there fall below
+        # step_tol while the energy gradient still drops geometrically.
+        if step_norm <= spec.step_tol and grad_norm >= prev_grad_norm:
+            converged, message = True, f"step tolerance reached (gradient {grad_norm:.2e})"
+            break
+        prev_grad_norm = grad_norm
 
         comps = _cell_gradient(dom, u)
         sq = sum(c * c for c in comps) + spec.eps_reg
         coeff = sq ** ((p - 2.0) / 2.0) + mu * sq ** ((q - 2.0) / 2.0)
-        lu = _metric(spec, coeff, ops, free_idx)
+        if lu is None:
+            lu, shift = _metric(spec, coeff, ops, free_idx)
+            factorizations += 1
+        x, its = _pcg(_metric_operator(spec, coeff, free_idx, shift), lu.solve, -g.ravel()[free_idx])
+        linear_iterations += its
+        if its > _STALE_AFTER:
+            lu = None
         direction = np.zeros(dom.shape)
-        direction.ravel()[free_idx] = -lu.solve(g.ravel()[free_idx])
+        direction.ravel()[free_idx] = x
 
         slope = float(np.sum(g[free] * direction[free]))
         if slope >= 0.0:  # numerically stagnant metric; fall back to steepest descent
@@ -317,11 +435,9 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
         u = trial
         e = e_trial
         history.append(e)
-        if step_norm <= spec.step_tol:
-            converged, message = True, "step tolerance reached"
-            break
 
-    report = ConvergenceReport(converged, it, e, grad_norm, step_norm, message, history)
+    report = ConvergenceReport(converged, it, e, grad_norm, step_norm, message, history,
+                               factorizations, linear_iterations)
     return GridFunction(dom, u), report
 
 

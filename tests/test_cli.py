@@ -169,3 +169,34 @@ def test_conjugate_table_golden(tmp_path, variant):
         assert float(row["conjugate"]) == pytest.approx(float(ref["conjugate"]), rel=_conjugate_rtol(t), abs=0.0)
         for col in SLACK_COLUMNS:
             assert _slack_close(float(row[col]), float(ref[col])), (ref["x_index"], t, col)
+
+
+@pytest.mark.parametrize("t_values", [2.0, [1.0, float("nan")], [1.0, float("inf")], [[1.0], [2.0]]])
+def test_malformed_t_values_are_input_errors(tmp_path, capsys, t_values):
+    # json writes the tokens NaN and Infinity, which Python's json reads back
+    payload = {"field": {"N": 3, "p": 1.5, "q": 1.8, "mu": 0.5}, "t_values": t_values}
+    code, out = _run(tmp_path, "conjugate-table", None, text=json.dumps(payload))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "t values" in capsys.readouterr().err
+    assert not (out / "conjugate_table.csv").exists()
+
+
+SOLVE = {"grid": {"shape": [17, 17]}, "field": {"N": 3, "p": 2.0, "q": 2.0, "mu": 1.0},
+         "source": 1.0, "grad_tol": 1e-8}
+
+
+def test_solve_reports_linear_work(tmp_path):
+    code, out = _run(tmp_path, "solve", SOLVE)
+    conv = json.loads((out / "convergence.json").read_text())
+    assert code == cli.EXIT_OK
+    assert {"converged", "iterations", "energy", "grad_norm", "step_norm", "message",
+            "weak_residual"} <= set(conv)
+    # p = q = 2: one step on a fresh factor, which CG solves in one iteration
+    assert (conv["iterations"], conv["factorizations"], conv["linear_iterations"]) == (2, 1, 1)
+
+
+def test_incompatible_neumann_solve_is_an_input_error(tmp_path, capsys):
+    code, out = _run(tmp_path, "solve", dict(SOLVE, bc="neumann"))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "incompatible Neumann data" in capsys.readouterr().err
+    assert not (out / "convergence.json").exists()

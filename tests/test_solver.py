@@ -3,6 +3,7 @@ import pytest
 
 from musielak import (
     ContractError,
+    DomainError,
     GridDomain,
     GridFunction,
     ProblemSpec,
@@ -12,6 +13,7 @@ from musielak import (
     two_sided_bound,
     weak_residual,
 )
+from musielak import solver as solver_impl
 
 
 def interval_problem(n=129, p=2.0, q=2.0, mu=0.0, f=1.0, N=3, **kw):
@@ -258,3 +260,160 @@ class TestSolutionsFeedTruncationMachinery:
                                  kappa_star_grid=np.geomspace(top / 16, top + 0.1, 10),
                                  r=3.0, s=3.5)
         assert report.found and report.bound_ok
+
+
+# ---------------------------------------------------------------------------
+# Cached metric factor reused as a CG preconditioner
+# ---------------------------------------------------------------------------
+
+
+def lattice_problem(shape, regime, bc, variable, load):
+    """A smaller copy of one lattice-solve benchmark problem, with the
+    nominal data of the benchmark generator and no seeded jitter."""
+    dom = GridDomain.box(shape)
+    x = dom.coordinates
+    p, q = {"low": (1.5, 2.25), "high": (2.2, 2.5), "quadratic": (2.0, 2.0)}[regime]
+    mu = 1.0
+    if variable:
+        p = p + 0.08 * np.sin(np.pi * x[0])
+        q = q + 0.08 * np.cos(np.pi * x[-1])
+        mu = 1.0 + 0.5 * np.sin(2.0 * np.pi * x[0] * x[-1])
+    field = dom.constant_field(3, p, q, mu)
+    if bc == "neumann":
+        # odd about the box centre, so the load integrates to zero
+        f, flux = load * np.cos(np.pi * x[0]), GridFunction.constant(dom, 0.0)
+    else:
+        f, flux = np.full(shape, load), None
+    return ProblemSpec(dom, field, GridFunction(dom, f), bc=bc, flux=flux, grad_tol=1e-8)
+
+
+# The seven lattice-solve problems on smaller lattices, with the outer
+# iteration count and energy that one splu per outer iteration gave.
+SMALL_SOLVES = {
+    "s65-dir-const-plow": (((33, 33), "low", "dirichlet-zero", False, 8.0), 22, -0.48932429040226566),
+    "s65-dir-var-phigh": (((33, 33), "high", "dirichlet-zero", True, 10.0), 19, -0.985523402064393),
+    "s65-neu-var-plow": (((33, 33), "low", "neumann", True, 6.0), 21, -0.356089514238103),
+    "s65-dir-p2q2": (((33, 33), "quadratic", "dirichlet-zero", False, 25.0), 2, -5.637405972997269),
+    "s129-dir-var-plow": (((49, 49), "low", "dirichlet-zero", True, 8.0), 18, -0.47789916217147066),
+    "s129-dir-const-phigh": (((49, 49), "high", "dirichlet-zero", False, 10.0), 15, -1.0015327738356947),
+    "s17c-dir-const-phigh": (((9, 9, 9), "high", "dirichlet-zero", False, 10.0), 15, -1.0296358418479412),
+}
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize("bc", ["dirichlet-zero", "neumann"])
+    def test_fresh_factor_direction_is_the_direct_solve(self, rng, bc):
+        spec = lattice_problem((17, 13), "low", bc, True, 6.0)
+        dom = spec.domain
+        free_idx = np.nonzero(spec.free_mask.ravel())[0]
+        cells = tuple(n - 1 for n in dom.shape)
+        coeff = rng.uniform(0.1, 10.0, cells)
+        lu, shift = solver_impl._metric(spec, coeff, solver_impl._cell_operators(dom), free_idx)
+        assert (shift > 0.0) == (bc == "neumann")
+        apply = solver_impl._metric_operator(spec, coeff, free_idx, shift)
+        # an energy gradient, like every right side in solve: orthogonal to
+        # the kernel of the Neumann metric
+        u = GridFunction(dom, np.where(spec.free_mask, rng.normal(size=dom.shape), 0.0))
+        b = -energy_gradient(spec, u).values.ravel()[free_idx]
+        direct = lu.solve(b)
+        x, its = solver_impl._pcg(apply, lu.solve, b)
+        assert its == 1
+        assert np.linalg.norm(x - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    def test_kernel_modes_see_only_the_shift(self):
+        # Constants and the checkerboard have zero cell gradient, so the
+        # operator and the factor must both act on them by the shift alone.
+        spec = lattice_problem((9, 7), "low", "neumann", False, 6.0)
+        free_idx = np.arange(63)
+        coeff = np.ones((8, 6))
+        apply = solver_impl._metric_operator(spec, coeff, free_idx, 0.25)
+        checker = np.indices((9, 7)).sum(axis=0) % 2 * 2.0 - 1.0
+        for mode in (np.ones(63), checker.ravel()):
+            assert np.allclose(apply(mode), 0.25 * mode, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_SOLVES))
+    def test_outer_iterations_match_one_factor_per_iteration(self, name):
+        args, iterations, energy_ref = SMALL_SOLVES[name]
+        spec = lattice_problem(*args)
+        u, rep = solve(spec)
+        assert rep.converged
+        assert abs(rep.iterations - iterations) <= 2
+        assert rep.energy == pytest.approx(energy_ref, rel=1e-10)
+        assert weak_residual(spec, u) <= spec.grad_tol
+
+    def test_quadratic_problem_is_one_step(self):
+        spec = lattice_problem(*SMALL_SOLVES["s65-dir-p2q2"][0])
+        _, rep = solve(spec)
+        assert rep.iterations == 2
+        assert (rep.factorizations, rep.linear_iterations) == (1, 1)
+
+    def test_2d_neumann_with_checkerboard_kernel_converges(self):
+        dom = GridDomain.box((25, 17), lengths=(1.0, 0.5))
+        x = dom.coordinates[0]
+        spec = ProblemSpec(dom, dom.constant_field(4, 2.2, 3.0, 1.0),
+                           GridFunction(dom, 5.0 * np.cos(np.pi * x)), bc="neumann", grad_tol=1e-9)
+        u, rep = solve(spec)
+        assert rep.converged
+        assert weak_residual(spec, u) <= spec.grad_tol
+
+    def test_splu_hook_counts_every_factorization(self, monkeypatch):
+        calls = []
+        real = solver_impl.splu
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(solver_impl, "splu", counting)
+        _, rep = solve(lattice_problem(*SMALL_SOLVES["s129-dir-var-plow"][0]))
+        assert len(calls) == rep.factorizations
+        # refreshed at least once as the metric drifts, far from once per step
+        assert 1 < rep.factorizations <= rep.iterations // 4
+        assert rep.linear_iterations >= rep.iterations - 1
+
+
+class TestStepTolerance:
+    def test_small_step_with_falling_gradient_does_not_stop(self):
+        # Stopping on the first step below step_tol ended this solve at
+        # iteration 17 with gradient 1.7e-8, above grad_tol.
+        spec = lattice_problem((57, 57), "low", "dirichlet-zero", True, 10.0)
+        u, rep = solve(spec)
+        assert rep.message == "gradient tolerance reached"
+        assert weak_residual(spec, u) <= spec.grad_tol
+
+    def test_step_tolerance_reports_gradient_at_returned_iterate(self):
+        spec = interval_problem(n=129, p=2.0, q=4.0, mu=1.0, N=5, grad_tol=1e-14)
+        u, rep = solve(spec)
+        assert rep.converged
+        assert rep.message.startswith("step tolerance reached")
+        assert rep.grad_norm == weak_residual(spec, u)
+        assert f"(gradient {rep.grad_norm:.2e})" in rep.message
+
+
+class TestNeumannCompatibility:
+    @pytest.mark.parametrize("offset", [1.0, 1e-6])
+    def test_source_with_nonzero_integral_is_rejected(self, offset):
+        dom = GridDomain.box((17, 17))
+        f = GridFunction(dom, np.cos(np.pi * dom.coordinates[0]) + offset)
+        with pytest.raises(DomainError, match="incompatible Neumann data"):
+            ProblemSpec(dom, dom.constant_field(3, 2.0, 2.5, 1.0), f, bc="neumann")
+
+    def test_flux_alone_is_rejected(self):
+        dom = GridDomain.interval(33)
+        with pytest.raises(DomainError):
+            ProblemSpec(dom, dom.constant_field(3, 2.0, 2.5, 1.0), GridFunction.constant(dom, 0.0),
+                        bc="neumann", flux=GridFunction.constant(dom, 0.5))
+
+    def test_flux_balancing_the_source_is_accepted(self):
+        # in 1D the constants are the whole kernel of the cell gradient
+        dom = GridDomain.interval(65)
+        balance = -np.sum(dom.interior_weights) / np.sum(dom.boundary_weights)
+        spec = ProblemSpec(dom, dom.constant_field(3, 2.0, 2.5, 1.0), GridFunction.constant(dom, 1.0),
+                           bc="neumann", flux=GridFunction.constant(dom, balance))
+        u, rep = solve(spec)
+        assert rep.converged
+        assert weak_residual(spec, u) <= 1e-8
+
+    def test_dirichlet_source_needs_no_balance(self):
+        dom = GridDomain.box((9, 9))
+        ProblemSpec(dom, dom.constant_field(3, 2.0, 2.5, 1.0), GridFunction.constant(dom, 1.0))
