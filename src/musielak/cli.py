@@ -95,6 +95,13 @@ def _phi_spec(payload, field):
     raise _InputError(f"unknown Phi-function kind {kind!r}")
 
 
+def _flat_numbers(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not np.all(np.isfinite(values)):
+        raise _InputError(f"{what} must be a flat list of finite numbers")
+    return values
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -174,9 +181,7 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
     if ts is None:
         rng = np.random.default_rng(cfg.seed)
         ts = np.sort(rng.uniform(0.0, payload.get("t_max", 10.0), payload.get("n_samples", 32)))
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
-        raise _InputError("t values must be a flat list of finite numbers")
+    ts = _flat_numbers(ts, "t values")
     normalized = bool(payload.get("normalized", False))
 
     report = tabulate_bounds(field, nodes, ts, tol=cfg.tol, normalized=normalized)
@@ -297,7 +302,8 @@ def _cmd_bound_check(cfg: RunConfig) -> int:
     grid = payload.get("kappa_grid")
     if grid is None:
         top = float(np.max(np.abs(u.values))) + 1.0
-        grid = np.geomspace(max(top / 64.0, 1e-6), top, 16).tolist()
+        grid = np.geomspace(max(top / 64.0, 1e-6), top, 16)
+    grid = _flat_numbers(grid, "kappa grid values")
     report = degiorgi.two_sided_bound(u, field, regime, grid, **kw)
 
     constants = degiorgi.BoundConstants(**payload.get("constants", {}))

@@ -7,8 +7,10 @@ truncation energies realize that sequence for grid functions: levels
 ``kappa_n = kappa_* (2 - 2^-n)`` rise toward ``2 kappa_*``, the level sets
 ``{u > kappa_n}`` shrink, and the energies integrate kind-specific
 Phi-functions of ``(u - kappa_n)_+`` over them (plus boundary terms in the
-Neumann regimes and gradient terms in the critical regimes).  When the
-sequence dies, twice the starting level bounds the function from above.
+Neumann regimes and gradient terms in the critical regimes).  Only the
+truncation depends on the level: the Phi-functions and the gradient term are
+built once per function and reused at every level.  When the sequence dies,
+twice the starting level bounds the function from above.
 """
 
 from __future__ import annotations
@@ -151,10 +153,12 @@ def level_set(u: GridFunction, kappa: float) -> LevelSet:
 
 
 def kappa_sequence(kappa_star: float, n) -> float | np.ndarray:
-    """Level n of the doubling ladder: kappa_* (2 - 2^-n), increasing to 2 kappa_*."""
-    if kappa_star <= 0:
-        raise DomainError("kappa_star must be positive")
+    """Level n >= 0 of the doubling ladder: kappa_* (2 - 2^-n), increasing to 2 kappa_*."""
+    if not 0.0 < kappa_star < np.inf:
+        raise DomainError("kappa_star must be positive and finite")
     n = np.asarray(n)
+    if np.any(n < 0):
+        raise DomainError("level index n must be nonnegative")
     out = kappa_star * (2.0 - 0.5**n.astype(float))
     return float(out) if out.ndim == 0 else out
 
@@ -172,22 +176,55 @@ class IterationEnergy:
         return self.interior + self.boundary
 
 
-def _truncation_specs(field, regime, r, s, l, h):
-    """Phi-functions used by the interior and boundary terms of each regime."""
-    if regime in ("subcritical-D", "subcritical-N"):
-        if r is None or s is None:
-            raise HypothesisError(f"regime {regime} needs interior exponents r, s")
-        interior = PhiSpec.subcritical(field, r, s)
-    else:
-        interior = PhiSpec.critical(field)
-    boundary = None
-    if regime == "subcritical-N":
-        if l is None or h is None:
-            raise HypothesisError("regime subcritical-N needs boundary exponents l, h")
-        boundary = PhiSpec.subcritical_trace(field, l, h)
-    elif regime == "critical-N":
-        boundary = PhiSpec.critical_trace(field)
-    return interior, boundary
+class _Levels:
+    """The level-independent parts of one function's truncation energies: the
+    regime and exponent checks, the interior and boundary Phi-functions, the
+    weights and, in the critical regimes, the nodal gradient term w H(|grad u|).
+    """
+
+    def __init__(self, u, field, regime, r=None, s=None, l=None, h=None):
+        if regime not in REGIMES:
+            raise DomainError(f"unknown regime {regime!r}")
+        dom = u.domain
+        self.values, self.bmask = u.values, dom.boundary_mask
+        self.w, self.wb = dom.interior_weights, dom.boundary_weights
+        self.boundary = self.gradient_term = None
+        if regime.startswith("subcritical"):
+            if r is None or s is None:
+                raise HypothesisError(f"regime {regime} needs interior exponents r, s")
+            self.interior = PhiSpec.subcritical(field, r, s)
+            if regime == "subcritical-N":
+                if l is None or h is None:
+                    raise HypothesisError("regime subcritical-N needs boundary exponents l, h")
+                self.boundary = PhiSpec.subcritical_trace(field, l, h)
+        else:
+            self.interior = PhiSpec.critical(field)
+            if regime == "critical-N":
+                self.boundary = PhiSpec.critical_trace(field)
+            self.H = PhiSpec.double_phase(field)
+            self.gradient_term = self.w * self.H.evaluate_nodes(u.gradient_magnitude())
+
+    def energy(self, kappa):
+        """The (interior, boundary) truncation energy of (u - kappa)_+."""
+        excess = np.maximum(self.values - kappa, 0.0)
+        interior = float(np.sum(self.w * self.interior.evaluate_nodes(excess)))
+        if self.gradient_term is not None:
+            interior += float(np.sum(self.gradient_term[(self.values > kappa) & ~self.bmask]))
+        if self.boundary is None:
+            return interior, 0.0
+        return interior, float(np.sum(self.wb * self.boundary.evaluate_nodes(excess)))
+
+    def entry(self, kappa_star):
+        """The critical-regime sum of ``entry_condition`` over {u > kappa_*}."""
+        above = self.values > kappa_sequence(kappa_star, 0)  # level 0 is kappa_*, checked positive
+        on_set = above & ~self.bmask
+        absu = np.abs(self.values)
+        total = float(np.sum(self.gradient_term[on_set]))
+        total += float(np.sum(self.w[on_set] * self.interior.evaluate_nodes(absu)[on_set]))
+        if self.boundary is None:
+            return total + float(np.sum(self.w[on_set] * self.H.evaluate_nodes(absu)[on_set]))
+        on_set = above & self.bmask
+        return total + float(np.sum(self.wb[on_set] * self.boundary.evaluate_nodes(absu)[on_set]))
 
 
 def truncation_energy(
@@ -209,24 +246,9 @@ def truncation_energy(
     double-phase function of the gradient over the level set plus the critical
     function of the truncation (plus its trace version on the boundary).
     """
-    if regime not in REGIMES:
-        raise DomainError(f"unknown regime {regime!r}")
+    levels = _Levels(u, field, regime, r, s, l, h)
     kappa_n = kappa_sequence(kappa_star, n)
-    spec_i, spec_b = _truncation_specs(field, regime, r, s, l, h)
-    dom = u.domain
-    excess = np.maximum(u.values - kappa_n, 0.0)
-
-    interior = float(np.sum(dom.interior_weights * spec_i.evaluate_nodes(excess)))
-    if regime in ("critical-D", "critical-N"):
-        H = PhiSpec.double_phase(field)
-        on_set = (u.values > kappa_n) & ~dom.boundary_mask
-        grad = u.gradient_magnitude()
-        interior += float(np.sum(dom.interior_weights[on_set] * H.evaluate_nodes(grad)[on_set]))
-
-    boundary = 0.0
-    if spec_b is not None:
-        boundary = float(np.sum(dom.boundary_weights * spec_b.evaluate_nodes(excess)))
-    return IterationEnergy(regime, int(n), float(kappa_n), interior, boundary)
+    return IterationEnergy(regime, int(n), kappa_n, *levels.energy(kappa_n))
 
 
 def entry_condition(
@@ -248,22 +270,7 @@ def entry_condition(
     """
     if regime in ("subcritical-D", "subcritical-N"):
         return truncation_energy(u, field, regime, kappa_star, 0, r=r, s=s, l=l, h=h).total
-    dom = u.domain
-    ls = level_set(u, kappa_star)
-    H = PhiSpec.double_phase(field)
-    Gs = PhiSpec.critical(field)
-    absu = np.abs(u.values)
-    grad = u.gradient_magnitude()
-    w = dom.interior_weights
-    total = float(np.sum(w[ls.interior_mask] * H.evaluate_nodes(grad)[ls.interior_mask]))
-    total += float(np.sum(w[ls.interior_mask] * Gs.evaluate_nodes(absu)[ls.interior_mask]))
-    if regime == "critical-D":
-        total += float(np.sum(w[ls.interior_mask] * H.evaluate_nodes(absu)[ls.interior_mask]))
-    else:
-        Ts = PhiSpec.critical_trace(field)
-        wb = dom.boundary_weights
-        total += float(np.sum(wb[ls.boundary_mask] * Ts.evaluate_nodes(absu)[ls.boundary_mask]))
-    return total
+    return _Levels(u, field, regime, r, s, l, h).entry(kappa_star)
 
 
 # ---------------------------------------------------------------------------
@@ -413,33 +420,32 @@ def empirical_iteration(
 ) -> IterationReport:
     """Grid search for the smallest admissible starting level.
 
-    For each candidate the entry condition must be < 1 and the energy sequence
-    must decay below ``decay_tol`` within ``n_max`` steps.  The report carries
+    Candidates must be finite; nonpositive ones are skipped.  For each other
+    candidate the entry condition must be < 1 and the energy sequence must
+    decay below ``decay_tol`` within ``n_max`` steps.  The report carries
     the one-sided supremum of u over interior nodes and whether it is bounded
     by twice the chosen level (plus one-cell slack).
     """
-    if regime not in REGIMES:
-        raise DomainError(f"unknown regime {regime!r}")
-    dom = u.domain
-    interior = ~dom.boundary_mask
-    sup_u = float(np.max(u.values[interior]))
-    cell_slack = max(dom.spacing) * float(np.max(u.gradient_magnitude()))
+    kappas = sorted(float(k) for k in kappa_star_grid)
+    if not np.all(np.isfinite(kappas)):
+        raise DomainError("kappa_star candidates must be finite")
+    levels = _Levels(u, field, regime, r, s, l, h)
+    sup_u = float(np.max(u.values[~levels.bmask]))
+    cell_slack = max(u.domain.spacing) * float(np.max(u.gradient_magnitude()))
 
     candidates = []
     chosen = None
     chosen_energies = []
-    for kappa in sorted(float(k) for k in kappa_star_grid):
+    for kappa in kappas:
         if kappa <= 0:
             continue
         entry = entry_condition(u, field, regime, kappa, r=r, s=s, l=l, h=h)
         energies = []
-        decayed = False
-        for n in range(n_max + 1):
-            e = truncation_energy(u, field, regime, kappa, n, r=r, s=s, l=l, h=h)
-            energies.append(e)
-            if e.total <= decay_tol:
-                decayed = True
+        for n, kappa_n in enumerate(kappa_sequence(kappa, np.arange(n_max + 1))):
+            energies.append(IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
+            if energies[-1].total <= decay_tol:
                 break
+        decayed = energies[-1].total <= decay_tol
         candidates.append((kappa, entry, decayed, energies[-1].total))
         if entry < 1.0 and decayed and chosen is None:
             chosen = kappa

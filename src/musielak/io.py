@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -110,30 +111,27 @@ def function_to_csv(u: GridFunction, path) -> None:
 
 
 def function_from_csv(path) -> GridFunction:
+    """Read the layout ``function_to_csv`` writes: ``# key=value`` metadata
+    lines, an optional column header, then one row per node with the value last."""
     meta = {}
-    rows = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, val = line.lstrip("# ").partition("=")
                 meta[key.strip()] = val.strip()
-            elif line[0].isalpha() or line.startswith('"'):
-                continue  # column header
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    if "shape" not in meta:
-        raise DomainError(f"{path}: missing '# shape=...' metadata line")
+            elif line.strip():
+                break
+        if "shape" not in meta:
+            raise DomainError(f"{path}: missing '# shape=...' metadata line")
+        if not meta.get("spacing"):
+            raise DomainError(f"{path}: missing '# spacing=...' metadata line")
+        header = line.lstrip()[:1].isalpha() or line.lstrip().startswith('"')
+        rows = fh if header else itertools.chain([line], fh)
+        values = np.loadtxt(rows, delimiter=",", ndmin=2)[:, -1]
     shape = tuple(int(n) for n in meta["shape"].split(","))
-    spacing = tuple(float(h) for h in meta.get("spacing", "").split(",")) if meta.get("spacing") else None
-    origin = tuple(float(o) for o in meta.get("origin", "").split(",")) if meta.get("origin") else (0.0,) * len(shape)
-    if spacing is None:
-        raise DomainError(f"{path}: missing '# spacing=...' metadata line")
-    domain = GridDomain(shape, spacing, origin)
-    values = np.asarray(rows)[:, -1].reshape(shape)
-    return GridFunction(domain, values)
+    spacing = tuple(float(h) for h in meta["spacing"].split(","))
+    origin = tuple(float(o) for o in meta["origin"].split(",")) if meta.get("origin") else (0.0,) * len(shape)
+    return GridFunction(GridDomain(shape, spacing, origin), values.reshape(shape))
 
 
 def load_function(path, domain: GridDomain | None = None) -> GridFunction:

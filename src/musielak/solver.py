@@ -114,45 +114,42 @@ class ProblemSpec:
 # Cell-based differential operators
 # ---------------------------------------------------------------------------
 
-def _pair_average(arr, axis):
-    lo = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
+def _pair_slices(ndim, axis):
+    """Index tuples of the lower and the upper node of each pair along ``axis``."""
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
     lo[axis] = slice(None, -1)
     hi[axis] = slice(1, None)
-    return 0.5 * (arr[tuple(lo)] + arr[tuple(hi)])
+    return tuple(lo), tuple(hi)
+
+
+def _pair_average(arr, axis):
+    lo, hi = _pair_slices(arr.ndim, axis)
+    return 0.5 * (arr[lo] + arr[hi])
 
 
 def _pair_average_adjoint(arr, axis):
     shape = list(arr.shape)
     shape[axis] += 1
     out = np.zeros(shape)
-    lo = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(lo)] += 0.5 * arr
-    out[tuple(hi)] += 0.5 * arr
+    lo, hi = _pair_slices(arr.ndim, axis)
+    out[lo] += 0.5 * arr
+    out[hi] += 0.5 * arr
     return out
 
 
 def _forward_diff(arr, axis, h):
-    lo = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return (arr[tuple(hi)] - arr[tuple(lo)]) / h
+    lo, hi = _pair_slices(arr.ndim, axis)
+    return (arr[hi] - arr[lo]) / h
 
 
 def _forward_diff_adjoint(arr, axis, h):
     shape = list(arr.shape)
     shape[axis] += 1
     out = np.zeros(shape)
-    lo = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    out[tuple(hi)] += arr / h
-    out[tuple(lo)] -= arr / h
+    lo, hi = _pair_slices(arr.ndim, axis)
+    out[hi] += arr / h
+    out[lo] -= arr / h
     return out
 
 
@@ -218,6 +215,13 @@ def energy(spec: ProblemSpec, u: GridFunction) -> float:
     return bulk - float(np.sum(_load_vector(spec) * u.values))
 
 
+def _diffusivity(comps, p, q, mu, eps):
+    """The lagged-diffusivity coefficient |grad u|^(p-2) + mu |grad u|^(q-2) on
+    cells, with |grad u|^2 regularized by ``eps``."""
+    sq = sum(c * c for c in comps) + eps
+    return sq ** ((p - 2.0) / 2.0) + mu * sq ** ((q - 2.0) / 2.0)
+
+
 def energy_gradient(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     """Exact nodal gradient of the discrete energy.
 
@@ -228,8 +232,7 @@ def energy_gradient(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     dom = spec.domain
     p, q, mu = _cell_fields(spec)
     comps = _cell_gradient(dom, u.values)
-    sq = sum(c * c for c in comps) + spec.eps_reg
-    coeff = sq ** ((p - 2.0) / 2.0) + mu * sq ** ((q - 2.0) / 2.0)
+    coeff = _diffusivity(comps, p, q, mu, spec.eps_reg)
     scaled = [dom.cell_measure * coeff * c for c in comps]
     grad = _cell_gradient_adjoint(dom, scaled) - _load_vector(spec)
     if spec.bc == "dirichlet-zero":
@@ -402,9 +405,7 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
             break
         prev_grad_norm = grad_norm
 
-        comps = _cell_gradient(dom, u)
-        sq = sum(c * c for c in comps) + spec.eps_reg
-        coeff = sq ** ((p - 2.0) / 2.0) + mu * sq ** ((q - 2.0) / 2.0)
+        coeff = _diffusivity(_cell_gradient(dom, u), p, q, mu, spec.eps_reg)
         if lu is None:
             lu, shift = _metric(spec, coeff, ops, free_idx)
             factorizations += 1

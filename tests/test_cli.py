@@ -200,3 +200,33 @@ def test_incompatible_neumann_solve_is_an_input_error(tmp_path, capsys):
     assert code == cli.EXIT_INPUT_ERROR
     assert "incompatible Neumann data" in capsys.readouterr().err
     assert not (out / "convergence.json").exists()
+
+
+@pytest.mark.parametrize("regime", ["subcritical-D", "subcritical-N", "critical-N"])
+def test_bound_check_golden(tmp_path, regime):
+    # The golden files were written by the bound check that rebuilt its
+    # Phi-functions and gradient term at every truncation level.
+    code, out = _run(tmp_path, "bound-check", None, text=(DATA / f"bound_check_{regime}.json").read_text())
+    assert code == cli.EXIT_OK
+    got = json.loads((out / "bound_check.json").read_text())
+    golden = json.loads((DATA / f"bound_check_{regime}.golden.json").read_text())
+    assert sorted(got) == sorted(golden)
+    for key, ref in golden.items():
+        if isinstance(ref, float):
+            assert got[key] == pytest.approx(ref, rel=1e-12, abs=0.0), key
+        else:
+            assert got[key] == ref, key
+
+
+BOUND = {"grid": {"shape": [9, 9]}, "field": {"N": 3, "p": 1.6, "q": 1.9, "mu": 1.0},
+         "function": 0.25, "regime": "critical-D"}
+
+
+@pytest.mark.parametrize("kappa_grid", [2.0, [0.5, float("nan")], [0.5, float("inf")],
+                                        [float("-inf"), 0.5], [[0.5], [1.0]]])
+def test_malformed_kappa_grid_is_an_input_error(tmp_path, capsys, kappa_grid):
+    # json writes the tokens NaN and Infinity, which Python's json reads back
+    code, out = _run(tmp_path, "bound-check", None, text=json.dumps(dict(BOUND, kappa_grid=kappa_grid)))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "kappa grid" in capsys.readouterr().err
+    assert not (out / "bound_check.json").exists()

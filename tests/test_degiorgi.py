@@ -8,6 +8,7 @@ from musielak import (
     GridDomain,
     GridFunction,
     HypothesisError,
+    PhiSpec,
     RecursionParams,
     bound_estimate,
     empirical_iteration,
@@ -352,3 +353,165 @@ class TestEmpiricalIteration:
         # tiny level never empties the set: energies stall above the decay tol
         assert not report.found
         assert report.candidates
+
+
+# ---------------------------------------------------------------------------
+# Per-level reference: every Phi-function and the gradient rebuilt at each level
+# ---------------------------------------------------------------------------
+
+REGIMES = ("subcritical-D", "subcritical-N", "critical-D", "critical-N")
+# Inside the subcritical and trace windows of every field below (N = 3,
+# 1.6 <= p <= 1.8, q = 1.2 p): p < r < p*, q < s < q*, p < l < p_trace, q < h < q_trace.
+EXPONENTS = {"r": 2.5, "s": 3.0, "l": 2.0, "h": 2.5}
+
+
+def _reference_specs(field, regime):
+    e = EXPONENTS
+    if regime.startswith("subcritical"):
+        interior = PhiSpec.subcritical(field, e["r"], e["s"])
+        boundary = PhiSpec.subcritical_trace(field, e["l"], e["h"]) if regime.endswith("-N") else None
+    else:
+        interior = PhiSpec.critical(field)
+        boundary = PhiSpec.critical_trace(field) if regime.endswith("-N") else None
+    return interior, boundary
+
+
+def _reference_energy(u, field, regime, kappa_n):
+    dom = u.domain
+    interior_spec, boundary_spec = _reference_specs(field, regime)
+    excess = np.maximum(u.values - kappa_n, 0.0)
+    interior = float(np.sum(dom.interior_weights * interior_spec.evaluate_nodes(excess)))
+    if regime.startswith("critical"):
+        on_set = (u.values > kappa_n) & ~dom.boundary_mask
+        grad_term = PhiSpec.double_phase(field).evaluate_nodes(u.gradient_magnitude())
+        interior += float(np.sum(dom.interior_weights[on_set] * grad_term[on_set]))
+    boundary = 0.0
+    if boundary_spec is not None:
+        boundary = float(np.sum(dom.boundary_weights * boundary_spec.evaluate_nodes(excess)))
+    return interior, boundary
+
+
+def _reference_entry(u, field, regime, kappa_star):
+    if regime.startswith("subcritical"):
+        return sum(_reference_energy(u, field, regime, kappa_star))
+    dom = u.domain
+    w, wb = dom.interior_weights, dom.boundary_weights
+    inside = (u.values > kappa_star) & ~dom.boundary_mask
+    on_boundary = (u.values > kappa_star) & dom.boundary_mask
+    absu = np.abs(u.values)
+    H = PhiSpec.double_phase(field)
+    total = float(np.sum(w[inside] * H.evaluate_nodes(u.gradient_magnitude())[inside]))
+    total += float(np.sum(w[inside] * PhiSpec.critical(field).evaluate_nodes(absu)[inside]))
+    if regime == "critical-D":
+        return total + float(np.sum(w[inside] * H.evaluate_nodes(absu)[inside]))
+    trace = PhiSpec.critical_trace(field).evaluate_nodes(absu)
+    return total + float(np.sum(wb[on_boundary] * trace[on_boundary]))
+
+
+def _reference_iteration(u, field, regime, kappas, n_max, decay_tol=1e-12):
+    candidates, chosen, chosen_energies = [], None, []
+    for kappa in sorted(kappas):
+        entry = _reference_entry(u, field, regime, kappa)
+        energies = []
+        for n in range(n_max + 1):
+            kappa_n = kappa * (2.0 - 0.5**n)
+            energies.append((n, kappa_n, *_reference_energy(u, field, regime, kappa_n)))
+            if sum(energies[-1][2:]) <= decay_tol:
+                break
+        total = sum(energies[-1][2:])
+        candidates.append((kappa, entry, total <= decay_tol, total))
+        if entry < 1.0 and total <= decay_tol and chosen is None:
+            chosen, chosen_energies = kappa, energies
+    return chosen, candidates, chosen_energies
+
+
+def _case(dim, varying):
+    dom = GridDomain.interval(41) if dim == 1 else GridDomain.box((17, 13))
+    x = dom.coordinates
+    if varying:
+        p = 1.7 + 0.1 * np.sin(3.0 * x[0])
+        field = ExponentField(3, p, 1.2 * p, 0.5 + 0.5 * np.cos(2.0 * x[-1]), spacing=dom.spacing)
+    else:
+        field = dom.constant_field(3, 1.7, 2.04, 1.0)
+    bump = np.sin(np.pi * x[0]) * (np.sin(np.pi * x[-1]) if dim == 2 else 1.0)
+    u = GridFunction(dom, 0.6 * bump + 0.15 * np.cos(5.0 * x[0]) + 0.25)
+    return u, field
+
+
+def _rel_close(a, b):
+    return a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("varying", [False, True])
+def test_levels_match_per_level_reference(regime, dim, varying):
+    u, field = _case(dim, varying)
+    kappas = [0.02, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7]
+    for kappa in kappas:
+        assert _rel_close(entry_condition(u, field, regime, kappa, **EXPONENTS),
+                          _reference_entry(u, field, regime, kappa))
+        for n in (0, 1, 5):
+            e = truncation_energy(u, field, regime, kappa, n, **EXPONENTS)
+            ref = _reference_energy(u, field, regime, kappa * (2.0 - 0.5**n))
+            assert _rel_close((e.interior, e.boundary), ref)
+    report = empirical_iteration(u, field, regime, kappas, n_max=25, **EXPONENTS)
+    chosen, candidates, energies = _reference_iteration(u, field, regime, kappas, n_max=25)
+    assert report.kappa_star == chosen
+    assert len(report.candidates) == len(candidates)
+    for got, ref in zip(report.candidates, candidates):
+        assert got[0] == ref[0] and got[2] == ref[2]
+        assert _rel_close(got[1], ref[1]) and _rel_close(got[3], ref[3])
+    assert [(e.n, e.kappa_n) for e in report.energies] == [ref[:2] for ref in energies]
+    assert _rel_close([(e.interior, e.boundary) for e in report.energies], [ref[2:] for ref in energies])
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
+    dom = GridDomain.interval(61)
+    field = dom.constant_field(3, 1.7, 2.04, 1.0)
+    vals = np.zeros(dom.shape)
+    vals[20:40] = 50.0  # a plateau far above every level: the energies never decay
+    u = GridFunction(dom, vals)
+    counts = {"specs": 0, "gradients": 0}
+    init, gradient = PhiSpec.__init__, GridFunction.gradient_magnitude
+
+    def counted_init(obj, *args, **kwargs):
+        counts["specs"] += 1
+        init(obj, *args, **kwargs)
+
+    def counted_gradient(obj):
+        counts["gradients"] += 1
+        return gradient(obj)
+
+    monkeypatch.setattr(PhiSpec, "__init__", counted_init)
+    monkeypatch.setattr(GridFunction, "gradient_magnitude", counted_gradient)
+    seen = []
+    for n_max in (2, 40):
+        counts.update(specs=0, gradients=0)
+        report = empirical_iteration(u, field, regime, [1e-3, 1e-2], n_max=n_max, **EXPONENTS)
+        assert not any(c[2] for c in report.candidates)  # every level up to n_max ran
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda u, f: entry_condition(u, f, "bogus", 0.5), id="entry-unknown-regime"),
+    pytest.param(lambda u, f: truncation_energy(u, f, "bogus", 0.5, 0), id="energy-unknown-regime"),
+    pytest.param(lambda u, f: entry_condition(u, f, "critical-D", 0.0), id="critical-D-zero-level"),
+    pytest.param(lambda u, f: entry_condition(u, f, "critical-N", -1.0), id="critical-N-negative-level"),
+    pytest.param(lambda u, f: entry_condition(u, f, "critical-D", float("inf")), id="critical-D-infinite-level"),
+    pytest.param(lambda u, f: entry_condition(u, f, "subcritical-D", 0.0, **EXPONENTS),
+                 id="subcritical-D-zero-level"),
+    pytest.param(lambda u, f: truncation_energy(u, f, "critical-D", 0.5, -3), id="critical-negative-index"),
+    pytest.param(lambda u, f: truncation_energy(u, f, "subcritical-D", 0.5, -1, **EXPONENTS),
+                 id="subcritical-negative-index"),
+    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5, float("nan")]), id="nan-candidate"),
+    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5, float("inf")]), id="inf-candidate"),
+    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [float("-inf"), 0.5]),
+                 id="minus-inf-candidate"),
+])
+def test_out_of_contract_inputs_are_domain_errors(call):
+    u, field = _case(1, False)
+    with pytest.raises(DomainError):
+        call(u, field)
