@@ -1,21 +1,27 @@
-"""Sobolev conjugate of the double-phase function, by quadrature and inversion.
+"""Sobolev conjugate of the double-phase function, in closed form.
 
-The conjugate is defined through its inverse
-``s -> integral_0^s  Winv(tau) tau^{-(N+1)/N} dtau`` where ``Winv`` inverts
-the double-phase function ``W(t) = t^p + mu t^q`` in its second argument.
-Substituting ``tau = W(t)`` turns this into an integral of the closed-form
-expression ``t W'(t) W(t)^{-(N+1)/N}`` with no root-finding inside the
-quadrature; the remaining endpoint singularity ``t^{-p/N}`` at zero is removed
-by a power substitution and the upper range is integrated in log space.
-Everything is vectorized over sample batches so bulk verification sweeps stay
-fast.
+The conjugate H* is defined through its inverse
+``H*^{-1}(s) = integral_0^s Winv(tau) tau^{-(N+1)/N} dtau``, where ``Winv``
+inverts ``W(t) = t^p + mu t^q``.  Substituting ``tau = W(t)`` and integrating
+by parts gives ``G(T) = N integral_0^T W^{-1/N} dt - N T s^{-1/N}`` with
+``T = Winv(s)``, and the integral is an Euler integral (DLMF 15.6.1):
+``(T^a / a) 2F1(1/N, b; b+1; -Z)``, ``a = 1 - p/N``, ``b = a/(q - p)``,
+``Z = mu T^{q-p}``.  For ``b > 20`` (q close to p) the Pfaff form (DLMF
+15.8.1) ``(1+Z)^{-1/N} 2F1(1/N, 1; b+1; Z/(1+Z))`` is the stable one.  The
+exponents are pointwise in x, so node-varying fields go row by row; mu = 0
+gives ``(t/p*)^{p*}`` back.  The conjugate is found by Newton in log s.
 
-By default the raw double-phase function is inverted, which reproduces the
-closed form ``(t/p*)^{p*}`` exactly when mu vanishes and p is constant.  With
-``normalized=True`` the variant that is linear below t = 1 is used instead;
-its lower integral is then available in closed form.
+``normalized=True`` uses the variant that is linear below t = 1: its inverse
+is closed form up to ``s = 1 + mu = W(1)``, and only rows above that add
+``G(T) - G(1)`` (on the others that difference is rounding noise).
+
+With no quadrature, ``tol`` no longer changes the inverse.  The accuracy it
+returns is an a priori bound: ``_REL_ERR`` times the value, raised where
+``b - 1/N = (N-q)/(N(q-p))`` is small, since 2F1 then loses about
+eps/(b - 1/N) of each term.  Against 30-digit mpmath the worst relative
+errors seen were 3e-13 (raw) and 9e-13 (normalized) for N - q >= 1e-3 (N - p),
+and 4e-8 and 1e-6, inside the bound, with q within 1e-8 (N - p) of N.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -39,12 +45,18 @@ __all__ = [
     "tabulate_bounds",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_MAX_PANELS = 2048
-# Samples per conjugate_batch call in the bound checks.  The quadrature's
-# work arrays take about 7 KB per sample, so one batch over a 64 x 64 table
-# raised peak memory by 26 MB.  Blocks of 256 keep that near 2 MB, and
-# blocks of 128 ran the benchmark's tables 13 % slower.
+# A priori relative accuracy of the inverse, and the factor on eps/(b - 1/N)
+# that bounds each term's error where b - 1/N is small (measured: <= 1.7).
+_REL_ERR = 1e-10
+_DELTA_LOSS = 4.0
+# Above this b the Pfaff form of the hypergeometric function is used.
+_PFAFF_B = 20.0
+# Samples per conjugate_batch call in the bound checks.  The closed form's
+# work arrays take about 160 bytes per sample: a 64 x 64 table peaks at
+# 1.1 MB (tracemalloc) in blocks of 256 and at 1.4-1.8 MB in one batch.
+# Larger blocks are faster, since every Newton step pays a fixed numpy
+# overhead per call: a raw (normalized) 64 x 64 table takes 90 (215) ms in
+# blocks of 256, 41 (90) ms in blocks of 1024 and 32 (45) ms in one batch.
 _BLOCK = 256
 
 
@@ -89,108 +101,21 @@ def _invert_w(p, q, mu, s, rtol=1e-14, max_iter=200):
     raise ConvergenceError("double-phase inversion did not converge")
 
 
-def _gl_panels(n_panels):
-    """Composite Gauss-Legendre nodes/weights on [0, 1]."""
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 / n_panels
-    nodes = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-    weights = np.broadcast_to(half * _GL_WEIGHTS[None, :], (n_panels, _GL_NODES.size)).ravel()
-    return nodes, weights.ravel()
+def _inverse_closed_form(N, p, q, mu, T, w):
+    """``N integral_0^T W^{-1/N} dt - N T w^{-1/N}`` with ``w = W(T)``; 0 where T = 0."""
+    from scipy.special import hyp2f1  # lazy: `import musielak.cli` does not need it
 
-
-def _refine(integrand, n_rows, tol, start_panels=4):
-    """Panel-doubling composite Gauss-Legendre on [0,1] with per-row masking.
-
-    ``integrand(rows, sigma)`` evaluates the selected rows at the quadrature
-    points, returning shape (len(rows), len(sigma)).  Rows are refined until
-    the change between consecutive levels is below ``tol`` relative to
-    max(1, value).  Returns (values, error estimates).
-    """
-    idx = np.arange(n_rows)
-    nodes, weights = _gl_panels(start_panels)
-    vals = integrand(idx, nodes) @ weights
-    errs = np.full(n_rows, np.inf)
-    pending = idx
-    panels = start_panels
-    while pending.size and panels < _MAX_PANELS:
-        panels *= 2
-        nodes, weights = _gl_panels(panels)
-        new = integrand(pending, nodes) @ weights
-        errs[pending] = np.abs(new - vals[pending])
-        vals[pending] = new
-        keep = errs[pending] > tol * np.maximum(1.0, np.abs(vals[pending]))
-        pending = pending[keep]
-    if pending.size:
-        raise ConvergenceError("conjugate quadrature did not converge within the panel cap")
-    return vals, errs
-
-
-def _integrand_value(t, N, p, q, mu):
-    """t W'(t) W(t)^{-(N+1)/N} with W the raw double-phase function.
-
-    Evaluated entirely in logs so that the negative power of W never meets an
-    underflowed intermediate; rows with t = 0 (or underflow) return 0.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lt = np.log(np.where(t > 0, t, 1.0))
-        lmu = np.where(mu > 0, np.log(np.where(mu > 0, mu, 1.0)), -np.inf)
-        ln_w = np.logaddexp(p * lt, lmu + q * lt)
-        ln_wp = np.logaddexp(np.log(p) + (p - 1.0) * lt, lmu + np.log(q) + (q - 1.0) * lt)
-        out = np.exp(lt + ln_wp - (N + 1.0) / N * ln_w)
-    return np.where((t > 0) & np.isfinite(out), out, 0.0)
-
-
-def _lower_integral(N, p, q, mu, t_cap, tol):
-    """Integral over [0, t_cap]; substitution t = t_cap sigma^m removes the
-    endpoint singularity.
-
-    The raw integrand behaves like t^{-p/N} at zero; after substitution it
-    vanishes like sigma^{m(N-p)/N - 1}, and m is sized so that power is large
-    (about 11), which makes the composite Gauss-Legendre rule converge to
-    near machine accuracy within a few refinements.
-    """
-    m = np.minimum(12.0 * N / (N - p), 300.0)
-    out = np.zeros_like(t_cap)
-    errs = np.zeros_like(t_cap)
-    rows = np.nonzero(t_cap > 0)[0]
-    if rows.size == 0:
-        return out, errs
-    Nr, pr, qr, mur, capr, mr = (a[rows] for a in (N, p, q, mu, t_cap, m))
-
-    def integrand(sub, sig):
-        mm = mr[sub][:, None]
-        t = capr[sub][:, None] * sig[None, :] ** mm
-        jac = capr[sub][:, None] * mm * sig[None, :] ** (mm - 1.0)
-        return _integrand_value(t, Nr[sub][:, None], pr[sub][:, None],
-                                qr[sub][:, None], mur[sub][:, None]) * jac
-
-    vals, err = _refine(integrand, rows.size, tol)
-    out[rows] = vals
-    errs[rows] = err
-    return out, errs
-
-
-def _upper_integral(N, p, q, mu, t_lo, t_hi, tol):
-    """Integral over [t_lo, t_hi] in log space (smooth, no singularity)."""
-    out = np.zeros_like(t_hi)
-    errs = np.zeros_like(t_hi)
-    rows = np.nonzero(t_hi > t_lo)[0]
-    if rows.size == 0:
-        return out, errs
-    Nr, pr, qr, mur = (a[rows] for a in (N, p, q, mu))
-    lo = np.log(t_lo[rows])
-    span = np.log(t_hi[rows]) - lo
-
-    def integrand(sub, sig):
-        t = np.exp(lo[sub][:, None] + span[sub][:, None] * sig[None, :])
-        return _integrand_value(t, Nr[sub][:, None], pr[sub][:, None],
-                                qr[sub][:, None], mur[sub][:, None]) * t * span[sub][:, None]
-
-    vals, err = _refine(integrand, rows.size, tol)
-    out[rows] = vals
-    errs[rows] = err
-    return out, errs
+    e = 1.0 / N
+    a = 1.0 - p * e
+    b = a / (q - p)
+    with np.errstate(over="ignore"):
+        Z = mu * T ** (q - p)
+    pfaff = b > _PFAFF_B
+    F = hyp2f1(e, np.where(pfaff, 1.0, b), b + 1.0, np.where(pfaff, Z / (1.0 + Z), -Z))
+    F = np.where(pfaff, F * (1.0 + Z) ** -e, F)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = N * (T**a / a * F - T * w**-e)
+    return np.where(T > 0, out, 0.0)
 
 
 def _broadcast_inputs(*args):
@@ -202,23 +127,28 @@ def conjugate_inverse_batch(N, p, q, mu, s, tol=1e-10, normalized=False):
     """Inverse Sobolev conjugate at the values ``s``, batched.
 
     Arguments broadcast to a common shape and are flattened.  Returns
-    (values, accuracy estimates).
+    (values, a priori accuracy bounds, see the module docstring).  ``tol``
+    is accepted for compatibility and does not change the value.
     """
     N, p, q, mu, s = _broadcast_inputs(N, p, q, mu, s)
     if np.any(s < 0):
         raise DomainError("conjugate inverse is defined for s >= 0")
-    half = 0.5 * tol
     if normalized:
         c = 1.0 + mu
         vals = (N / (N - 1.0)) * np.minimum(s, c) ** ((N - 1.0) / N) / c
-        T = _invert_w(p, q, mu, np.maximum(s, c))
-        upper, err_u = _upper_integral(N, p, q, mu, np.ones_like(T), T, half)
-        return vals + upper, err_u
-    T = _invert_w(p, q, mu, s)
-    t_cap = np.minimum(T, 1.0)
-    lower, err_l = _lower_integral(N, p, q, mu, t_cap, half)
-    upper, err_u = _upper_integral(N, p, q, mu, np.ones_like(T), T, half)
-    return lower + upper, err_l + err_u
+        scale = np.zeros_like(s)
+        up = np.nonzero(s > c)[0]
+        if up.size:
+            args = (N[up], p[up], q[up], mu[up])
+            g_s = _inverse_closed_form(*args, _invert_w(p[up], q[up], mu[up], s[up]), s[up])
+            g_c = _inverse_closed_form(*args, np.ones(up.size), c[up])
+            vals[up] += g_s - g_c
+            scale[up] = np.abs(g_s) + np.abs(g_c)
+    else:
+        vals = _inverse_closed_form(N, p, q, mu, _invert_w(p, q, mu, s), s)
+        scale = np.abs(vals)
+    delta = (N - q) / (N * (q - p))
+    return vals, np.maximum(_REL_ERR * np.abs(vals), _DELTA_LOSS * np.finfo(float).eps / delta * scale)
 
 
 def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
@@ -246,7 +176,6 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
         seed = np.maximum(seed, np.where(np.isfinite(alt), alt, 0.0))
     seed = np.clip(seed, 1e-280, 1e280)
     y = np.where(t > 0, np.log(seed), 0.0)
-    inner = max(min(0.1 * tol, 1e-10), 5e-14)
     target = tol * np.maximum(1.0, t)
     out = np.zeros_like(t)
     active = np.nonzero(t > 0)[0]
@@ -255,8 +184,7 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
             return out
         a = active
         s = np.exp(y[a])
-        vals, _ = conjugate_inverse_batch(N[a], p[a], q[a], mu[a], s,
-                                          tol=inner, normalized=normalized)
+        vals, _ = conjugate_inverse_batch(N[a], p[a], q[a], mu[a], s, normalized=normalized)
         resid = t[a] - vals
         done = np.abs(resid) <= target[a]
         out[a[done]] = s[done]
@@ -284,7 +212,10 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
 
 def conjugate_inverse(field: ExponentField, x, s: float, tol: float = 1e-10,
                       normalized: bool = False) -> float:
-    """Inverse Sobolev conjugate at node ``x`` and value ``s >= 0``."""
+    """Inverse Sobolev conjugate at node ``x`` and value ``s >= 0``.
+
+    ``tol`` is accepted for compatibility and does not change the value.
+    """
     _require_admissible(field)
     if s < 0:
         raise DomainError("s must be nonnegative")
@@ -309,7 +240,7 @@ def conjugate(field: ExponentField, x, t: float, tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class ConjugateTable:
-    """Sampled inverse-conjugate values at one node, with accuracy estimates."""
+    """Sampled inverse-conjugate values at one node, with a priori accuracy bounds."""
 
     x: object
     s_values: np.ndarray
@@ -319,6 +250,8 @@ class ConjugateTable:
 
 def build_conjugate_table(field: ExponentField, x, s_values, tol: float = 1e-10,
                           normalized: bool = False) -> ConjugateTable:
+    """Inverse conjugate at node ``x`` and the ``s_values``, with the accuracy
+    bounds of ``conjugate_inverse_batch``; ``tol`` does not change the values."""
     _require_admissible(field)
     s_values = np.asarray(s_values, dtype=float)
     if np.any(s_values < 0):
@@ -392,9 +325,15 @@ def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slac
     """The report of the slacks ``slack_names`` at the (node, t) samples.
 
     Unless ``conjugate`` gives its values at the samples, the conjugate is
-    solved at ``quad_tol`` in blocks of at most ``_BLOCK`` samples.
+    solved at ``quad_tol`` in blocks of at most ``_BLOCK`` samples.  Raises
+    DomainError when the domination constant max q*(x)^q*(x) overflows.
     """
     _require_admissible(field)
+    qq = field.critical("q")
+    with np.errstate(over="ignore"):
+        const = float(np.max(qq**qq))
+    if not np.isfinite(const):
+        raise DomainError(f"domination constant max q*(x)^q*(x) overflows (q* up to {np.max(qq):.6g})")
     xs, p, q, mu, t = _sample_arrays(field, samples)
     N = float(field.N)
     if conjugate is None:
@@ -407,8 +346,7 @@ def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slac
         h_star = np.asarray(conjugate, dtype=float)
         if h_star.shape != t.shape:
             raise DomainError(f"{h_star.size} conjugate values for {t.size} samples")
-    qq = field.critical("q")
-    slacks = _slacks(N, p, q, mu, t, h_star, float(np.max(qq**qq)))
+    slacks = _slacks(N, p, q, mu, t, h_star, const)
     return list(zip(xs, t)), {k: slacks[k] for k in slack_names}, h_star
 
 

@@ -105,9 +105,11 @@ def function_to_csv(u: GridFunction, path) -> None:
         ",".join(f"x{i}" for i in range(dom.dim)) + ",value",
     ]
     data = np.column_stack(coords + [u.values.ravel()])
+    # One bulk format gives np.savetxt's bytes ("%.18e", comma-separated) faster.
+    row_format = ",".join(["%.18e"] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(header) + "\n")
-        np.savetxt(fh, data, delimiter=",")
+        fh.write((row_format * data.shape[0]) % tuple(data.ravel().tolist()))
 
 
 def function_from_csv(path) -> GridFunction:

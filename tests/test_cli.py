@@ -230,3 +230,74 @@ def test_malformed_kappa_grid_is_an_input_error(tmp_path, capsys, kappa_grid):
     assert code == cli.EXIT_INPUT_ERROR
     assert "kappa grid" in capsys.readouterr().err
     assert not (out / "bound_check.json").exists()
+
+
+def _assert_close(got, ref, where=""):
+    """Equal structure and non-float leaves; floats to 1e-12 relative."""
+    if isinstance(ref, float):
+        assert isinstance(got, float) and got == pytest.approx(ref, rel=1e-12, abs=0.0), where
+    elif isinstance(ref, dict):
+        assert sorted(got) == sorted(ref), where
+        for key in ref:
+            _assert_close(got[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref), where
+        for i, (g, r) in enumerate(zip(got, ref)):
+            _assert_close(g, r, f"{where}[{i}]")
+    else:
+        assert got == ref and type(got) is type(ref), where
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _csv_cells(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [[_cell(v) for v in row] for row in csv.reader(fh)]
+
+
+# (input stem, subcommand, output file, exit code).  The golden outputs were
+# written by the code that evaluated the conjugate by quadrature; none of
+# these subcommands uses the conjugate.
+CLI_GOLDEN = [
+    ("validate_h1", "validate", "report.json", cli.EXIT_OK),
+    ("validate_h3", "validate", "report.json", cli.EXIT_CHECK_FAILED),
+    ("norm_luxemburg", "norm", "norm.json", cli.EXIT_OK),
+    ("norm_sobolev", "norm", "norm.json", cli.EXIT_OK),
+    ("norm_boundary", "norm", "norm.json", cli.EXIT_OK),
+    ("recursion", "recursion", "recursion.json", cli.EXIT_OK),
+    ("embed_scan", "embed-scan", "embed_scan.csv", cli.EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("stem,command,output,exit_code", CLI_GOLDEN, ids=[case[0] for case in CLI_GOLDEN])
+def test_cli_golden(tmp_path, stem, command, output, exit_code):
+    code, out = _run(tmp_path, command, None, text=(DATA / f"cli_{stem}.json").read_text())
+    assert code == exit_code
+    golden = DATA / f"cli_{stem}.golden{Path(output).suffix}"
+    if output.endswith(".json"):
+        _assert_close(json.loads((out / output).read_text()), json.loads(golden.read_text()))
+    else:
+        _assert_close(_csv_cells(out / output), _csv_cells(golden))
+
+
+def test_import_leaves_scipy_special_out():
+    # the closed-form conjugate imports scipy.special (55-70 ms) on first use
+    src = str(Path(musielak.__file__).resolve().parents[1])
+    code = "import sys, musielak.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def test_overflowing_domination_constant_is_an_input_error(tmp_path, capsys):
+    # q* = 3 * 2.95 / 0.05 = 177, and 177^177 overflows a double
+    payload = {"field": {"N": 3, "p": 1.5, "q": 2.95, "mu": 0.5}, "t_values": [0.5, 1.0, 2.0]}
+    code, out = _run(tmp_path, "conjugate-table", payload)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "domination constant" in capsys.readouterr().err
+    assert not (out / "conjugate_table.csv").exists()

@@ -254,3 +254,122 @@ class TestTabulateBounds:
         calls.clear()
         verify_trace_bound(self.FIELD, [(4, 1.0), (2, 1.0), (4, 2.0)])
         assert calls == [4, 2, 4]
+
+
+def _mp_inverse(N, p, q, mu, s, normalized):
+    """The inverse conjugate at 30 digits: T = W^{-1}(s) by Newton from above,
+    then the Euler-integral form N (T^a/a) 2F1(1/N, b; b+1; -mu T^{q-p}) - N T s^{-1/N}."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        N, p, q, mu, s = (mp.mpf(float(v)) for v in (N, p, q, mu, s))
+        a = 1 - p / N
+        b = a / (q - p)
+
+        def G(T, w):
+            return N * (T**a / a * mp.hyp2f1(1 / N, b, b + 1, -mu * T ** (q - p)) - T * w ** (-1 / N))
+
+        def W_inv(w):
+            T = min(w ** (1 / p), (w / mu) ** (1 / q)) if mu > 0 else w ** (1 / p)
+            for _ in range(200):
+                f = T**p + mu * T**q - w
+                if abs(f) <= w * mp.mpf(10) ** -28:
+                    return T
+                T -= f / (p * T ** (p - 1) + mu * q * T ** (q - 1))
+            raise AssertionError("mpmath Newton did not converge")
+
+        if not normalized:
+            return +G(W_inv(s), s)
+        c = 1 + mu
+        linear = N / (N - 1) * min(s, c) ** ((N - 1) / N) / c
+        return +(linear if s <= c else linear + G(W_inv(s), s) - G(mp.mpf(1), c))
+
+
+def _oracle_cases(n=240, seed=20261018):
+    """Cases over N = 2..6 that reach q - p = 1e-3, N - q = 1e-3 (N - p),
+    mu from 1e-6 to 1e6 and s from 1e-8 to 1e8."""
+    rng = np.random.default_rng(seed)
+    N = rng.integers(2, 7, n).astype(float)
+    p = 1.0 + (N - 1.0) * rng.uniform(1e-3, 0.99, n)
+    gap = N - p
+    near = 10.0 ** rng.uniform(-3.0, -1.0, n)
+    kind = np.arange(n) % 3
+    q = np.where(kind == 0, p + near * np.minimum(1.0, gap) * 0.9,
+                 np.where(kind == 1, N - near * gap, p + gap * rng.uniform(0.1, 0.9, n)))
+    mu = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    s = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    return N, p, q, mu, s
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_closed_form_inverse_matches_mpmath(normalized):
+    N, p, q, mu, s = _oracle_cases()
+    assert np.min(q - p) < 2e-3 and np.min((N - q) / (N - p)) < 2e-3
+    if normalized:
+        assert 50 < np.count_nonzero(s <= 1.0 + mu) < s.size - 50
+    vals, est = conjugate_inverse_batch(N, p, q, mu, s, normalized=normalized)
+    for i in range(s.size):
+        ref = float(_mp_inverse(N[i], p[i], q[i], mu[i], s[i], normalized))
+        err = abs(vals[i] - ref)
+        assert err <= 1e-10 * abs(ref), (N[i], p[i], q[i], mu[i], s[i], err / ref)
+        assert err <= est[i], (N[i], p[i], q[i], mu[i], s[i], err, est[i])
+
+
+def test_accuracy_bound_covers_q_near_N():
+    # With q within 1e-8 (N - p) of N, 2F1 loses about eps/(b - 1/N) with
+    # b - 1/N = (N - q)/(N (q - p)): the errors pass 1e-10, and the bound follows.
+    rng = np.random.default_rng(8)
+    n = 80
+    N = rng.integers(2, 7, n).astype(float)
+    p = 1.0 + (N - 1.0) * rng.uniform(1e-3, 0.99, n)
+    q = N - (N - p) * 10.0 ** rng.uniform(-8.0, -3.0, n)
+    mu = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    s = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    for normalized in (False, True):
+        vals, est = conjugate_inverse_batch(N, p, q, mu, s, normalized=normalized)
+        err = np.array([abs(v - float(_mp_inverse(*case, normalized))) for v, *case in zip(vals, N, p, q, mu, s)])
+        assert np.all(err <= est)
+        assert np.max(err / np.abs(vals)) > 1e-10
+        assert np.max(est / np.abs(vals)) < 1e-4
+
+
+def test_closed_form_matches_the_defining_integral():
+    # The integration by parts, checked against tanh-sinh quadrature of
+    # integral_0^s W^{-1}(tau) tau^{-(N+1)/N} dtau after tau = W(t) and
+    # t = v^m, m = N/(N - p), which makes the integrand smooth at zero.
+    mp = pytest.importorskip("mpmath")
+    for N, p, q, mu, T in [(2, 1.5, 1.6666666666666667, 0.7, 3.0), (3, 1.2, 2.9, 1e3, 0.05),
+                           (5, 4.0, 4.001, 2.0, 40.0), (6, 1.1, 1.3, 1e-4, 1e4)]:
+        s = float(T**p + mu * T**q)
+        m = N / (N - p)
+        with mp.workdps(30):
+            def integrand(v):
+                t = v**m
+                dW = p * t ** (p - 1) + mu * q * t ** (q - 1)
+                return t * dW * (t**p + mu * t**q) ** (-(N + 1.0) / N) * m * v ** (m - 1)
+
+            ref = float(mp.quad(integrand, [0, min(T, 1.0) ** (1 / m), T ** (1 / m)]))
+        vals, _ = conjugate_inverse_batch(N, p, q, mu, s)
+        assert vals[0] == pytest.approx(ref, rel=1e-12)
+
+
+def test_tol_does_not_change_the_inverse():
+    args = (3.0, 1.5, 2.2, [0.0, 0.5, 4.0], [0.1, 2.0, 50.0])
+    for normalized in (False, True):
+        ref, est = conjugate_inverse_batch(*args, normalized=normalized)
+        np.testing.assert_array_equal(est, 1e-10 * np.abs(ref))
+        for tol in (1e-4, 1e-13):
+            np.testing.assert_array_equal(conjugate_inverse_batch(*args, tol=tol, normalized=normalized)[0], ref)
+
+
+def test_overflowing_domination_constant_is_a_domain_error(monkeypatch):
+    # q = 2.95 on N = 3 gives q* = 177, and 177^177 overflows a double
+    field = ExponentField(3, 1.5, 2.95, 0.5)
+    monkeypatch.setattr(importlib.import_module("musielak.conjugate"), "conjugate_batch", None)
+    for check in (verify_conjugate_bounds, verify_trace_bound):
+        with pytest.raises(DomainError, match="domination constant"):
+            check(field, [(None, 1.0)])
+    with pytest.raises(DomainError, match="domination constant"):
+        tabulate_bounds(field, [None], [0.5, 1.0])
+    monkeypatch.undo()
+    # q* = 99 (q = 2.91) still fits: 99^99 is about 3.7e197
+    assert tabulate_bounds(ExponentField(3, 1.5, 2.91, 0.5), [None], [0.5]).slacks

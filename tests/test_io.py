@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from musielak import DomainError, GridDomain, GridFunction
-from musielak.io import function_from_csv, function_from_json, function_to_csv, function_to_json
+from musielak import DomainError, ExponentField, GridDomain, GridFunction
+from musielak.io import (field_from_json, field_to_json, function_from_csv, function_from_json,
+                         function_to_csv, function_to_json)
 
 
 @st.composite
@@ -57,3 +58,60 @@ def test_csv_without_column_header_keeps_its_first_row(tmp_path):
     path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
                             if not line.startswith("x0")))
     _assert_same(function_from_csv(path), u)
+
+
+EDGE_VALUES = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0, -2.5e-7, 123456789.0]
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 5), (3, 4, 3)])
+def test_csv_bytes_match_savetxt(tmp_path, shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(0.0, 1e3, shape).ravel()
+    values[:len(EDGE_VALUES)] = EDGE_VALUES
+    dim = len(shape)
+    u = GridFunction(GridDomain(shape, (0.25,) * dim, (-1e300,) + (0.0,) * (dim - 1)), values.reshape(shape))
+    path = tmp_path / "u.csv"
+    function_to_csv(u, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8") as fh:
+        # the three metadata lines and the column header, then savetxt's rows
+        fh.write("".join(path.read_text().splitlines(keepends=True)[:4]))
+        data = np.column_stack([c.ravel() for c in u.domain.coordinates] + [u.values.ravel()])
+        np.savetxt(fh, data, delimiter=",")
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@st.composite
+def exponent_fields(draw):
+    """(field, domain): scalar or node-varying, with or without a domain and
+    a Lipschitz bound."""
+    N = draw(st.integers(2, 6))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    domain = None
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        shape = tuple(draw(st.lists(st.integers(3, 4), min_size=dim, max_size=dim)))
+        spacing = tuple(draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)))
+        domain = GridDomain(shape, spacing, (0.0,) * dim)
+    if draw(st.booleans()):
+        shape = domain.shape if domain is not None else tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+        p, q, mu = (draw(hnp.arrays(np.float64, shape, elements=finite)) for _ in range(3))
+    else:
+        p, q, mu = (draw(finite) for _ in range(3))
+    lipschitz = draw(st.none() | st.floats(0.0, 1e3))
+    kw = {"spacing": domain.spacing} if domain is not None else {}
+    return ExponentField(N, p, q, mu, lipschitz_bound=lipschitz, **kw), domain
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=exponent_fields())
+def test_exponent_field_json_round_trip(case):
+    field, domain = case
+    back, back_domain = field_from_json(json.loads(json.dumps(field_to_json(field, domain))))
+    assert (back.N, back.lipschitz_bound, back.spacing) == (field.N, field.lipschitz_bound, field.spacing)
+    assert back_domain == domain
+    # A scalar field read with a domain comes back broadcast to the grid.
+    nodes = list(np.ndindex(domain.shape if domain is not None else field.shape)) or [None]
+    assert back.shape == (domain.shape if domain is not None else field.shape)
+    for x in nodes:
+        assert back.at(x) == field.at(x if field.shape else None)
