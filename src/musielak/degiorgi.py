@@ -9,8 +9,12 @@ truncation energies realize that sequence for grid functions: levels
 Phi-functions of ``(u - kappa_n)_+`` over them (plus boundary terms in the
 Neumann regimes and gradient terms in the critical regimes).  Only the
 truncation depends on the level: the Phi-functions and the gradient term are
-built once per function and reused at every level.  When the sequence dies,
-twice the starting level bounds the function from above.
+built once per function and reused at every level.  The energies do not
+increase with n: the excess ``(u - kappa_n)_+`` and the level set shrink, and
+every Phi-function and the gradient term are nonnegative and nondecreasing.  So
+a candidate whose last level has not decayed is settled by that one
+evaluation.  When the sequence dies, twice the starting level bounds the
+function from above.
 """
 
 from __future__ import annotations
@@ -422,10 +426,18 @@ def empirical_iteration(
 
     Candidates must be finite; nonpositive ones are skipped.  For each other
     candidate the entry condition must be < 1 and the energy sequence must
-    decay below ``decay_tol`` within ``n_max`` steps.  The report carries
+    decay below ``decay_tol`` within ``n_max`` steps.  The energies do not
+    increase with the level, so a candidate whose level ``n_max`` is above
+    ``decay_tol`` is settled by that one evaluation, with the final energy the
+    full walk would end on; the others walk up from n = 0.  The report carries
     the one-sided supremum of u over interior nodes and whether it is bounded
-    by twice the chosen level (plus one-cell slack).
+    by twice the chosen level (plus one-cell slack).  ``n_max`` must be a
+    nonnegative integer and ``decay_tol`` a nonnegative number.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    if not decay_tol >= 0.0:
+        raise DomainError(f"decay_tol must be nonnegative, got {decay_tol!r}")
     kappas = sorted(float(k) for k in kappa_star_grid)
     if not np.all(np.isfinite(kappas)):
         raise DomainError("kappa_star candidates must be finite")
@@ -440,11 +452,15 @@ def empirical_iteration(
         if kappa <= 0:
             continue
         entry = entry_condition(u, field, regime, kappa, r=r, s=s, l=l, h=h)
-        energies = []
-        for n, kappa_n in enumerate(kappa_sequence(kappa, np.arange(n_max + 1))):
-            energies.append(IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
-            if energies[-1].total <= decay_tol:
-                break
+        ladder = kappa_sequence(kappa, np.arange(n_max + 1))
+        # the energies never increase with n: an undecayed last level settles kappa
+        energies = [IterationEnergy(regime, n_max, float(ladder[-1]), *levels.energy(ladder[-1]))]
+        if energies[-1].total <= decay_tol:
+            energies = []
+            for n, kappa_n in enumerate(ladder):
+                energies.append(IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
+                if energies[-1].total <= decay_tol:
+                    break
         decayed = energies[-1].total <= decay_tol
         candidates.append((kappa, entry, decayed, energies[-1].total))
         if entry < 1.0 and decayed and chosen is None:

@@ -202,10 +202,12 @@ def test_incompatible_neumann_solve_is_an_input_error(tmp_path, capsys):
     assert not (out / "convergence.json").exists()
 
 
-@pytest.mark.parametrize("regime", ["subcritical-D", "subcritical-N", "critical-N"])
+@pytest.mark.parametrize("regime", ["subcritical-D", "subcritical-N", "critical-N", "critical-D"])
 def test_bound_check_golden(tmp_path, regime):
-    # The golden files were written by the bound check that rebuilt its
-    # Phi-functions and gradient term at every truncation level.
+    # The golden files were written by bound checks that walked every
+    # truncation level of every candidate: critical-D by one that built its
+    # Phi-functions once per function, the others by one that rebuilt them at
+    # every level.
     code, out = _run(tmp_path, "bound-check", None, text=(DATA / f"bound_check_{regime}.json").read_text())
     assert code == cli.EXIT_OK
     got = json.loads((out / "bound_check.json").read_text())
@@ -283,6 +285,15 @@ def test_cli_golden(tmp_path, stem, command, output, exit_code):
         _assert_close(json.loads((out / output).read_text()), json.loads(golden.read_text()))
     else:
         _assert_close(_csv_cells(out / output), _csv_cells(golden))
+
+
+def test_solve_golden(tmp_path):
+    # 17x17 Dirichlet solve with node-varying exponents (p < 2) and a varying load
+    code, out = _run(tmp_path, "solve", None, text=(DATA / "cli_solve.json").read_text())
+    assert code == cli.EXIT_OK
+    _assert_close(json.loads((out / "convergence.json").read_text()),
+                  json.loads((DATA / "cli_solve.golden.json").read_text()))
+    _assert_close(_csv_cells(out / "solution.csv"), _csv_cells(DATA / "cli_solve.golden.csv"))
 
 
 def test_import_leaves_scipy_special_out():

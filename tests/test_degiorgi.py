@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from musielak import (
     BoundConstants,
@@ -22,6 +25,7 @@ from musielak import (
     truncation_energy,
     two_sided_bound,
 )
+from musielak import degiorgi
 from conftest import random_grid_function
 
 
@@ -466,13 +470,17 @@ def test_levels_match_per_level_reference(regime, dim, varying):
     assert _rel_close([(e.interior, e.boundary) for e in report.energies], [ref[2:] for ref in energies])
 
 
-@pytest.mark.parametrize("regime", REGIMES)
-def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
+def _plateau():
     dom = GridDomain.interval(61)
     field = dom.constant_field(3, 1.7, 2.04, 1.0)
     vals = np.zeros(dom.shape)
     vals[20:40] = 50.0  # a plateau far above every level: the energies never decay
-    u = GridFunction(dom, vals)
+    return GridFunction(dom, vals), field
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
+    u, field = _plateau()
     counts = {"specs": 0, "gradients": 0}
     init, gradient = PhiSpec.__init__, GridFunction.gradient_magnitude
 
@@ -495,6 +503,98 @@ def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
     assert seen[0] == seen[1]
 
 
+@pytest.mark.parametrize("regime", REGIMES)
+def test_undecayed_candidate_costs_one_level(monkeypatch, regime):
+    u, field = _plateau()
+    kappas = [1e-3, 1e-2]
+    levels = []
+    energy = degiorgi._Levels.energy
+
+    def counted_energy(obj, kappa):
+        levels.append(kappa)
+        return energy(obj, kappa)
+
+    monkeypatch.setattr(degiorgi._Levels, "energy", counted_energy)
+    # The subcritical entry condition is itself a level-0 energy; a constant
+    # entry keeps the count to the level loop.
+    monkeypatch.setattr(degiorgi, "entry_condition", lambda *args, **kwargs: 2.0)
+    for n_max in (2, 40):
+        levels.clear()
+        report = empirical_iteration(u, field, regime, kappas, n_max=n_max, **EXPONENTS)
+        assert not any(c[2] for c in report.candidates)
+        assert levels == [kappa_sequence(k, np.arange(n_max + 1))[-1] for k in kappas]
+
+
+def _walk_all_levels(u, field, regime, kappas, n_max=60, decay_tol=1e-12):
+    """The level loop of empirical_iteration before it settled undecayed
+    candidates at their last level: every candidate walks up from n = 0."""
+    levels = degiorgi._Levels(u, field, regime, **EXPONENTS)
+    candidates, chosen, chosen_energies = [], None, []
+    for kappa in sorted(kappas):
+        entry = entry_condition(u, field, regime, kappa, **EXPONENTS)
+        energies = []
+        for n, kappa_n in enumerate(kappa_sequence(kappa, np.arange(n_max + 1))):
+            energies.append(degiorgi.IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
+            if energies[-1].total <= decay_tol:
+                break
+        decayed = energies[-1].total <= decay_tol
+        candidates.append((kappa, entry, decayed, energies[-1].total))
+        if entry < 1.0 and decayed and chosen is None:
+            chosen, chosen_energies = kappa, energies
+    return chosen, candidates, chosen_energies
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("varying", [False, True])
+@pytest.mark.parametrize("n_max", [25, 60])
+def test_settled_candidates_equal_full_walk(regime, dim, varying, n_max):
+    u, field = _case(dim, varying)
+    kappas = [0.02, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7]
+    for v in (u, -u):
+        report = empirical_iteration(v, field, regime, kappas, n_max=n_max, **EXPONENTS)
+        chosen, candidates, energies = _walk_all_levels(v, field, regime, kappas, n_max)
+        assert report.kappa_star == chosen
+        assert report.candidates == candidates
+        assert report.energies == energies
+    # the case settles some candidates at their last level and walks others
+    assert {c[2] for c in empirical_iteration(u, field, regime, kappas, **EXPONENTS).candidates} == {False, True}
+
+
+@st.composite
+def _level_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    dom = GridDomain.interval(21) if dim == 1 else GridDomain.box((9, 7))
+    amplitude = 10.0 ** draw(st.floats(-3.0, 3.0))
+    shape_values = draw(hnp.arrays(np.float64, dom.shape, elements=st.floats(-1.0, 1.0)))
+    u = GridFunction(dom, amplitude * shape_values)
+    if draw(st.booleans()):
+        a, b, c = draw(st.tuples(*[st.floats(-np.pi, np.pi)] * 3))
+        x = dom.coordinates
+        p = 1.7 + 0.1 * np.sin(3.0 * x[0] + a)
+        field = ExponentField(3, p, 1.2 * p, 0.5 + 0.5 * np.cos(2.0 * x[-1] + b) * np.cos(c),
+                              spacing=dom.spacing)
+    else:
+        p = draw(st.floats(1.6, 1.8))
+        field = dom.constant_field(3, p, 1.2 * p, draw(st.floats(0.0, 2.0)))
+    # levels from well below the profile's top to above it
+    kappa_star = amplitude * 10.0 ** draw(st.floats(-3.0, 0.3))
+    return u, field, kappa_star
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@settings(max_examples=75, deadline=None)
+@given(case=_level_cases())
+def test_energies_never_increase_along_the_levels(regime, case):
+    # Exact, with no slack: a candidate whose last level has not decayed is
+    # settled by that level alone, which is exact only if the floating-point
+    # energies do not increase from one level to the next.
+    u, field, kappa_star = case
+    levels = degiorgi._Levels(u, field, regime, **EXPONENTS)
+    totals = [i + b for i, b in map(levels.energy, kappa_sequence(kappa_star, np.arange(61)))]
+    assert all(b <= a for a, b in zip(totals, totals[1:]))
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda u, f: entry_condition(u, f, "bogus", 0.5), id="entry-unknown-regime"),
     pytest.param(lambda u, f: truncation_energy(u, f, "bogus", 0.5, 0), id="energy-unknown-regime"),
@@ -510,6 +610,19 @@ def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
     pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5, float("inf")]), id="inf-candidate"),
     pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [float("-inf"), 0.5]),
                  id="minus-inf-candidate"),
+    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5], n_max=-1), id="negative-n-max"),
+    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5], n_max=2.5), id="fractional-n-max"),
+    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5], decay_tol=float("nan")),
+                 id="nan-decay-tol"),
+    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5], decay_tol=-1.0),
+                 id="negative-decay-tol"),
+    pytest.param(lambda u, f: two_sided_bound(u, f, "critical-D", [0.5], n_max=-1), id="two-sided-negative-n-max"),
+    pytest.param(lambda u, f: two_sided_bound(u, f, "critical-D", [0.5], n_max=2.5),
+                 id="two-sided-fractional-n-max"),
+    pytest.param(lambda u, f: two_sided_bound(u, f, "critical-D", [0.5], decay_tol=float("nan")),
+                 id="two-sided-nan-decay-tol"),
+    pytest.param(lambda u, f: two_sided_bound(u, f, "critical-D", [0.5], decay_tol=-1.0),
+                 id="two-sided-negative-decay-tol"),
 ])
 def test_out_of_contract_inputs_are_domain_errors(call):
     u, field = _case(1, False)
