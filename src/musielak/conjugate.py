@@ -10,6 +10,8 @@ by parts gives ``G(T) = N integral_0^T W^{-1/N} dt - N T s^{-1/N}`` with
 15.8.1) ``(1+Z)^{-1/N} 2F1(1/N, 1; b+1; Z/(1+Z))`` is the stable one.  The
 exponents are pointwise in x, so node-varying fields go row by row; mu = 0
 gives ``(t/p*)^{p*}`` back.  The conjugate is found by Newton in log s.
+Both Newton iterations (for ``Winv`` and in log s) stop row by row, so a
+value does not depend on its batch, and the bound checks solve in one batch.
 
 ``normalized=True`` uses the variant that is linear below t = 1: its inverse
 is closed form up to ``s = 1 + mu = W(1)``, and only rows above that add
@@ -51,13 +53,6 @@ _REL_ERR = 1e-10
 _DELTA_LOSS = 4.0
 # Above this b the Pfaff form of the hypergeometric function is used.
 _PFAFF_B = 20.0
-# Samples per conjugate_batch call in the bound checks.  The closed form's
-# work arrays take about 160 bytes per sample: a 64 x 64 table peaks at
-# 1.1 MB (tracemalloc) in blocks of 256 and at 1.4-1.8 MB in one batch.
-# Larger blocks are faster, since every Newton step pays a fixed numpy
-# overhead per call: a raw (normalized) 64 x 64 table takes 90 (215) ms in
-# blocks of 256, 41 (90) ms in blocks of 1024 and 32 (45) ms in one batch.
-_BLOCK = 256
 
 
 def _require_admissible(field: ExponentField):
@@ -82,22 +77,30 @@ def _require_admissible(field: ExponentField):
 # ---------------------------------------------------------------------------
 
 def _invert_w(p, q, mu, s, rtol=1e-14, max_iter=200):
-    """Solve t^p + mu t^q = s elementwise by monotone Newton from above."""
+    """Solve t^p + mu t^q = s elementwise by monotone Newton from above.
+
+    The arguments are 1-D arrays of one length.  Each row stops once it meets
+    the ``rtol`` test, so its value does not depend on the other rows.
+    """
     s = np.asarray(s, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         upper_p = np.where(s > 0, s ** (1.0 / p), 0.0)
         upper_q = np.where((mu > 0) & (s > 0),
                            (s / np.where(mu > 0, mu, 1.0)) ** (1.0 / q), np.inf)
     t = np.where(s > 0, np.minimum(upper_p, upper_q), 0.0)
+    active = np.arange(t.size)
     for _ in range(max_iter):
+        ta, pa, qa, mua, sa = t[active], p[active], q[active], mu[active], s[active]
         with np.errstate(invalid="ignore"):
-            f = np.where(t > 0, t**p + mu * t**q, 0.0) - s
-        if np.all(np.abs(f) <= rtol * np.maximum(s, 1e-300)):
+            f = np.where(ta > 0, ta**pa + mua * ta**qa, 0.0) - sa
+        busy = ~(np.abs(f) <= rtol * np.maximum(sa, 1e-300))  # NaN stays busy
+        if not busy.any():
             return t
+        active, ta, pa, qa, mua, f = active[busy], ta[busy], pa[busy], qa[busy], mua[busy], f[busy]
         with np.errstate(invalid="ignore", divide="ignore"):
-            fp = p * t ** (p - 1.0) + mu * q * t ** (q - 1.0)
-        step = np.where(t > 0, f / np.maximum(fp, 1e-300), 0.0)
-        t = np.maximum(t - step, 0.0)
+            fp = pa * ta ** (pa - 1.0) + mua * qa * ta ** (qa - 1.0)
+        step = np.where(ta > 0, f / np.maximum(fp, 1e-300), 0.0)
+        t[active] = np.maximum(ta - step, 0.0)
     raise ConvergenceError("double-phase inversion did not converge")
 
 
@@ -131,8 +134,8 @@ def conjugate_inverse_batch(N, p, q, mu, s, tol=1e-10, normalized=False):
     is accepted for compatibility and does not change the value.
     """
     N, p, q, mu, s = _broadcast_inputs(N, p, q, mu, s)
-    if np.any(s < 0):
-        raise DomainError("conjugate inverse is defined for s >= 0")
+    if not np.all(np.isfinite(s) & (s >= 0)):
+        raise DomainError("conjugate inverse is defined for finite s >= 0")
     if normalized:
         c = 1.0 + mu
         vals = (N / (N - 1.0)) * np.minimum(s, c) ** ((N - 1.0) / N) / c
@@ -157,11 +160,12 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
     Solves ``inverse(s) = t`` by Newton in log s.  The inverse map grows like
     a positive power of s, so it is convex and increasing in log coordinates
     and the safeguarded iteration converges from the certified power lower
-    bounds used as seeds.  All stepping is done in logs to stay overflow-safe.
+    bounds used as seeds.  All stepping is done in logs to stay overflow-safe,
+    down to the smallest normal double.  Each row stops once it converges.
     """
     N, p, q, mu, t = _broadcast_inputs(N, p, q, mu, t)
-    if np.any(t < 0):
-        raise DomainError("the conjugate is defined for t >= 0")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise DomainError("the conjugate is defined for finite t >= 0")
     p_star = N * p / (N - p)
     q_star = N * q / (N - q)
     # Certified lower bounds on the conjugate seed the iteration: the two
@@ -201,7 +205,7 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
                 log_deriv = np.log(winv) - y[rows] / N[rows]
                 step = resid[~done] * np.exp(-log_deriv)
             step = np.clip(np.nan_to_num(step, nan=50.0, posinf=50.0, neginf=-50.0), -50.0, 50.0)
-            y[rows] = np.clip(y[rows] + step, np.log(1e-290), np.log(1e290))
+            y[rows] = np.clip(y[rows] + step, np.log(np.finfo(float).tiny), np.log(1e290))
         active = rows
     raise ConvergenceError("conjugate inversion did not converge")
 
@@ -325,8 +329,8 @@ def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slac
     """The report of the slacks ``slack_names`` at the (node, t) samples.
 
     Unless ``conjugate`` gives its values at the samples, the conjugate is
-    solved at ``quad_tol`` in blocks of at most ``_BLOCK`` samples.  Raises
-    DomainError when the domination constant max q*(x)^q*(x) overflows.
+    solved at ``quad_tol`` in one ``conjugate_batch`` call over all of them.
+    Raises DomainError when the domination constant max q*(x)^q*(x) overflows.
     """
     _require_admissible(field)
     qq = field.critical("q")
@@ -337,11 +341,7 @@ def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slac
     xs, p, q, mu, t = _sample_arrays(field, samples)
     N = float(field.N)
     if conjugate is None:
-        h_star = np.empty_like(t)
-        for lo in range(0, t.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            h_star[block] = conjugate_batch(N, p[block], q[block], mu[block], t[block],
-                                            tol=quad_tol, normalized=normalized)
+        h_star = conjugate_batch(N, p, q, mu, t, tol=quad_tol, normalized=normalized)
     else:
         h_star = np.asarray(conjugate, dtype=float)
         if h_star.shape != t.shape:

@@ -171,6 +171,39 @@ def test_conjugate_table_golden(tmp_path, variant):
             assert _slack_close(float(row[col]), float(ref[col])), (ref["x_index"], t, col)
 
 
+def test_conjugate_table_golden_many_nodes(tmp_path):
+    # 40 node-varying nodes x 16 t, normalized: 640 samples in one solve.  The
+    # CSV was written when the solve split them into blocks of 256 samples.
+    code, out = _run(tmp_path, "conjugate-table", None,
+                     text=(DATA / "conjugate_golden_many_nodes.json").read_text())
+    assert code == cli.EXIT_OK
+    rows = _read_table(out / "conjugate_table.csv")
+    golden = _read_table(DATA / "conjugate_golden_many_nodes.csv")
+    assert len(rows) == len(golden) == 640
+    for row, ref in zip(rows, golden):
+        assert list(row) == list(ref)
+        assert (row["x_index"], row["t"], row["critical_value"]) == (ref["x_index"], ref["t"], ref["critical_value"])
+        t = float(ref["t"])
+        assert float(row["conjugate"]) == pytest.approx(float(ref["conjugate"]), rel=_conjugate_rtol(t), abs=0.0)
+        for col in SLACK_COLUMNS:
+            assert _slack_close(float(row[col]), float(ref[col])), (ref["x_index"], t, col)
+
+
+def test_conjugate_below_1e290_is_solved(tmp_path):
+    # p* = 88.7: (t/p*)^{p*} at t = 0.045 is about 4.2e-293, below the old
+    # Newton floor 1e-290 and above the smallest normal double.
+    N, p = 6.0, 5.62
+    payload = {"field": {"N": N, "p": p, "q": 5.633, "mu": 0.0}, "t_values": [0.045, 1.0]}
+    code, out = _run(tmp_path, "conjugate-table", payload)
+    assert code == cli.EXIT_OK
+    rows = _read_table(out / "conjugate_table.csv")
+    p_star = N * p / (N - p)
+    for row in rows:
+        oracle = (float(row["t"]) / p_star) ** p_star
+        assert float(row["conjugate"]) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+    assert float(rows[0]["conjugate"]) < 1e-290
+
+
 @pytest.mark.parametrize("t_values", [2.0, [1.0, float("nan")], [1.0, float("inf")], [[1.0], [2.0]]])
 def test_malformed_t_values_are_input_errors(tmp_path, capsys, t_values):
     # json writes the tokens NaN and Infinity, which Python's json reads back

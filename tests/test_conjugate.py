@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,9 +69,12 @@ class TestConjugateInverse:
         second = np.diff(table.inverse_values, 2)
         assert np.all(second <= 1e-9)
 
-    def test_negative_s_rejected(self):
+    @pytest.mark.parametrize("s", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_negative_s_rejected(self, s):
         with pytest.raises(DomainError):
-            conjugate_inverse(pure_power_field(), None, -1.0)
+            conjugate_inverse(pure_power_field(), None, s)
+        with pytest.raises(DomainError):
+            conjugate_inverse_batch(3, 1.5, 2, 1, [1.0, s])
 
     def test_inadmissible_field_rejected(self):
         with pytest.raises(HypothesisError):
@@ -123,6 +127,14 @@ class TestConjugate:
         vals = conjugate_batch(4.0, 2.0, 3.0, 1.0, ts, tol=1e-11)
         assert np.all(np.diff(vals) > 0)
         assert np.all(np.diff(vals, 2) >= -1e-8)
+
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_negative_or_non_finite_t_rejected(self, t):
+        with pytest.raises(DomainError):
+            conjugate(pure_power_field(), None, t)
+        for normalized in (False, True):
+            with pytest.raises(DomainError):
+                conjugate_batch(3, 1.5, 2, 1, [1.0, t], normalized=normalized)
 
     def test_batch_matches_scalar(self, rng):
         f = ExponentField(5, 1.8, 2.7, 0.6)
@@ -196,13 +208,8 @@ class TestTabulateBounds:
         report = tabulate_bounds(self.FIELD, nodes, self.TS)
         assert sum(sizes) == len(nodes) * self.TS.size == report.conjugate.size == len(report.samples)
 
-    @pytest.mark.parametrize("block", [None, 7])
-    def test_blocks_across_nodes_match_per_node_tables(self, monkeypatch, block):
-        module = importlib.import_module("musielak.conjugate")
-        if block is not None:
-            monkeypatch.setattr(module, "_BLOCK", block)
+    def test_blocks_across_nodes_match_per_node_tables(self):
         nodes = list(range(30))
-        assert len(nodes) * self.TS.size > module._BLOCK
         for normalized in (False, True):
             report = tabulate_bounds(self.FIELD, nodes, self.TS, normalized=normalized)
             for x in nodes:
@@ -212,6 +219,48 @@ class TestTabulateBounds:
                 np.testing.assert_allclose(report.conjugate[rows], rep_node.conjugate, rtol=1e-12, atol=0.0)
                 for name, vals in rep_node.slacks.items():
                     assert np.all(np.abs(report.slacks[name][rows] - vals) <= 1e-12 * np.maximum(1.0, np.abs(vals)))
+
+    def test_many_node_table_equals_per_node_solves_exactly(self):
+        # Each Newton row stops on its own, so a sample's value does not
+        # depend on the other samples of its batch.
+        nodes = list(range(30))
+        for normalized in (False, True):
+            report = tabulate_bounds(self.FIELD, nodes, self.TS, normalized=normalized)
+            for x in nodes:
+                rows = slice(x * self.TS.size, (x + 1) * self.TS.size)
+                rep_node = tabulate_bounds(self.FIELD, [x], self.TS, normalized=normalized)
+                h_node = conjugate_batch(3, *self.FIELD.at(x), self.TS, tol=1e-11, normalized=normalized)
+                assert np.all(report.conjugate[rows] == rep_node.conjugate)
+                assert np.all(report.conjugate[rows] == h_node)
+                for name, vals in rep_node.slacks.items():
+                    assert np.all(report.slacks[name][rows] == vals), (x, name)
+
+    WIDE = ExponentField(3, np.linspace(1.3, 1.9, 64), np.linspace(1.6, 2.5, 64),
+                         np.where(np.arange(64) % 4 == 0, 0.0, np.linspace(0.05, 3.0, 64)))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_one_solve_call_per_table(self, monkeypatch, normalized):
+        module = importlib.import_module("musielak.conjugate")
+        sizes = []
+
+        def counted(N, p, q, mu, t, **kw):
+            sizes.append(np.size(t))
+            return conjugate_batch(N, p, q, mu, t, **kw)
+
+        monkeypatch.setattr(module, "conjugate_batch", counted)
+        tabulate_bounds(self.WIDE, range(64), np.linspace(0.0, 20.0, 64), normalized=normalized)
+        assert sizes == [64 * 64]
+
+    def test_table_memory_peak(self):
+        ts = np.linspace(0.0, 20.0, 64)
+        tabulate_bounds(self.WIDE, [0, 1], ts, normalized=True)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            tabulate_bounds(self.WIDE, range(64), ts, normalized=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_slacks_match_the_verify_functions(self):
         nodes = [0, 1, 2]
