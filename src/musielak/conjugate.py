@@ -55,21 +55,22 @@ _DELTA_LOSS = 4.0
 _PFAFF_B = 20.0
 
 
-def _require_admissible(field: ExponentField):
+def _require_admissible(N, p, q, mu):
     """Conditions that make the conjugate integral well defined.
 
     The defining integral needs 1 < p(x) < q(x) < N and a nonnegative bounded
     weight (the endpoint exponent -p/N then stays above -1).  The ratio bound
     on q/p belongs to the embedding theory, not to this computation, and is
-    deliberately not enforced here.
+    deliberately not enforced here.  The arguments broadcast together, and
+    the error names the exponents of the first entry that fails.
     """
-    p, q, mu = field.p, field.q, field.mu
-    ok = (
-        np.all(p > 1.0) and np.all(p < q) and np.all(q < field.N)
-        and np.all(mu >= 0.0) and np.all(np.isfinite(mu))
-    )
-    if not ok:
-        raise HypothesisError("conjugate needs 1 < p(x) < q(x) < N and 0 <= mu bounded")
+    ok = (1.0 < p) & (p < q) & (q < N) & (0.0 <= mu) & (mu < np.inf)
+    if not np.all(ok):
+        N, p, q, mu, ok = np.broadcast_arrays(N, p, q, mu, ok)
+        i = np.argmin(ok)
+        raise HypothesisError(
+            "conjugate needs 1 < p(x) < q(x) < N and 0 <= mu bounded, got "
+            f"N = {N.flat[i]:g}, p = {p.flat[i]:g}, q = {q.flat[i]:g}, mu = {mu.flat[i]:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +130,13 @@ def _broadcast_inputs(*args):
 def conjugate_inverse_batch(N, p, q, mu, s, tol=1e-10, normalized=False):
     """Inverse Sobolev conjugate at the values ``s``, batched.
 
-    Arguments broadcast to a common shape and are flattened.  Returns
-    (values, a priori accuracy bounds, see the module docstring).  ``tol``
-    is accepted for compatibility and does not change the value.
+    Arguments broadcast to a common shape and are flattened; every entry
+    needs 1 < p < q < N and a finite mu >= 0.  Returns (values, a priori
+    accuracy bounds, see the module docstring).  ``tol`` is accepted for
+    compatibility and does not change the value.
     """
     N, p, q, mu, s = _broadcast_inputs(N, p, q, mu, s)
+    _require_admissible(N, p, q, mu)
     if not np.all(np.isfinite(s) & (s >= 0)):
         raise DomainError("conjugate inverse is defined for finite s >= 0")
     if normalized:
@@ -162,8 +165,10 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
     and the safeguarded iteration converges from the certified power lower
     bounds used as seeds.  All stepping is done in logs to stay overflow-safe,
     down to the smallest normal double.  Each row stops once it converges.
+    The exponents must meet the conditions of ``conjugate_inverse_batch``.
     """
     N, p, q, mu, t = _broadcast_inputs(N, p, q, mu, t)
+    _require_admissible(N, p, q, mu)
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("the conjugate is defined for finite t >= 0")
     p_star = N * p / (N - p)
@@ -220,7 +225,7 @@ def conjugate_inverse(field: ExponentField, x, s: float, tol: float = 1e-10,
 
     ``tol`` is accepted for compatibility and does not change the value.
     """
-    _require_admissible(field)
+    _require_admissible(field.N, field.p, field.q, field.mu)
     if s < 0:
         raise DomainError("s must be nonnegative")
     if s == 0.0:
@@ -233,7 +238,7 @@ def conjugate_inverse(field: ExponentField, x, s: float, tol: float = 1e-10,
 def conjugate(field: ExponentField, x, t: float, tol: float = 1e-10,
               normalized: bool = False) -> float:
     """Sobolev conjugate at node ``x`` and argument ``t`` (zero maps to zero)."""
-    _require_admissible(field)
+    _require_admissible(field.N, field.p, field.q, field.mu)
     if t < 0:
         raise DomainError("t must be nonnegative")
     if t == 0.0:
@@ -256,7 +261,7 @@ def build_conjugate_table(field: ExponentField, x, s_values, tol: float = 1e-10,
                           normalized: bool = False) -> ConjugateTable:
     """Inverse conjugate at node ``x`` and the ``s_values``, with the accuracy
     bounds of ``conjugate_inverse_batch``; ``tol`` does not change the values."""
-    _require_admissible(field)
+    _require_admissible(field.N, field.p, field.q, field.mu)
     s_values = np.asarray(s_values, dtype=float)
     if np.any(s_values < 0):
         raise DomainError("s values must be nonnegative")
@@ -332,7 +337,7 @@ def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slac
     solved at ``quad_tol`` in one ``conjugate_batch`` call over all of them.
     Raises DomainError when the domination constant max q*(x)^q*(x) overflows.
     """
-    _require_admissible(field)
+    _require_admissible(field.N, field.p, field.q, field.mu)
     qq = field.critical("q")
     with np.errstate(over="ignore"):
         const = float(np.max(qq**qq))
@@ -346,6 +351,8 @@ def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slac
         h_star = np.asarray(conjugate, dtype=float)
         if h_star.shape != t.shape:
             raise DomainError(f"{h_star.size} conjugate values for {t.size} samples")
+        if not np.all(np.isfinite(h_star) & (h_star >= 0.0)):
+            raise DomainError("given conjugate values must be finite and nonnegative")
     slacks = _slacks(N, p, q, mu, t, h_star, const)
     return list(zip(xs, t)), {k: slacks[k] for k in slack_names}, h_star
 
@@ -371,7 +378,7 @@ def verify_trace_bound(field: ExponentField, samples, tol: float = 1e-9,
 
     ``conjugate``, if given, holds the conjugate at the samples (the
     ``conjugate`` of a ``verify_conjugate_bounds`` report) and replaces the
-    solve at ``quad_tol``.
+    solve at ``quad_tol``; its values must be finite and nonnegative.
     """
     samples, slacks, h_star = _bounds(field, samples, quad_tol, normalized, conjugate,
                                       ("trace_domination",))

@@ -241,6 +241,8 @@ def truncation_energy(
     s=None,
     l=None,
     h=None,
+    *,
+    _levels=None,
 ) -> IterationEnergy:
     """One term of the truncation-energy sequence at level kappa_n.
 
@@ -249,8 +251,9 @@ def truncation_energy(
     level set in the Neumann case).  Critical regimes integrate the
     double-phase function of the gradient over the level set plus the critical
     function of the truncation (plus its trace version on the boundary).
+    ``_levels``, if given, is the ``_Levels`` of these arguments.
     """
-    levels = _Levels(u, field, regime, r, s, l, h)
+    levels = _Levels(u, field, regime, r, s, l, h) if _levels is None else _levels
     kappa_n = kappa_sequence(kappa_star, n)
     return IterationEnergy(regime, int(n), kappa_n, *levels.energy(kappa_n))
 
@@ -264,17 +267,21 @@ def entry_condition(
     s=None,
     l=None,
     h=None,
+    *,
+    _levels=None,
 ) -> float:
     """Entry quantity whose value below 1 licenses the iteration at kappa_*.
 
     Critical Dirichlet: level-set integral of the double-phase function of the
     gradient and of |u| plus the critical function of |u|.  Critical Neumann:
     gradient term, critical function of |u| and the boundary trace term.
-    Subcritical regimes use the n = 0 truncation energy itself.
+    Subcritical regimes use the n = 0 truncation energy itself.  ``_levels``,
+    if given, is the ``_Levels`` of these arguments.
     """
+    levels = _Levels(u, field, regime, r, s, l, h) if _levels is None else _levels
     if regime in ("subcritical-D", "subcritical-N"):
-        return truncation_energy(u, field, regime, kappa_star, 0, r=r, s=s, l=l, h=h).total
-    return _Levels(u, field, regime, r, s, l, h).entry(kappa_star)
+        return truncation_energy(u, field, regime, kappa_star, 0, _levels=levels).total
+    return levels.entry(kappa_star)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +458,7 @@ def empirical_iteration(
     for kappa in kappas:
         if kappa <= 0:
             continue
-        entry = entry_condition(u, field, regime, kappa, r=r, s=s, l=l, h=h)
+        entry = entry_condition(u, field, regime, kappa, _levels=levels)
         ladder = kappa_sequence(kappa, np.arange(n_max + 1))
         # the energies never increase with n: an undecayed last level settles kappa
         energies = [IterationEnergy(regime, n_max, float(ladder[-1]), *levels.energy(ladder[-1]))]

@@ -235,6 +235,14 @@ def test_incompatible_neumann_solve_is_an_input_error(tmp_path, capsys):
     assert not (out / "convergence.json").exists()
 
 
+def test_neumann_load_along_the_checkerboard_is_an_input_error(tmp_path, capsys):
+    # f = 1 and the constant flux that balances it on the 17 x 17 unit box
+    code, out = _run(tmp_path, "solve", dict(SOLVE, bc="neumann", flux=-0.25))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "sign pattern" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("regime", ["subcritical-D", "subcritical-N", "critical-N", "critical-D"])
 def test_bound_check_golden(tmp_path, regime):
     # The golden files were written by bound checks that walked every

@@ -136,6 +136,18 @@ class TestConjugate:
             with pytest.raises(DomainError):
                 conjugate_batch(3, 1.5, 2, 1, [1.0, t], normalized=normalized)
 
+    @pytest.mark.parametrize("batch,p,q,named", [
+        (conjugate_inverse_batch, 1.5, 1.2, "q = 1.2"),
+        (conjugate_batch, 1.5, 1.2, "q = 1.2"),
+        (conjugate_batch, 1.5, 3.5, "q = 3.5"),
+        (conjugate_batch, float("nan"), 2.0, "p = nan"),
+        (conjugate_inverse_batch, [1.5, float("nan")], 2.0, "p = nan"),
+        (conjugate_batch, 1.5, [2.0, 2.5, 3.0], "q = 3"),
+    ])
+    def test_batches_reject_inadmissible_exponents(self, batch, p, q, named):
+        with pytest.raises(HypothesisError, match=named):
+            batch(3, p, q, 1, 1.0)
+
     def test_batch_matches_scalar(self, rng):
         f = ExponentField(5, 1.8, 2.7, 0.6)
         ts = rng.uniform(0.0, 10.0, 6)
@@ -292,6 +304,14 @@ class TestTabulateBounds:
         np.testing.assert_array_equal(given.slacks["trace_domination"], solved.slacks["trace_domination"])
         with pytest.raises(DomainError):
             verify_trace_bound(self.FIELD, samples, conjugate=checks.conjugate[:-1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_trace_bound_rejects_a_bad_given_conjugate(self, bad):
+        samples = [(x, t) for x in (0, 1) for t in self.TS]
+        h = verify_conjugate_bounds(self.FIELD, samples).conjugate.copy()
+        h[1] = bad
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            verify_trace_bound(self.FIELD, samples, conjugate=h)
 
     def test_one_field_lookup_per_node(self, monkeypatch):
         calls = []

@@ -525,6 +525,20 @@ def test_undecayed_candidate_costs_one_level(monkeypatch, regime):
         assert levels == [kappa_sequence(k, np.arange(n_max + 1))[-1] for k in kappas]
 
 
+@pytest.mark.parametrize("regime", REGIMES)
+def test_one_levels_object_per_iteration(monkeypatch, regime):
+    u, field = _plateau()
+    kappas = [1e-3, 1e-2, 0.1, 1.0]
+    entries = [entry_condition(u, field, regime, k, **EXPONENTS) for k in kappas]
+    builds = []
+    init = degiorgi._Levels.__init__
+    monkeypatch.setattr(degiorgi._Levels, "__init__",
+                        lambda obj, *args: builds.append(1) or init(obj, *args))
+    report = empirical_iteration(u, field, regime, kappas, n_max=4, **EXPONENTS)
+    assert len(builds) == 1  # the entry conditions share it
+    assert [c[1] for c in report.candidates] == entries
+
+
 def _walk_all_levels(u, field, regime, kappas, n_max=60, decay_tol=1e-12):
     """The level loop of empirical_iteration before it settled undecayed
     candidates at their last level: every candidate walks up from n = 0."""

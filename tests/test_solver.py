@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from musielak import (
     ContractError,
@@ -372,6 +373,33 @@ class TestFactorReuse:
         assert rep.linear_iterations >= rep.iterations - 1
 
 
+class TestSymmetricModeFactor:
+    @pytest.mark.parametrize("shape", [(65, 65), (17, 17, 17)])
+    def test_fills_less_than_the_default_factor_and_solves_alike(self, rng, monkeypatch, shape):
+        spec = lattice_problem(shape, "high", "dirichlet-zero", False, 10.0)
+        dom = spec.domain
+        free_idx = np.nonzero(spec.free_mask.ravel())[0]
+        coeff = rng.uniform(0.1, 10.0, tuple(n - 1 for n in shape))
+        metrics = []
+        real = solver_impl.splu
+        monkeypatch.setattr(solver_impl, "splu", lambda matrix: metrics.append(matrix) or real(matrix))
+        lu, _ = solver_impl._metric(spec, coeff, solver_impl._cell_operators(dom), free_idx)
+        default = scipy.sparse.linalg.splu(metrics[0])
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+        b = rng.normal(size=free_idx.size)
+        x, ref = lu.solve(b), default.solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_cell_fields_are_built_once_per_solve(monkeypatch):
+    calls = []
+    to_cells = solver_impl._to_cells
+    monkeypatch.setattr(solver_impl, "_to_cells", lambda *args: calls.append(1) or to_cells(*args))
+    _, rep = solve(lattice_problem((17, 17), "low", "neumann", True, 6.0))
+    assert rep.converged and rep.iterations > 5
+    assert len(calls) == 3  # p, q and mu
+
+
 class TestStepTolerance:
     def test_small_step_with_falling_gradient_does_not_stop(self):
         # Stopping on the first step below step_tol ended this solve at
@@ -413,6 +441,30 @@ class TestNeumannCompatibility:
         u, rep = solve(spec)
         assert rep.converged
         assert weak_residual(spec, u) <= 1e-8
+
+    def test_balanced_load_along_the_checkerboard_is_rejected(self):
+        # f = 1 with the balancing constant flux integrates to zero, but its
+        # checkerboard component leaves the energy unbounded below
+        dom = GridDomain.box((17, 17))
+        balance = -np.sum(dom.interior_weights) / np.sum(dom.boundary_weights)
+        with pytest.raises(DomainError, match="incompatible Neumann data.*sign pattern"):
+            ProblemSpec(dom, dom.constant_field(3, 2.0, 2.5, 1.0), GridFunction.constant(dom, 1.0),
+                        bc="neumann", flux=GridFunction.constant(dom, balance))
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2)])
+    def test_3d_load_along_a_sign_pattern_is_rejected(self, axes):
+        # (-1)^(i_a + i_b) g(other index) on a lattice even along a and b:
+        # it integrates to zero, and the cell gradient cannot see it
+        shape = [5, 5, 5]
+        for a in axes:
+            shape[a] = 6
+        dom = GridDomain.box(tuple(shape))
+        index = np.indices(dom.shape)
+        (other,) = set(range(3)) - set(axes)
+        f = (-1.0) ** (index[axes[0]] + index[axes[1]]) * (1.0 + index[other])
+        assert abs(np.sum(dom.interior_weights * f)) <= 1e-15
+        with pytest.raises(DomainError, match="incompatible Neumann data.*sign pattern"):
+            ProblemSpec(dom, dom.constant_field(4, 2.0, 2.5, 1.0), GridFunction(dom, f), bc="neumann")
 
     def test_dirichlet_source_needs_no_balance(self):
         dom = GridDomain.box((9, 9))
