@@ -241,7 +241,7 @@ def _cmd_recursion(cfg: RunConfig) -> int:
         z0 = float(payload["Z0"])
     except KeyError as exc:
         raise _InputError(f"recursion payload missing {exc}")
-    n_max = int(payload.get("n_max", cfg.max_iter or 200))
+    n_max = payload.get("n_max", 200 if cfg.max_iter is None else cfg.max_iter)
     trace = degiorgi.iterate_recursion(z0, params, n_max)
     out = {
         "Z": trace.Z.tolist(),
@@ -274,8 +274,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
         domain, field, f,
         bc=payload.get("bc", "dirichlet-zero"),
         flux=flux,
-        grad_tol=float(payload.get("grad_tol", cfg.tol)),
-        max_iter=int(payload.get("max_iter", cfg.max_iter or 200)),
+        grad_tol=payload.get("grad_tol", cfg.tol),
+        max_iter=payload.get("max_iter", 200 if cfg.max_iter is None else cfg.max_iter),
     )
     u, report = solver.solve(spec)
     io.function_to_csv(u, cfg.output / "solution.csv")
@@ -284,7 +284,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
         "iterations": report.iterations,
         "energy": report.energy,
         "grad_norm": report.grad_norm,
-        "step_norm": report.step_norm,
+        # inf when no step was accepted, which standard JSON cannot hold
+        "step_norm": report.step_norm if np.isfinite(report.step_norm) else None,
         "message": report.message,
         "factorizations": report.factorizations,
         "linear_iterations": report.linear_iterations,

@@ -100,8 +100,8 @@ def iterate_recursion(Z0: float, params: RecursionParams, n_max: int = 200) -> R
     """
     if Z0 < 0:
         raise DomainError("seed must be nonnegative")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
+        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
     K, b, m1, m2 = params.K, params.b, params.mu1, params.mu2
     zs = [float(Z0)]
     diverged = False

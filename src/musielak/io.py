@@ -89,9 +89,10 @@ def function_from_json(obj: dict, domain: GridDomain | None = None) -> GridFunct
     if domain is None:
         domain = grid_from_json(obj["grid"])
     values = np.asarray(obj["values"], dtype=float)
-    if values.shape != domain.shape:
-        values = values.reshape(domain.shape)
-    return GridFunction(domain, values)
+    if values.shape not in (domain.shape, (int(np.prod(domain.shape)),)):
+        raise DomainError(f"function values of shape {values.shape} on a grid of shape {domain.shape}: "
+                          "give the grid's shape or a flat list of all node values")
+    return GridFunction(domain, values.reshape(domain.shape))
 
 
 def function_to_csv(u: GridFunction, path) -> None:

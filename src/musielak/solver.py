@@ -14,9 +14,18 @@ metric).  For p = q = 2 the metric is the exact Hessian and the method
 converges in one step; in general it keeps the iteration count in the tens
 where plain gradient descent would need millions of steps on fine lattices.
 
+The cell gradient is one sparse matrix per axis, built once per problem; the
+energy, its gradient, CG and the factored metric all use these matrices and
+their transposes.  The metric with cell weights W is summed axis by axis,
+op^T W op per axis: on equal spacing the couplings along the lattice edges
+cancel exactly between the axes and the sparse sum drops them, where one
+product of the stacked operators adds the same terms in another order,
+leaves rounding residue in their place and more than doubles the fill of
+the factor.
+
 The metric changes little from one outer iteration to the next, so it is not
 factored every time.  Each direction solves the current metric, applied
-matrix-free through the cell gradient and its adjoint, by conjugate gradients
+through the per-axis operators without assembling it, by conjugate gradients
 to a fixed relative residual (an inexact Newton forcing term, Eisenstat and
 Walker 1996).  CG is preconditioned by one cached sparse LU factor of an
 earlier metric: it is made on the first outer iteration and made again only
@@ -25,9 +34,9 @@ cached metric has drifted.  On a fresh factor CG converges in one iteration.
 CG started from zero returns a descent direction even when stopped early.
 In the Neumann case the metric has a kernel (the constants, and from 2D on
 sign patterns such as the checkerboard, which the averaged cell gradient
-cannot see); a tiny diagonal shift makes it definite, and the matrix-free
-operator adds the same shift as the factor, so the kernel is no harder for
-CG than the rest.
+cannot see); a tiny diagonal shift makes it definite, and the operator CG
+applies adds the same shift as the factor, so the kernel is no harder for CG
+than the rest.
 
 The factor is made in SuperLU's symmetric mode: minimum degree ordering on
 A^T + A and diagonal pivots (X. S. Li, "An overview of SuperLU", ACM TOMS 31,
@@ -52,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,6 +106,15 @@ class ProblemSpec:
     def __post_init__(self):
         if self.bc not in ("dirichlet-zero", "neumann"):
             raise DomainError(f"unknown boundary condition {self.bc!r}")
+        for name in ("grad_tol", "step_tol"):
+            value = getattr(self, name)
+            if not (_finite_number(value) and value >= 0.0):
+                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not (_finite_number(self.eps_reg) and self.eps_reg > 0.0):
+            raise DomainError(f"eps_reg must be a finite number > 0, got {self.eps_reg!r}")
+        cap = self.max_iter
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            raise DomainError(f"max_iter must be a positive integer, got {cap!r}")
         if self.f.domain.shape != self.domain.shape:
             raise DomainError("source term lives on a different grid")
         if self.field.shape not in ((), self.domain.shape):
@@ -138,6 +157,14 @@ class ProblemSpec:
         return tuple(_to_cells(self.domain, a) for a in (self.field.p, self.field.q, self.field.mu))
 
     @cached_property
+    def _gradient(self):
+        """The averaged cell gradient: per axis, the sparse matrix taking nodal
+        values to that component on the cells, and its transpose (a CSC view
+        on the same arrays, so it costs no memory)."""
+        ops = _cell_operators(self.domain)
+        return ops, [op.T for op in ops]
+
+    @cached_property
     def _load(self) -> np.ndarray:
         """The nodal load: the source, plus the boundary flux when Neumann."""
         load = self.domain.interior_weights * self.f.values
@@ -146,77 +173,45 @@ class ProblemSpec:
         return load
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and bool(np.isfinite(value))
+
+
 # ---------------------------------------------------------------------------
-# Cell-based differential operators
+# The cell gradient
 # ---------------------------------------------------------------------------
 
-def _pair_slices(ndim, axis):
-    """Index tuples of the lower and the upper node of each pair along ``axis``."""
-    lo = [slice(None)] * ndim
-    hi = [slice(None)] * ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return tuple(lo), tuple(hi)
+def _cell_operators(domain: GridDomain):
+    """Per axis, the CSR matrix taking nodal values to the cell differences
+    along that axis averaged over the transverse corner pairs: the Kronecker
+    product of a forward difference and pair averages, written out row by row
+    (row c holds the 2^d corners of cell c, weighted +-1/h and 1/2 per other axis)."""
+    dim = domain.dim
+    corners = np.indices((2,) * dim).reshape(dim, -1)
+    first = np.ravel_multi_index(np.indices([n - 1 for n in domain.shape]).reshape(dim, -1), domain.shape)
+    cols = (first[:, None] + np.ravel_multi_index(corners, domain.shape)).ravel()
+    rows = np.arange(0, cols.size + 1, 2 ** dim)
+    shape = (first.size, int(np.prod(domain.shape)))
+    ops = []
+    for axis, h in enumerate(domain.spacing):
+        stencil = np.where(corners[axis] == 1, 1.0 / h, -1.0 / h) * 0.5 ** (dim - 1)
+        ops.append(sp.csr_matrix((np.tile(stencil, first.size), cols, rows), shape=shape))
+    return ops
 
 
-def _pair_average(arr, axis):
-    lo, hi = _pair_slices(arr.ndim, axis)
-    return 0.5 * (arr[lo] + arr[hi])
-
-
-def _pair_average_adjoint(arr, axis):
-    shape = list(arr.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lo, hi = _pair_slices(arr.ndim, axis)
-    out[lo] += 0.5 * arr
-    out[hi] += 0.5 * arr
-    return out
-
-
-def _forward_diff(arr, axis, h):
-    lo, hi = _pair_slices(arr.ndim, axis)
-    return (arr[hi] - arr[lo]) / h
-
-
-def _forward_diff_adjoint(arr, axis, h):
-    shape = list(arr.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lo, hi = _pair_slices(arr.ndim, axis)
-    out[hi] += arr / h
-    out[lo] -= arr / h
-    return out
-
-
-def _cell_gradient(domain: GridDomain, values: np.ndarray):
-    """Per-axis cell-centered differences: forward along the axis, averaged
-    over the transverse directions.  Returns a list of cell arrays."""
-    comps = []
-    for axis in range(domain.dim):
-        d = _forward_diff(values, axis, domain.spacing[axis])
-        for other in range(domain.dim):
-            if other != axis:
-                d = _pair_average(d, other)
-        comps.append(d)
-    return comps
-
-
-def _cell_gradient_adjoint(domain: GridDomain, comps):
-    out = np.zeros(domain.shape)
-    for axis, c in enumerate(comps):
-        for other in range(domain.dim):
-            if other != axis:
-                c = _pair_average_adjoint(c, other)
-        out += _forward_diff_adjoint(c, axis, domain.spacing[axis])
-    return out
+def _components(spec: ProblemSpec, values: np.ndarray):
+    """The per-axis components of the cell gradient of nodal ``values``."""
+    return [op @ values.ravel() for op in spec._gradient[0]]
 
 
 def _to_cells(domain: GridDomain, arr) -> np.ndarray:
+    """Nodal values averaged to cell centers, flat in cell order."""
     arr = np.broadcast_to(np.asarray(arr, dtype=float), domain.shape)
     for axis in range(domain.dim):
-        arr = _pair_average(arr, axis)
-    return arr
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        arr = 0.5 * (arr[lo] + arr[hi])
+    return arr.ravel()
 
 
 def _check_bc(spec: ProblemSpec, u: GridFunction):
@@ -231,8 +226,7 @@ def energy(spec: ProblemSpec, u: GridFunction) -> float:
     _check_bc(spec, u)
     dom = spec.domain
     p, q, mu = spec._cells
-    comps = _cell_gradient(dom, u.values)
-    sq = sum(c * c for c in comps) + spec.eps_reg
+    sq = sum(c * c for c in _components(spec, u.values)) + spec.eps_reg
     eps = spec.eps_reg
     dens = (sq ** (p / 2.0) - eps ** (p / 2.0)) / p + mu * (sq ** (q / 2.0) - eps ** (q / 2.0)) / q
     bulk = dom.cell_measure * float(np.sum(dens))
@@ -255,34 +249,13 @@ def energy_gradient(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     _check_bc(spec, u)
     dom = spec.domain
     p, q, mu = spec._cells
-    comps = _cell_gradient(dom, u.values)
-    coeff = _diffusivity(comps, p, q, mu, spec.eps_reg)
-    scaled = [dom.cell_measure * coeff * c for c in comps]
-    grad = _cell_gradient_adjoint(dom, scaled) - spec._load
+    comps = _components(spec, u.values)
+    weight = dom.cell_measure * _diffusivity(comps, p, q, mu, spec.eps_reg)
+    grad = sum(t @ (weight * c) for t, c in zip(spec._gradient[1], comps))
+    grad = grad.reshape(dom.shape) - spec._load
     if spec.bc == "dirichlet-zero":
         grad = np.where(dom.boundary_mask, 0.0, grad)
     return GridFunction(dom, grad)
-
-
-def _axis_operator(n, h, is_diff):
-    if is_diff:
-        return sp.diags([-np.ones(n - 1) / h, np.ones(n - 1) / h], [0, 1], shape=(n - 1, n))
-    return sp.diags([0.5 * np.ones(n - 1), 0.5 * np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-
-
-def _cell_operators(domain: GridDomain):
-    """Sparse matrices taking nodal values to per-axis cell differences."""
-    ops = []
-    for axis in range(domain.dim):
-        mats = [
-            _axis_operator(n, domain.spacing[axis], a == axis)
-            for a, n in enumerate(domain.shape)
-        ]
-        op = mats[0]
-        for m in mats[1:]:
-            op = sp.kron(op, m, format="csr")
-        ops.append(op)
-    return ops
 
 
 def splu(M):
@@ -292,19 +265,16 @@ def splu(M):
                     options={"SymmetricMode": True})
 
 
-def _metric(spec: ProblemSpec, coeff_cells: np.ndarray, ops, free_idx):
+def _metric(spec: ProblemSpec, coeff_cells: np.ndarray, free_idx):
     """Factor the lagged-diffusivity metric on the free nodes.
 
     Returns the LU factor and the diagonal shift that was added to the matrix
     before factoring (zero unless the problem is Neumann).
     """
-    dom = spec.domain
-    w = sp.diags(dom.cell_measure * coeff_cells.ravel())
-    M = None
-    for op in ops:
-        term = op.T @ w @ op
-        M = term if M is None else M + term
-    M = M.tocsr()[free_idx, :][:, free_idx].tocsc()
+    w = sp.diags(spec.domain.cell_measure * coeff_cells.ravel())
+    # Per axis: equal-spacing edge couplings cancel exactly; a stacked product leaves fill-in residue.
+    terms = [t @ w @ op for op, t in zip(*spec._gradient)]
+    M = sum(terms[1:], terms[0])[free_idx, :][:, free_idx].tocsc()
     shift = 0.0
     if spec.bc == "neumann":
         # Constants (and, from 2D on, sign patterns such as the checkerboard)
@@ -316,20 +286,19 @@ def _metric(spec: ProblemSpec, coeff_cells: np.ndarray, ops, free_idx):
 
 
 def _metric_operator(spec: ProblemSpec, coeff_cells: np.ndarray, free_idx, shift: float):
-    """The metric on the free nodes, applied matrix-free.
+    """The metric on the free nodes, applied without assembling it.
 
     It is the matrix that ``_metric`` factors for the same coefficients plus
     ``shift`` times the identity.  The shift must be the one of the factor used
     as preconditioner: the kernel modes see only the shift, in both.
     """
-    dom = spec.domain
-    weight = dom.cell_measure * coeff_cells
-    full = np.zeros(dom.shape)
+    ops, adjoints = spec._gradient
+    weight = spec.domain.cell_measure * coeff_cells.ravel()
+    full = np.zeros(ops[0].shape[1])
 
     def apply(v):
-        full.ravel()[free_idx] = v
-        comps = _cell_gradient(dom, full)
-        return _cell_gradient_adjoint(dom, [weight * c for c in comps]).ravel()[free_idx] + shift * v
+        full[free_idx] = v
+        return sum(t @ (weight * (op @ full)) for op, t in zip(ops, adjoints))[free_idx] + shift * v
 
     return apply
 
@@ -404,7 +373,6 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
     dom = spec.domain
     free = spec.free_mask
     free_idx = np.nonzero(free.ravel())[0]
-    ops = _cell_operators(dom)
 
     if u0 is None:
         u = np.zeros(dom.shape)
@@ -436,9 +404,9 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
             break
         prev_grad_norm = grad_norm
 
-        coeff = _diffusivity(_cell_gradient(dom, u), p, q, mu, spec.eps_reg)
+        coeff = _diffusivity(_components(spec, u), p, q, mu, spec.eps_reg)
         if lu is None:
-            lu, shift = _metric(spec, coeff, ops, free_idx)
+            lu, shift = _metric(spec, coeff, free_idx)
             factorizations += 1
         x, its = _pcg(_metric_operator(spec, coeff, free_idx, shift), lu.solve, -g.ravel()[free_idx])
         linear_iterations += its

@@ -353,3 +353,46 @@ def test_overflowing_domination_constant_is_an_input_error(tmp_path, capsys):
     assert code == cli.EXIT_INPUT_ERROR
     assert "domination constant" in capsys.readouterr().err
     assert not (out / "conjugate_table.csv").exists()
+
+
+BOX9 = {"grid": {"shape": [9, 9]}, "field": {"N": 3, "p": 2.5, "q": 3.0, "mu": 1.0}, "source": 1.0}
+
+
+@pytest.mark.parametrize("bad", [{"grad_tol": float("nan")}, {"grad_tol": -1.0}, {"grad_tol": None},
+                                 {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.7}, {"max_iter": True}])
+def test_bad_solve_tolerance_or_cap_is_an_input_error(tmp_path, capsys, bad):
+    code, out = _run(tmp_path, "solve", None, text=json.dumps(dict(BOX9, **bad)))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert next(iter(bad)) in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_max", [2.7, True, 0])
+def test_bad_recursion_cap_is_an_input_error(tmp_path, capsys, n_max):
+    payload = json.loads((DATA / "cli_recursion.json").read_text())
+    code, out = _run(tmp_path, "recursion", dict(payload, n_max=n_max))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "n_max" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_convergence_json_is_standard_json(tmp_path):
+    # With no load the zero start is already the solution: no step is taken,
+    # so the report's step length is inf, which is written as null.
+    code, out = _run(tmp_path, "solve", dict(BOX9, source=0.0))
+    assert code == cli.EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    conv = json.loads((out / "convergence.json").read_text(), parse_constant=reject)
+    assert conv["converged"] and conv["iterations"] == 1 and conv["step_norm"] is None
+
+
+def test_source_values_of_another_shape_are_an_input_error(tmp_path, capsys):
+    grid = {"shape": [5, 3]}
+    source = {"values": np.arange(15.0).reshape(3, 5).tolist()}
+    code, out = _run(tmp_path, "solve", dict(BOX9, grid=grid, source=source))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "shape" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

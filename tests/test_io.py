@@ -115,3 +115,24 @@ def test_exponent_field_json_round_trip(case):
     assert back.shape == (domain.shape if domain is not None else field.shape)
     for x in nodes:
         assert back.at(x) == field.at(x if field.shape else None)
+
+
+class TestFunctionValueShapes:
+    GRID = GridDomain.box((5, 3))
+    VALUES = np.arange(15.0).reshape(5, 3)
+
+    @pytest.mark.parametrize("values", [VALUES.tolist(), VALUES.ravel().tolist()])
+    def test_grid_shape_or_flat_list_is_read(self, values):
+        u = function_from_json({"values": values}, self.GRID)
+        assert np.array_equal(u.values, self.VALUES)
+
+    @pytest.mark.parametrize("values", [
+        VALUES.reshape(3, 5).tolist(),  # the right size, transposed shape
+        VALUES.reshape(15, 1).tolist(),
+        VALUES.reshape(5, 3, 1).tolist(),
+        VALUES.ravel()[:-1].tolist(),
+        7.0,
+    ])
+    def test_any_other_shape_is_a_domain_error(self, values):
+        with pytest.raises(DomainError, match="shape"):
+            function_from_json({"values": values}, self.GRID)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from musielak import (
@@ -309,7 +310,7 @@ class TestFactorReuse:
         free_idx = np.nonzero(spec.free_mask.ravel())[0]
         cells = tuple(n - 1 for n in dom.shape)
         coeff = rng.uniform(0.1, 10.0, cells)
-        lu, shift = solver_impl._metric(spec, coeff, solver_impl._cell_operators(dom), free_idx)
+        lu, shift = solver_impl._metric(spec, coeff, free_idx)
         assert (shift > 0.0) == (bc == "neumann")
         apply = solver_impl._metric_operator(spec, coeff, free_idx, shift)
         # an energy gradient, like every right side in solve: orthogonal to
@@ -383,7 +384,7 @@ class TestSymmetricModeFactor:
         metrics = []
         real = solver_impl.splu
         monkeypatch.setattr(solver_impl, "splu", lambda matrix: metrics.append(matrix) or real(matrix))
-        lu, _ = solver_impl._metric(spec, coeff, solver_impl._cell_operators(dom), free_idx)
+        lu, _ = solver_impl._metric(spec, coeff, free_idx)
         default = scipy.sparse.linalg.splu(metrics[0])
         assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
         b = rng.normal(size=free_idx.size)
@@ -469,3 +470,162 @@ class TestNeumannCompatibility:
     def test_dirichlet_source_needs_no_balance(self):
         dom = GridDomain.box((9, 9))
         ProblemSpec(dom, dom.constant_field(3, 2.0, 2.5, 1.0), GridFunction.constant(dom, 1.0))
+
+
+class TestProblemSpecContract:
+    @pytest.mark.parametrize("kw", [
+        {"grad_tol": float("nan")}, {"grad_tol": -1.0}, {"grad_tol": float("inf")},
+        {"step_tol": float("nan")}, {"step_tol": -1e-12}, {"grad_tol": "1e-8"},
+        {"eps_reg": 0.0}, {"eps_reg": -1e-12}, {"eps_reg": float("inf")}, {"eps_reg": float("nan")},
+        {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.7}, {"max_iter": 3.0}, {"max_iter": True},
+    ])
+    def test_bad_tolerances_and_caps_are_rejected(self, kw):
+        with pytest.raises(DomainError):
+            interval_problem(n=9, **kw)
+
+    @pytest.mark.parametrize("kw", [{"step_tol": 0.0}, {"grad_tol": 0.0}, {"max_iter": 1},
+                                     {"max_iter": np.int64(3)}, {"grad_tol": 1}])
+    def test_edge_values_stay_valid(self, kw):
+        _, rep = solve(interval_problem(n=9, p=2.5, q=3.0, mu=1.0, **kw))
+        assert rep.iterations <= kw.get("max_iter", 200)
+
+
+# The matrix-free cell gradient that the sparse per-axis operators replaced,
+# kept here as a reference: per-axis forward differences, averaged over the
+# transverse corner pairs, and the exact adjoint of that map.
+
+def _pair_slices(ndim, axis):
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
+def _pair_average(arr, axis):
+    lo, hi = _pair_slices(arr.ndim, axis)
+    return 0.5 * (arr[lo] + arr[hi])
+
+
+def _pair_average_adjoint(arr, axis):
+    shape = list(arr.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    lo, hi = _pair_slices(arr.ndim, axis)
+    out[lo] += 0.5 * arr
+    out[hi] += 0.5 * arr
+    return out
+
+
+def _forward_diff(arr, axis, h):
+    lo, hi = _pair_slices(arr.ndim, axis)
+    return (arr[hi] - arr[lo]) / h
+
+
+def _forward_diff_adjoint(arr, axis, h):
+    shape = list(arr.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    lo, hi = _pair_slices(arr.ndim, axis)
+    out[hi] += arr / h
+    out[lo] -= arr / h
+    return out
+
+
+def reference_cell_gradient(domain, values):
+    comps = []
+    for axis in range(domain.dim):
+        d = _forward_diff(values, axis, domain.spacing[axis])
+        for other in range(domain.dim):
+            if other != axis:
+                d = _pair_average(d, other)
+        comps.append(d)
+    return comps
+
+
+def reference_cell_gradient_adjoint(domain, comps):
+    out = np.zeros(domain.shape)
+    for axis, c in enumerate(comps):
+        for other in range(domain.dim):
+            if other != axis:
+                c = _pair_average_adjoint(c, other)
+        out += _forward_diff_adjoint(c, axis, domain.spacing[axis])
+    return out
+
+
+def random_spacing_problem(rng, shape, bc="dirichlet-zero"):
+    """A problem on a lattice with unequal random spacings; the zero load is
+    compatible with either boundary condition."""
+    dom = GridDomain(shape, tuple(rng.uniform(0.05, 2.0, len(shape))), (0.0,) * len(shape))
+    field = dom.constant_field(3, 1.7, 2.4, 0.8)
+    return ProblemSpec(dom, field, GridFunction.constant(dom, 0.0), bc=bc)
+
+
+def _close(got, ref, rtol):
+    return np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
+
+
+class TestCellOperators:
+    @pytest.mark.parametrize("shape", [(13,), (9, 7), (6, 5, 7)])
+    def test_operators_match_the_slicing_reference(self, rng, shape):
+        spec = random_spacing_problem(rng, shape)
+        dom = spec.domain
+        ops, adjoints = spec._gradient
+        u = rng.normal(size=shape)
+        for op, ref in zip(ops, reference_cell_gradient(dom, u)):
+            assert _close(op @ u.ravel(), ref.ravel(), 1e-14)
+        cells = [rng.normal(size=tuple(n - 1 for n in shape)) for _ in shape]
+        got = sum(t @ c.ravel() for t, c in zip(adjoints, cells)).reshape(shape)
+        assert _close(got, reference_cell_gradient_adjoint(dom, cells), 1e-14)
+
+    @pytest.mark.parametrize("shape", [(13,), (9, 7), (6, 5, 7)])
+    def test_operators_are_the_kronecker_products(self, rng, shape):
+        # a forward difference on the axis, pair averages on the others
+        spec = random_spacing_problem(rng, shape)
+        for axis, (op, h) in enumerate(zip(spec._gradient[0], spec.domain.spacing)):
+            ref = scipy.sparse.identity(1, format="csr")
+            for a, n in enumerate(shape):
+                stencil = [-1.0 / h, 1.0 / h] if a == axis else [0.5, 0.5]
+                ref = scipy.sparse.kron(ref, scipy.sparse.diags(stencil, [0, 1], shape=(n - 1, n)), format="csr")
+            assert op.shape == ref.shape and (op != ref).nnz == 0
+
+    @pytest.mark.parametrize("shape", [(13,), (9, 7), (6, 5, 7)])
+    def test_transpose_is_the_adjoint(self, rng, shape):
+        ops, adjoints = random_spacing_problem(rng, shape)._gradient
+        u = rng.normal(size=int(np.prod(shape)))
+        cells = [rng.normal(size=op.shape[0]) for op in ops]
+        lhs = sum(float((op @ u) @ c) for op, c in zip(ops, cells))
+        rhs = float(u @ sum(t @ c for t, c in zip(adjoints, cells)))
+        scale = sum(np.linalg.norm(op @ u) * np.linalg.norm(c) for op, c in zip(ops, cells))
+        assert abs(lhs - rhs) <= 1e-14 * scale
+
+
+def _factored_metric(monkeypatch, spec, coeff):
+    """The matrix that ``_metric`` hands to ``splu``, and the shift it added."""
+    seen = []
+    real = solver_impl.splu
+    monkeypatch.setattr(solver_impl, "splu", lambda matrix: seen.append(matrix) or real(matrix))
+    free_idx = np.nonzero(spec.free_mask.ravel())[0]
+    _, shift = solver_impl._metric(spec, coeff, free_idx)
+    return seen[0], free_idx, shift
+
+
+class TestAssembledMetric:
+    @pytest.mark.parametrize("bc", ["dirichlet-zero", "neumann"])
+    @pytest.mark.parametrize("shape", [(11, 9), (6, 7, 5)])
+    def test_factored_matrix_is_the_cg_operator(self, rng, monkeypatch, bc, shape):
+        spec = random_spacing_problem(rng, shape, bc)
+        coeff = rng.uniform(0.1, 10.0, tuple(n - 1 for n in shape))
+        M, free_idx, shift = _factored_metric(monkeypatch, spec, coeff)
+        apply = solver_impl._metric_operator(spec, coeff, free_idx, shift)
+        v = rng.normal(size=free_idx.size)
+        assert _close(M @ v, apply(v), 1e-13)
+
+    @pytest.mark.parametrize("bc", ["dirichlet-zero", "neumann"])
+    def test_fill_does_not_depend_on_the_coefficients(self, rng, monkeypatch, bc):
+        # On square spacing the edge couplings of the two axes cancel exactly,
+        # whatever the cell weights, so only the stencil decides the pattern.
+        spec = lattice_problem((33, 33), "low", bc, False, 6.0)
+        unit, _, _ = _factored_metric(monkeypatch, spec, np.ones((32, 32)))
+        weighted, _, _ = _factored_metric(monkeypatch, spec, rng.uniform(0.1, 10.0, (32, 32)))
+        assert weighted.nnz == unit.nnz
