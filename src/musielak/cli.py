@@ -71,9 +71,16 @@ def _function_from_payload(payload, domain):
         raise _InputError("payload needs a 'function' entry")
     if isinstance(obj, str):
         return io.load_function(obj, domain)
-    if isinstance(obj, (int, float)):
+    return _grid_data(obj, domain, "function")
+
+
+def _grid_data(obj, domain, what: str) -> GridFunction:
+    """A number (not a bool) as a constant function, or a grid-function object."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return GridFunction.constant(domain, float(obj))
-    return io.function_from_json(obj, domain)
+    if isinstance(obj, dict):
+        return io.function_from_json(obj, domain)
+    raise _InputError(f"'{what}' must be a number or a grid function, got {obj!r:.40}")
 
 
 def _phi_spec(payload, field):
@@ -186,9 +193,11 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
 
     report = tabulate_bounds(field, nodes, ts, tol=cfg.tol, normalized=normalized)
     crit_spec = PhiSpec.critical(field)
-    critical = [v for x in nodes for v in crit_spec(x, ts)]
-    columns = [report.conjugate, critical] + [
-        report.slacks[k] for k in ("power_p", "power_q", "critical_domination", "trace_domination")]
+    # Python floats: csv.writer formats them with the same bytes as np.float64, faster.
+    critical = [v for x in nodes for v in crit_spec(x, ts).tolist()]
+    columns = [report.conjugate.tolist(), critical] + [
+        report.slacks[k].tolist() for k in ("power_p", "power_q", "critical_domination",
+                                            "trace_domination")]
     rows = ([*sample, *values] for sample, *values in zip(report.samples, *columns))
 
     with open(cfg.output / "conjugate_table.csv", "w", newline="", encoding="utf-8") as fh:
@@ -260,20 +269,12 @@ def _cmd_recursion(cfg: RunConfig) -> int:
 def _cmd_solve(cfg: RunConfig) -> int:
     payload = _load_json(cfg.input)
     field, domain = _field_and_domain(payload, need_domain=True)
-    f = _function_from_payload(payload, domain) if "function" in payload else None
-    if f is None:
-        src = payload.get("source", 0.0)
-        f = (io.function_from_json(src, domain) if isinstance(src, dict)
-             else GridFunction.constant(domain, float(src)))
-    flux = None
-    if payload.get("flux") is not None:
-        fx = payload["flux"]
-        flux = (GridFunction.constant(domain, float(fx)) if isinstance(fx, (int, float))
-                else io.function_from_json(fx, domain))
+    f = (_function_from_payload(payload, domain) if "function" in payload
+         else _grid_data(payload.get("source", 0.0), domain, "source"))
     spec = solver.ProblemSpec(
         domain, field, f,
         bc=payload.get("bc", "dirichlet-zero"),
-        flux=flux,
+        flux=None if payload.get("flux") is None else _grid_data(payload["flux"], domain, "flux"),
         grad_tol=payload.get("grad_tol", cfg.tol),
         max_iter=payload.get("max_iter", 200 if cfg.max_iter is None else cfg.max_iter),
     )

@@ -9,9 +9,11 @@ by parts gives ``G(T) = N integral_0^T W^{-1/N} dt - N T s^{-1/N}`` with
 ``Z = mu T^{q-p}``.  For ``b > 20`` (q close to p) the Pfaff form (DLMF
 15.8.1) ``(1+Z)^{-1/N} 2F1(1/N, 1; b+1; Z/(1+Z))`` is the stable one.  The
 exponents are pointwise in x, so node-varying fields go row by row; mu = 0
-gives ``(t/p*)^{p*}`` back.  The conjugate is found by Newton in log s.
-Both Newton iterations (for ``Winv`` and in log s) stop row by row, so a
-value does not depend on its batch, and the bound checks solve in one batch.
+gives ``(t/p*)^{p*}`` back.  The conjugate is found by Newton in log T on
+``G(T) = t`` and is ``s = W(T)``, so each step is one closed-form evaluation
+with no inner inversion.  That Newton and the one for ``Winv`` (which the
+inverse needs) stop row by row, so a value does not depend on its batch, and
+the bound checks solve in one batch.
 
 ``normalized=True`` uses the variant that is linear below t = 1: its inverse
 is closed form up to ``s = 1 + mu = W(1)``, and only rows above that add
@@ -160,58 +162,53 @@ def conjugate_inverse_batch(N, p, q, mu, s, tol=1e-10, normalized=False):
 def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
     """Sobolev conjugate values at arguments ``t``, batched.
 
-    Solves ``inverse(s) = t`` by Newton in log s.  The inverse map grows like
-    a positive power of s, so it is convex and increasing in log coordinates
-    and the safeguarded iteration converges from the certified power lower
-    bounds used as seeds.  All stepping is done in logs to stay overflow-safe,
-    down to the smallest normal double.  Each row stops once it converges.
-    The exponents must meet the conditions of ``conjugate_inverse_batch``.
+    Solves ``inverse(W(T)) = t`` by Newton in log T and returns ``s = W(T)``:
+    the inverse is convex and increasing in log s, and log W is convex in
+    log T, so the inverse is convex and increasing in log T and Newton
+    converges.  Each row takes one step past ``|resid| <= tol max(1, t)`` and
+    stops, so a value does not depend on its batch.  One
+    ``conjugate_inverse_batch`` call then certifies the values (a conjugate
+    that overflows, or underflows to zero, fails with ConvergenceError).
+    Normalized rows with t up to the value at s = 1 + mu are closed form.
     """
     N, p, q, mu, t = _broadcast_inputs(N, p, q, mu, t)
     _require_admissible(N, p, q, mu)
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("the conjugate is defined for finite t >= 0")
-    p_star = N * p / (N - p)
-    q_star = N * q / (N - q)
-    # Certified lower bounds on the conjugate seed the iteration: the two
-    # power bounds and the critical function divided by its domination
-    # constant.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu_pow = np.where(mu > 0, np.where(mu > 0, mu, 1.0) ** (q_star / q), 0.0)
-        seed = np.maximum((t / p_star) ** p_star, q_star**-q_star * mu_pow * t**q_star)
-        dom_const = 2.0 * q_star**q_star
-        alt = np.where(np.isfinite(dom_const),
-                       (t**p_star + mu_pow * t**q_star) / dom_const, 0.0)
-        seed = np.maximum(seed, np.where(np.isfinite(alt), alt, 0.0))
-    seed = np.clip(seed, 1e-280, 1e280)
-    y = np.where(t > 0, np.log(seed), 0.0)
     target = tol * np.maximum(1.0, t)
     out = np.zeros_like(t)
-    active = np.nonzero(t > 0)[0]
-    for _ in range(max_iter):
-        if active.size == 0:
+    rhs = t.copy()
+    rows = np.nonzero(t > 0)[0]
+    if normalized:
+        c = 1.0 + mu
+        t1 = N / (N - 1.0) * c ** (-1.0 / N)
+        out = ((N - 1.0) / N * c * np.minimum(t, t1)) ** (N / (N - 1.0))
+        rows = rows[t[rows] > t1[rows]]
+        rhs[rows] += _inverse_closed_form(N[rows], p[rows], q[rows], mu[rows], 1.0, c[rows]) - t1[rows]
+    # Seed: the larger of the phase solutions of G(T) = rhs, p* T^{1-p/N} = rhs
+    # and q* mu^{-1/N} T^{1-q/N} = rhs (the second lies below the root);
+    # normalized Newton rows have T > 1.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_mu, log_rhs = np.log(mu), np.log(rhs)
+        y = np.maximum(N / (N - p) * (log_rhs - np.log(N * p / (N - p))),
+                       N / (N - q) * (log_rhs + log_mu / N - np.log(N * q / (N - q))))
+        if normalized:
+            y = np.maximum(y, 0.0)
+        a = rows  # the rows still iterating
+        for _ in range(max_iter):
+            if a.size == 0:
+                break
+            log_w = np.logaddexp(p[a] * y[a], log_mu[a] + q[a] * y[a])
+            resid = rhs[a] - _inverse_closed_form(N[a], p[a], q[a], mu[a], np.exp(y[a]), np.exp(log_w))
+            # d G / d log T = T W^{-1/N} theta, theta = (p T^p + q mu T^q) / W
+            theta = p[a] + (q[a] - p[a]) * np.exp(log_mu[a] + q[a] * y[a] - log_w)
+            y[a] += resid * np.exp(log_w / N[a] - y[a]) / theta
+            a = a[~(np.abs(resid) <= target[a])]  # a NaN residual keeps its row
+        out[rows] = np.exp(np.logaddexp(p[rows] * y[rows], log_mu[rows] + q[rows] * y[rows]))
+    if np.all(np.isfinite(out)):
+        vals, _ = conjugate_inverse_batch(N, p, q, mu, out, normalized=normalized)
+        if np.all(np.abs(t - vals) <= target):
             return out
-        a = active
-        s = np.exp(y[a])
-        vals, _ = conjugate_inverse_batch(N[a], p[a], q[a], mu[a], s, normalized=normalized)
-        resid = t[a] - vals
-        done = np.abs(resid) <= target[a]
-        out[a[done]] = s[done]
-        rows = a[~done]
-        if rows.size:
-            sr = s[~done]
-            if normalized:
-                c = 1.0 + mu[rows]
-                winv = np.where(sr <= c, sr / c, _invert_w(p[rows], q[rows], mu[rows], sr))
-            else:
-                winv = _invert_w(p[rows], q[rows], mu[rows], sr)
-            # d inverse / d log s = Winv(s) s^{-1/N}, evaluated in logs.
-            with np.errstate(divide="ignore", over="ignore"):
-                log_deriv = np.log(winv) - y[rows] / N[rows]
-                step = resid[~done] * np.exp(-log_deriv)
-            step = np.clip(np.nan_to_num(step, nan=50.0, posinf=50.0, neginf=-50.0), -50.0, 50.0)
-            y[rows] = np.clip(y[rows] + step, np.log(np.finfo(float).tiny), np.log(1e290))
-        active = rows
     raise ConvergenceError("conjugate inversion did not converge")
 
 

@@ -154,8 +154,9 @@ DATA = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("variant", ["raw", "normalized"])
 def test_conjugate_table_golden(tmp_path, variant):
-    # The CSVs were written by the three-solves-per-node table that preceded
-    # tabulate_bounds; x_index, t and the critical column must match exactly.
+    # The conjugate column holds the 30-digit mpmath conjugate and the slack
+    # columns conjugate._slacks at it (test_conjugate recomputes the
+    # conjugates); x_index, t and the critical column must match exactly.
     code, out = _run(tmp_path, "conjugate-table", None,
                      text=(DATA / f"conjugate_golden_{variant}.json").read_text())
     assert code == cli.EXIT_OK
@@ -173,7 +174,7 @@ def test_conjugate_table_golden(tmp_path, variant):
 
 def test_conjugate_table_golden_many_nodes(tmp_path):
     # 40 node-varying nodes x 16 t, normalized: 640 samples in one solve.  The
-    # CSV was written when the solve split them into blocks of 256 samples.
+    # conjugate and slack columns come from the mpmath conjugate, as above.
     code, out = _run(tmp_path, "conjugate-table", None,
                      text=(DATA / "conjugate_golden_many_nodes.json").read_text())
     assert code == cli.EXIT_OK
@@ -216,6 +217,20 @@ def test_malformed_t_values_are_input_errors(tmp_path, capsys, t_values):
 
 SOLVE = {"grid": {"shape": [17, 17]}, "field": {"N": 3, "p": 2.0, "q": 2.0, "mu": 1.0},
          "source": 1.0, "grad_tol": 1e-8}
+
+
+@pytest.mark.parametrize("command,payload,what", [
+    ("solve", dict(SOLVE, source=None), "'source'"),
+    ("solve", dict(SOLVE, source=[1, 2]), "'source'"),
+    ("solve", dict(SOLVE, source=True), "'source'"),
+    ("solve", dict(SOLVE, bc="neumann", source=0.0, flux="abc"), "'flux'"),
+    ("norm", {"field": SOLVE["field"], "grid": SOLVE["grid"], "function": [1, 2]}, "'function'"),
+], ids=["source-null", "source-list", "source-bool", "flux-string", "function-list"])
+def test_malformed_grid_data_is_an_input_error(tmp_path, capsys, command, payload, what):
+    code, out = _run(tmp_path, command, payload)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert what in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_solve_reports_linear_work(tmp_path):

@@ -1,5 +1,8 @@
+import csv
 import importlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +266,21 @@ class TestTabulateBounds:
         tabulate_bounds(self.WIDE, range(64), np.linspace(0.0, 20.0, 64), normalized=normalized)
         assert sizes == [64 * 64]
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_one_inverse_call_per_table(self, monkeypatch, normalized):
+        # The Newton steps evaluate the closed form directly; one call of the
+        # public inverse then certifies the returned conjugates.
+        module = importlib.import_module("musielak.conjugate")
+        sizes = []
+
+        def counted(N, p, q, mu, s, **kw):
+            sizes.append(np.size(s))
+            return conjugate_inverse_batch(N, p, q, mu, s, **kw)
+
+        monkeypatch.setattr(module, "conjugate_inverse_batch", counted)
+        tabulate_bounds(self.WIDE, range(64), np.linspace(0.0, 20.0, 64), normalized=normalized)
+        assert sizes == [64 * 64]
+
     def test_table_memory_peak(self):
         ts = np.linspace(0.0, 20.0, 64)
         tabulate_bounds(self.WIDE, [0, 1], ts, normalized=True)  # imports and caches outside the trace
@@ -330,7 +348,8 @@ def _mp_inverse(N, p, q, mu, s, normalized):
     then the Euler-integral form N (T^a/a) 2F1(1/N, b; b+1; -mu T^{q-p}) - N T s^{-1/N}."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        N, p, q, mu, s = (mp.mpf(float(v)) for v in (N, p, q, mu, s))
+        N, p, q, mu = (mp.mpf(float(v)) for v in (N, p, q, mu))
+        s = mp.mpf(s)  # a float exactly; a 30-digit s stays 30 digits
         a = 1 - p / N
         b = a / (q - p)
 
@@ -351,6 +370,17 @@ def _mp_inverse(N, p, q, mu, s, normalized):
         c = 1 + mu
         linear = N / (N - 1) * min(s, c) ** ((N - 1) / N) / c
         return +(linear if s <= c else linear + G(W_inv(s), s) - G(mp.mpf(1), c))
+
+
+def _mp_conjugate(N, p, q, mu, t, normalized, seed):
+    """The conjugate at 30 digits: the root in log s of ``_mp_inverse(s) = t``,
+    by the secant method from ``seed`` > 0.  The inverse increases strictly,
+    so the root does not depend on the seed."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        u0 = mp.log(seed)
+        return mp.exp(mp.findroot(lambda u: _mp_inverse(N, p, q, mu, mp.exp(u), normalized) - t,
+                                  (u0, u0 + mp.mpf("1e-6"))))
 
 
 def _oracle_cases(n=240, seed=20261018):
@@ -381,6 +411,38 @@ def test_closed_form_inverse_matches_mpmath(normalized):
         err = abs(vals[i] - ref)
         assert err <= 1e-10 * abs(ref), (N[i], p[i], q[i], mu[i], s[i], err / ref)
         assert err <= est[i], (N[i], p[i], q[i], mu[i], s[i], err, est[i])
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_conjugate_batch_inverts_the_mpmath_inverse(normalized):
+    N, p, q, mu, s = _oracle_cases()
+    t = np.array([float(_mp_inverse(*case, normalized)) for case in zip(N, p, q, mu, s)])
+    np.testing.assert_allclose(conjugate_batch(N, p, q, mu, t, normalized=normalized), s, rtol=1e-9, atol=0.0)
+
+
+def test_conjugate_where_the_q_power_overflows():
+    # t^{q*} overflows a double (q* = 495); with mu = 0 the conjugate is (t/p*)^{p*}
+    N, p, t = 5.0, 2.65, 4.5
+    p_star = N * p / (N - p)
+    assert conjugate_batch(N, p, 4.95, 0.0, t)[0] == pytest.approx((t / p_star) ** p_star, rel=1e-12)
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("variant", ["raw", "normalized"])
+def test_golden_conjugates_are_the_mpmath_conjugate(variant):
+    # The conjugate column of the golden tables that test_cli pins is the
+    # float of the 30-digit conjugate.
+    payload = json.loads((DATA / f"conjugate_golden_{variant}.json").read_text())
+    field = ExponentField(payload["field"]["N"], *(np.array(payload["field"][k]) for k in ("p", "q", "mu")))
+    with open(DATA / f"conjugate_golden_{variant}.csv", newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.DictReader(fh) if float(row["t"]) > 0]
+    assert len(rows) == 60
+    for row in rows:
+        h = float(row["conjugate"])
+        ref = _mp_conjugate(field.N, *field.at(int(row["x_index"])), float(row["t"]), payload["normalized"], h)
+        assert h == pytest.approx(float(ref), rel=1e-14, abs=0.0), row
 
 
 def test_accuracy_bound_covers_q_near_N():
