@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,17 @@ class RunConfig:
     level: str = "H3"
 
 
-def _load_json(path: Path):
+def _load_json(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError:
         raise _InputError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(payload, dict):
+        raise _InputError(f"{path}: the payload must be a JSON object")
+    return payload
 
 
 class _InputError(Exception):
@@ -70,7 +73,10 @@ def _function_from_payload(payload, domain):
     if obj is None:
         raise _InputError("payload needs a 'function' entry")
     if isinstance(obj, str):
-        return io.load_function(obj, domain)
+        try:
+            return io.load_function(obj, domain)
+        except FileNotFoundError:
+            raise _InputError(f"function file not found: {obj}")
     return _grid_data(obj, domain, "function")
 
 
@@ -100,6 +106,13 @@ def _phi_spec(payload, field):
     if kind == "weighted":
         return PhiSpec.weighted(field, payload["r"], payload["s"], payload["alpha"])
     raise _InputError(f"unknown Phi-function kind {kind!r}")
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number (not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise _InputError(f"'{what}' must be a finite number, got {value!r:.40}")
+    return float(value)
 
 
 def _flat_numbers(values, what: str) -> np.ndarray:
@@ -243,13 +256,10 @@ def _cmd_embed_scan(cfg: RunConfig) -> int:
 def _cmd_recursion(cfg: RunConfig) -> int:
     payload = _load_json(cfg.input)
     try:
-        params = degiorgi.RecursionParams(
-            K=float(payload["K"]), b=float(payload["b"]),
-            mu1=float(payload["mu1"]), mu2=float(payload["mu2"]),
-        )
-        z0 = float(payload["Z0"])
+        K, b, mu1, mu2, z0 = (_number(payload[k], k) for k in ("K", "b", "mu1", "mu2", "Z0"))
     except KeyError as exc:
         raise _InputError(f"recursion payload missing {exc}")
+    params = degiorgi.RecursionParams(K=K, b=b, mu1=mu1, mu2=mu2)
     n_max = payload.get("n_max", 200 if cfg.max_iter is None else cfg.max_iter)
     trace = degiorgi.iterate_recursion(z0, params, n_max)
     out = {
@@ -295,10 +305,23 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return EXIT_OK if report.converged else EXIT_CHECK_FAILED
 
 
+def _bound_constants(obj) -> degiorgi.BoundConstants:
+    """The ``constants`` object of a bound-check payload: known names, each
+    with a finite number (a constant left out keeps its default)."""
+    if not isinstance(obj, dict):
+        raise _InputError(f"'constants' must be a JSON object, got {obj!r:.40}")
+    names = sorted(f.name for f in fields(degiorgi.BoundConstants))
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise _InputError(f"unknown constants {unknown}; the constants are {names}")
+    return degiorgi.BoundConstants(**{k: _number(v, k) for k, v in obj.items()})
+
+
 def _cmd_bound_check(cfg: RunConfig) -> int:
     payload = _load_json(cfg.input)
     field, domain = _field_and_domain(payload, need_domain=True)
     u = _function_from_payload(payload, domain)
+    constants = _bound_constants(payload.get("constants", {}))
     regime = payload.get("regime", "subcritical-D")
     kw = {k: payload[k] for k in ("r", "s", "l", "h") if k in payload}
     grid = payload.get("kappa_grid")
@@ -308,7 +331,6 @@ def _cmd_bound_check(cfg: RunConfig) -> int:
     grid = _flat_numbers(grid, "kappa grid values")
     report = degiorgi.two_sided_bound(u, field, regime, grid, **kw)
 
-    constants = degiorgi.BoundConstants(**payload.get("constants", {}))
     psi_norm = None
     bound = None
     if regime.startswith("subcritical") and "r" in kw and "s" in kw:

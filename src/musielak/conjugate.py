@@ -11,9 +11,10 @@ by parts gives ``G(T) = N integral_0^T W^{-1/N} dt - N T s^{-1/N}`` with
 exponents are pointwise in x, so node-varying fields go row by row; mu = 0
 gives ``(t/p*)^{p*}`` back.  The conjugate is found by Newton in log T on
 ``G(T) = t`` and is ``s = W(T)``, so each step is one closed-form evaluation
-with no inner inversion.  That Newton and the one for ``Winv`` (which the
-inverse needs) stop row by row, so a value does not depend on its batch, and
-the bound checks solve in one batch.
+with no inner inversion.  ``Winv`` (which the inverse needs) is Newton in
+log T too.  Both read W only as log W, so no power of T overflows before W
+does; both stop row by row, so a value does not depend on its batch, and the
+bound checks solve in one batch.
 
 ``normalized=True`` uses the variant that is linear below t = 1: its inverse
 is closed form up to ``s = 1 + mu = W(1)``, and only rows above that add
@@ -79,31 +80,31 @@ def _require_admissible(N, p, q, mu):
 # Vectorized primitives
 # ---------------------------------------------------------------------------
 
-def _invert_w(p, q, mu, s, rtol=1e-14, max_iter=200):
-    """Solve t^p + mu t^q = s elementwise by monotone Newton from above.
+def _log_w(p, q, log_mu, y):
+    """log W and its slope theta = (p T^p + q mu T^q) / W in [p, q] at log T = y."""
+    log_w = np.logaddexp(p * y, log_mu + q * y)
+    return log_w, p + (q - p) * np.exp(log_mu + q * y - log_w)
 
-    The arguments are 1-D arrays of one length.  Each row stops once it meets
-    the ``rtol`` test, so its value does not depend on the other rows.
+
+def _invert_w(p, q, log_mu, s, rtol=1e-14, max_iter=200):
+    """Solve t^p + mu t^q = s elementwise by monotone Newton in log t.
+
+    The arguments are 1-D arrays of one length.  Each row takes one step past
+    ``|log s - log W| <= rtol max(1, |log s|)`` and stops, so its value does
+    not depend on the other rows.
     """
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        upper_p = np.where(s > 0, s ** (1.0 / p), 0.0)
-        upper_q = np.where((mu > 0) & (s > 0),
-                           (s / np.where(mu > 0, mu, 1.0)) ** (1.0 / q), np.inf)
-    t = np.where(s > 0, np.minimum(upper_p, upper_q), 0.0)
-    active = np.arange(t.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.log(s)
+        y = np.fmin(log_s / p, (log_s - log_mu) / q)  # above the root; -inf where s = 0
+    target = rtol * np.maximum(1.0, np.abs(log_s))
+    a = np.nonzero(s > 0)[0]  # the rows still iterating
     for _ in range(max_iter):
-        ta, pa, qa, mua, sa = t[active], p[active], q[active], mu[active], s[active]
-        with np.errstate(invalid="ignore"):
-            f = np.where(ta > 0, ta**pa + mua * ta**qa, 0.0) - sa
-        busy = ~(np.abs(f) <= rtol * np.maximum(sa, 1e-300))  # NaN stays busy
-        if not busy.any():
-            return t
-        active, ta, pa, qa, mua, f = active[busy], ta[busy], pa[busy], qa[busy], mua[busy], f[busy]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fp = pa * ta ** (pa - 1.0) + mua * qa * ta ** (qa - 1.0)
-        step = np.where(ta > 0, f / np.maximum(fp, 1e-300), 0.0)
-        t[active] = np.maximum(ta - step, 0.0)
+        if a.size == 0:
+            return np.exp(y)
+        log_w, theta = _log_w(p[a], q[a], log_mu[a], y[a])
+        resid = log_s[a] - log_w
+        y[a] += resid / theta
+        a = a[~(np.abs(resid) <= target[a])]  # a NaN residual keeps its row
     raise ConvergenceError("double-phase inversion did not converge")
 
 
@@ -114,8 +115,8 @@ def _inverse_closed_form(N, p, q, mu, T, w):
     e = 1.0 / N
     a = 1.0 - p * e
     b = a / (q - p)
-    with np.errstate(over="ignore"):
-        Z = mu * T ** (q - p)
+    with np.errstate(divide="ignore", over="ignore"):
+        Z = np.exp(np.log(mu) + (q - p) * np.log(T))
     pfaff = b > _PFAFF_B
     F = hyp2f1(e, np.where(pfaff, 1.0, b), b + 1.0, np.where(pfaff, Z / (1.0 + Z), -Z))
     F = np.where(pfaff, F * (1.0 + Z) ** -e, F)
@@ -141,19 +142,20 @@ def conjugate_inverse_batch(N, p, q, mu, s, tol=1e-10, normalized=False):
     _require_admissible(N, p, q, mu)
     if not np.all(np.isfinite(s) & (s >= 0)):
         raise DomainError("conjugate inverse is defined for finite s >= 0")
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu)
     if normalized:
         c = 1.0 + mu
         vals = (N / (N - 1.0)) * np.minimum(s, c) ** ((N - 1.0) / N) / c
         scale = np.zeros_like(s)
         up = np.nonzero(s > c)[0]
-        if up.size:
-            args = (N[up], p[up], q[up], mu[up])
-            g_s = _inverse_closed_form(*args, _invert_w(p[up], q[up], mu[up], s[up]), s[up])
-            g_c = _inverse_closed_form(*args, np.ones(up.size), c[up])
-            vals[up] += g_s - g_c
-            scale[up] = np.abs(g_s) + np.abs(g_c)
+        args = (N[up], p[up], q[up], mu[up])
+        g_s = _inverse_closed_form(*args, _invert_w(p[up], q[up], log_mu[up], s[up]), s[up])
+        g_c = _inverse_closed_form(*args, np.ones(up.size), c[up])
+        vals[up] += g_s - g_c
+        scale[up] = np.abs(g_s) + np.abs(g_c)
     else:
-        vals = _inverse_closed_form(N, p, q, mu, _invert_w(p, q, mu, s), s)
+        vals = _inverse_closed_form(N, p, q, mu, _invert_w(p, q, log_mu, s), s)
         scale = np.abs(vals)
     delta = (N - q) / (N * (q - p))
     return vals, np.maximum(_REL_ERR * np.abs(vals), _DELTA_LOSS * np.finfo(float).eps / delta * scale)
@@ -198,13 +200,11 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
         for _ in range(max_iter):
             if a.size == 0:
                 break
-            log_w = np.logaddexp(p[a] * y[a], log_mu[a] + q[a] * y[a])
+            log_w, theta = _log_w(p[a], q[a], log_mu[a], y[a])
             resid = rhs[a] - _inverse_closed_form(N[a], p[a], q[a], mu[a], np.exp(y[a]), np.exp(log_w))
-            # d G / d log T = T W^{-1/N} theta, theta = (p T^p + q mu T^q) / W
-            theta = p[a] + (q[a] - p[a]) * np.exp(log_mu[a] + q[a] * y[a] - log_w)
-            y[a] += resid * np.exp(log_w / N[a] - y[a]) / theta
+            y[a] += resid * np.exp(log_w / N[a] - y[a]) / theta  # d G / d log T = T W^{-1/N} theta
             a = a[~(np.abs(resid) <= target[a])]  # a NaN residual keeps its row
-        out[rows] = np.exp(np.logaddexp(p[rows] * y[rows], log_mu[rows] + q[rows] * y[rows]))
+        out[rows] = np.exp(_log_w(p[rows], q[rows], log_mu[rows], y[rows])[0])
     if np.all(np.isfinite(out)):
         vals, _ = conjugate_inverse_batch(N, p, q, mu, out, normalized=normalized)
         if np.all(np.abs(t - vals) <= target):

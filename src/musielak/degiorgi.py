@@ -68,12 +68,19 @@ class RecursionParams:
             raise DomainError("need K > 0, b > 1 and 0 < mu1 <= mu2")
 
 
+def _log_thetas(params: RecursionParams):
+    """The logs of theta1 = (2K)^(-1/mu1) b^(-1/mu1^2) and
+    theta2 = (2K)^(-1/mu2) b^(-1/(mu1 mu2) - (mu2 - mu1)/mu2^2), so that an
+    extreme parameter under- or overflows a threshold instead of raising."""
+    K, b, m1, m2 = params.K, params.b, params.mu1, params.mu2
+    log_2k, log_b = np.log(2.0 * K), np.log(b)
+    return -(log_2k + log_b / m1) / m1, -(log_2k + log_b * (1.0 / m1 + 1.0 - m1 / m2)) / m2
+
+
 def recursion_thresholds(params: RecursionParams):
     """The two admissible seed bounds guaranteeing collapse of the recursion."""
-    K, b, m1, m2 = params.K, params.b, params.mu1, params.mu2
     with np.errstate(over="ignore"):
-        theta1 = (2.0 * K) ** (-1.0 / m1) * b ** (-1.0 / m1**2)
-        theta2 = (2.0 * K) ** (-1.0 / m2) * b ** (-1.0 / (m1 * m2) - (m2 - m1) / m2**2)
+        theta1, theta2 = (float(v) for v in np.exp(_log_thetas(params)))
     return min(1.0, theta1), min(theta1, theta2)
 
 
@@ -87,8 +94,10 @@ class RecursionTrace:
     diverged: bool
 
     def envelope(self, n):
-        K, b, m1 = self.params.K, self.params.b, self.params.mu1
-        return np.minimum(1.0, (2.0 * K) ** (-1.0 / m1) * b ** (-1.0 / m1**2) * b ** (-np.asarray(n, dtype=float) / m1))
+        """min(1, theta1 b^(-n/mu1)), the decay envelope from level n0 on."""
+        b, m1 = self.params.b, self.params.mu1
+        with np.errstate(over="ignore"):
+            return np.minimum(1.0, np.exp(_log_thetas(self.params)[0] - np.asarray(n, dtype=float) * np.log(b) / m1))
 
 
 def iterate_recursion(Z0: float, params: RecursionParams, n_max: int = 200) -> RecursionTrace:
@@ -96,19 +105,22 @@ def iterate_recursion(Z0: float, params: RecursionParams, n_max: int = 200) -> R
 
     ``n0`` is the first index with Z_n <= 1.  When the seed satisfies one of
     the two thresholds, the decay envelope is checked for every n >= n0.
-    Divergence is capped at a sentinel and flagged, never raised.
+    Divergence, an overflowing step included, is capped at a sentinel and
+    flagged, never raised.
     """
-    if Z0 < 0:
+    if not Z0 >= 0:
         raise DomainError("seed must be nonnegative")
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
-    K, b, m1, m2 = params.K, params.b, params.mu1, params.mu2
+    # numpy scalars overflow to inf where Python floats raise OverflowError
+    K, b, m1, m2 = (np.float64(v) for v in (params.K, params.b, params.mu1, params.mu2))
     zs = [float(Z0)]
     diverged = False
-    z = float(Z0)
+    z = np.float64(Z0)
     for n in range(n_max):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = K * b**n * (z ** (1.0 + m1) + z ** (1.0 + m2))
+        with np.errstate(over="ignore"):
+            # a zero stays zero, also where b^n overflows
+            z = K * b**n * (z ** (1.0 + m1) + z ** (1.0 + m2)) if z > 0 else z
         if not np.isfinite(z) or z > _SENTINEL:
             diverged = True
             zs.append(_SENTINEL)
@@ -307,10 +319,6 @@ class BoundConstants:
     mu2: float = 1.0
     delta1: float = 1.0
     delta2: float = 1.0
-    alpha2: float = 1.0
-    alpha3: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.0
     tau1: float | None = None
     tau2: float | None = None
     r_minus: float = 1.0
@@ -318,8 +326,7 @@ class BoundConstants:
 
     def __post_init__(self):
         positive = (self.C, self.recursion_constant, self.mu1, self.mu2,
-                    self.delta1, self.delta2, self.alpha2, self.alpha3,
-                    self.beta, self.gamma, self.r_minus, self.s_plus)
+                    self.delta1, self.delta2, self.r_minus, self.s_plus)
         if any(c <= 0 for c in positive) or self.b <= 1:
             raise DomainError("constants must be positive and b > 1")
         if self.delta1 > self.delta2 or self.mu1 > self.mu2:

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+def _require_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object, got {obj!r:.40}")
+
+
 def grid_to_json(domain: GridDomain) -> dict:
     return {
         "shape": list(domain.shape),
@@ -36,6 +41,7 @@ def grid_to_json(domain: GridDomain) -> dict:
 
 
 def grid_from_json(obj: dict) -> GridDomain:
+    _require_object(obj, "grid")
     if "shape" not in obj:
         raise DomainError("grid needs a 'shape' entry")
     shape = tuple(int(n) for n in obj["shape"])
@@ -66,6 +72,7 @@ def field_to_json(field: ExponentField, domain: GridDomain | None = None) -> dic
 
 def field_from_json(obj: dict, domain: GridDomain | None = None):
     """Returns (field, domain); the domain may come from the payload itself."""
+    _require_object(obj, "field")
     if domain is None and "grid" in obj:
         domain = grid_from_json(obj["grid"])
     kw = {}
@@ -86,6 +93,7 @@ def function_to_json(u: GridFunction) -> dict:
 
 
 def function_from_json(obj: dict, domain: GridDomain | None = None) -> GridFunction:
+    _require_object(obj, "function")
     if domain is None:
         domain = grid_from_json(obj["grid"])
     values = np.asarray(obj["values"], dtype=float)

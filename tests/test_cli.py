@@ -391,6 +391,66 @@ def test_bad_recursion_cap_is_an_input_error(tmp_path, capsys, n_max):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("change,diverged", [({"Z0": 1e200}, True), ({"mu2": 1e308}, False)],
+                         ids=["Z0-overflows", "mu2-huge"])
+def test_overflowing_recursion_is_reported(tmp_path, change, diverged):
+    payload = json.loads((DATA / "cli_recursion.json").read_text())
+    code, out = _run(tmp_path, "recursion", dict(payload, **change))
+    assert code == cli.EXIT_OK
+    got = json.loads((out / "recursion.json").read_text())
+    assert got["diverged"] is diverged
+    assert all(0.0 < t < 1.0 for t in got["thresholds"])
+
+
+FLAT = {"N": 3, "p": 1.6, "q": 1.9, "mu": 1.0}
+GRID = {"shape": [9, 9]}
+RECURSION = {"K": 1.05, "Z0": 0.001, "b": 2.0, "mu1": 0.5, "mu2": 0.7}
+PAYLOADS = {
+    "validate": {"field": FLAT},
+    "norm": {"field": FLAT, "grid": GRID, "function": 0.25},
+    "conjugate-table": {"field": FLAT, "t_values": [1.0]},
+    "embed-scan": {"field": FLAT, "grid": GRID, "r": 2.5, "s": 3.0, "alpha": 1.0},
+    "solve": {"field": FLAT, "grid": GRID, "source": 1.0},
+    "bound-check": {"field": FLAT, "grid": GRID, "function": 0.25, "regime": "critical-D"},
+}
+MALFORMED = (
+    [pytest.param(cmd, dict(base, field="abc"), "field must be a JSON object", id=f"{cmd}-field")
+     for cmd, base in PAYLOADS.items()]
+    + [pytest.param(cmd, dict(base, grid=5), "grid must be a JSON object", id=f"{cmd}-grid")
+       for cmd, base in PAYLOADS.items() if "grid" in base]
+    + [pytest.param(cmd, dict(PAYLOADS[cmd], function="no-such-file.json"), "function file not found",
+                    id=f"{cmd}-function-file") for cmd in ("norm", "bound-check")]
+    + [pytest.param("recursion", dict(RECURSION, **{key: bad}), f"'{key}' must be a finite number",
+                    id=f"recursion-{key}-{type(bad).__name__}") for key in RECURSION for bad in (None, [1.0])]
+    + [pytest.param("recursion", [RECURSION], "must be a JSON object", id="recursion-list")]
+    + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], constants=bad), what, id=f"constants-{name}")
+       for name, bad, what in [("string", "abc", "'constants' must be a JSON object"),
+                               ("bogus", {"bogus": 1}, "unknown constants"),
+                               ("beta", {"beta": 2}, "unknown constants"),
+                               ("C-string", {"C": "2"}, "'C' must be a finite number"),
+                               ("C-huge-int", {"C": 10**400}, "'C' must be a finite number")]]
+)
+
+
+@pytest.mark.parametrize("command,payload,what", MALFORMED)
+def test_malformed_payload_is_an_input_error(tmp_path, capsys, command, payload, what):
+    code, out = _run(tmp_path, command, payload)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert what in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_bound_check_reads_its_constants(tmp_path):
+    payload = dict(PAYLOADS["bound-check"], regime="subcritical-D", r=2.5, s=3.0)
+    bounds = []
+    for i, constants in enumerate([{}, {"C": 2, "tau1": 1.0}]):
+        (tmp_path / str(i)).mkdir()
+        code, out = _run(tmp_path / str(i), "bound-check", dict(payload, constants=constants))
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+        bounds.append(json.loads((out / "bound_check.json").read_text())["bound_estimate"])
+    assert bounds[1] == pytest.approx(2.0 * bounds[0], rel=1e-15)
+
+
 def test_convergence_json_is_standard_json(tmp_path):
     # With no load the zero start is already the solution: no step is taken,
     # so the report's step length is inf, which is written as null.

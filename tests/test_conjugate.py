@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from musielak import (
+    ConvergenceError,
     DomainError,
     ExponentField,
     HypothesisError,
@@ -399,18 +400,37 @@ def _oracle_cases(n=240, seed=20261018):
     return N, p, q, mu, s
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_closed_form_inverse_matches_mpmath(normalized):
-    N, p, q, mu, s = _oracle_cases()
-    assert np.min(q - p) < 2e-3 and np.min((N - q) / (N - p)) < 2e-3
-    if normalized:
-        assert 50 < np.count_nonzero(s <= 1.0 + mu) < s.size - 50
+def _extreme_cases():
+    """N = 2, 3, 5 with mu = 0, 1e-6, 1, 1e6 and s = 1e-300 to 1e300, where
+    T^q overflows or underflows a double."""
+    grid = np.meshgrid([2.0, 3.0, 5.0], [0.0, 1e-6, 1.0, 1e6],
+                       10.0 ** np.array([-300, -200, -100, 100, 200, 300]), indexing="ij")
+    N, mu, s = (a.ravel() for a in grid)
+    p = 1.0 + 0.4 * (N - 1.0)
+    return N, p, p + 0.5 * (N - p), mu, s
+
+
+def _assert_matches_mp_inverse(N, p, q, mu, s, normalized):
     vals, est = conjugate_inverse_batch(N, p, q, mu, s, normalized=normalized)
     for i in range(s.size):
         ref = float(_mp_inverse(N[i], p[i], q[i], mu[i], s[i], normalized))
         err = abs(vals[i] - ref)
         assert err <= 1e-10 * abs(ref), (N[i], p[i], q[i], mu[i], s[i], err / ref)
         assert err <= est[i], (N[i], p[i], q[i], mu[i], s[i], err, est[i])
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_closed_form_inverse_matches_mpmath(normalized):
+    N, p, q, mu, s = _oracle_cases()
+    assert np.min(q - p) < 2e-3 and np.min((N - q) / (N - p)) < 2e-3
+    if normalized:
+        assert 50 < np.count_nonzero(s <= 1.0 + mu) < s.size - 50
+    _assert_matches_mp_inverse(N, p, q, mu, s, normalized)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_closed_form_inverse_matches_mpmath_over_extreme_range(normalized):
+    _assert_matches_mp_inverse(*_extreme_cases(), normalized)
 
 
 @pytest.mark.parametrize("normalized", [False, True])
@@ -425,6 +445,26 @@ def test_conjugate_where_the_q_power_overflows():
     N, p, t = 5.0, 2.65, 4.5
     p_star = N * p / (N - p)
     assert conjugate_batch(N, p, 4.95, 0.0, t)[0] == pytest.approx((t / p_star) ** p_star, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e250, 1e300, 1e307])
+def test_inverse_with_mu_zero_where_the_q_power_overflows(s):
+    # T = s^{1/p} and T^q overflows; with mu = 0 the inverse is p* s^{1/p*}, p* = 3
+    vals, _ = conjugate_inverse_batch(3.0, 1.5, 2.0, 0.0, s)
+    assert vals[0] == pytest.approx(3.0 * s ** (1.0 / 3.0), rel=1e-13, abs=0.0)
+
+
+def test_conjugate_with_mu_zero_where_the_certifying_inverse_overflows():
+    # The certifying inverse at s = (t/p*)^{p*} meets T^{q-p} and T^q beyond a double
+    N, p, t = 3.0, 1.1, np.array([1e80, 1e120])
+    p_star = N * p / (N - p)
+    np.testing.assert_allclose(conjugate_batch(N, p, 2.9, 0.0, t), (t / p_star) ** p_star, rtol=1e-12, atol=0.0)
+
+
+def test_conjugate_that_overflows_is_a_convergence_error():
+    # (t/p*)^{p*} = (1e150/3)^3 is about 4e448
+    with pytest.raises(ConvergenceError):
+        conjugate_batch(3.0, 1.5, 2.0, 0.0, 1e150)
 
 
 DATA = Path(__file__).resolve().parent / "data"

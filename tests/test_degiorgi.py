@@ -94,9 +94,30 @@ class TestIterateRecursion:
                 assert tr.envelope_ok is True
                 assert not tr.diverged
 
+    def test_overflowing_step_is_flagged_not_raised(self):
+        # Z0^{1 + mu2} = 1e340 overflows a double
+        tr = iterate_recursion(1e200, RecursionParams(1.05, 2.0, 0.5, 0.7), 40)
+        assert tr.diverged
+        assert tr.Z.tolist() == [1e200, degiorgi._SENTINEL]
+
+    def test_overflowing_power_of_b_leaves_a_zero_seed_at_zero(self):
+        # 40^n overflows a double from n = 193 on
+        tr = iterate_recursion(0.0, RecursionParams(1e-10, 40.0, 0.01, 0.02), 200)
+        assert not tr.diverged and np.all(tr.Z == 0.0)
+
+    def test_extreme_exponents_keep_the_thresholds_finite(self):
+        # mu2^2 overflows; (2K)^(-1/mu1) overflows while b^(-1/mu1^2) underflows
+        T1, T2 = recursion_thresholds(RecursionParams(1.05, 2.0, 0.5, 1e308))
+        assert (T1, T2) == pytest.approx((2.1**-2 / 16, 2.1**-2 / 16), rel=1e-14)
+        assert recursion_thresholds(RecursionParams(1e-10, 2.0, 0.01, 0.02)) == (0.0, 0.0)
+        tr = iterate_recursion(1e-3, RecursionParams(1.05, 2.0, 0.5, 1e308), 40)
+        assert not tr.diverged and tr.envelope_ok is True
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             iterate_recursion(-1.0, RecursionParams(1.0, 2.0, 1.0, 1.0), 10)
+        with pytest.raises(DomainError):
+            iterate_recursion(float("nan"), RecursionParams(1.0, 2.0, 1.0, 1.0), 10)
         with pytest.raises(DomainError):
             iterate_recursion(0.5, RecursionParams(1.0, 2.0, 1.0, 1.0), 0)
 
