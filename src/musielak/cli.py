@@ -57,12 +57,12 @@ class _InputError(Exception):
 
 
 def _field_and_domain(payload, need_domain=False):
+    """The payload's field, and its lattice: the field's own ``grid`` when it
+    has one, else the payload's."""
     if "field" not in payload:
         raise _InputError("payload needs a 'field' entry")
-    field, domain = io.field_from_json(payload["field"])
-    if domain is None and "grid" in payload:
-        domain = io.grid_from_json(payload["grid"])
-        field, domain = io.field_from_json(payload["field"], domain)
+    domain = io.grid_from_json(payload["grid"]) if "grid" in payload else None
+    field, domain = io.field_from_json(payload["field"], domain)
     if need_domain and domain is None:
         raise _InputError("payload needs a 'grid' entry (or a field with one)")
     return field, domain
@@ -89,34 +89,31 @@ def _grid_data(obj, domain, what: str) -> GridFunction:
     raise _InputError(f"'{what}' must be a number or a grid function, got {obj!r:.40}")
 
 
+# PhiSpec constructor name -> the payload keys of its exponents, in argument order.
+_PHI_KINDS = {"double_phase": (), "double_phase_normalized": (), "critical": (), "critical_trace": (),
+              "subcritical": ("r", "s"), "subcritical_trace": ("l", "h"), "weighted": ("r", "s", "alpha")}
+
+
 def _phi_spec(payload, field):
     kind = payload.get("kind", "double_phase")
-    if kind == "double_phase":
-        return PhiSpec.double_phase(field)
-    if kind == "double_phase_normalized":
-        return PhiSpec.double_phase_normalized(field)
-    if kind == "critical":
-        return PhiSpec.critical(field)
-    if kind == "critical_trace":
-        return PhiSpec.critical_trace(field)
-    if kind == "subcritical":
-        return PhiSpec.subcritical(field, payload["r"], payload["s"], payload.get("mode", "subcritical"))
-    if kind == "subcritical_trace":
-        return PhiSpec.subcritical_trace(field, payload["l"], payload["h"], payload.get("mode", "subcritical"))
-    if kind == "weighted":
-        return PhiSpec.weighted(field, payload["r"], payload["s"], payload["alpha"])
-    raise _InputError(f"unknown Phi-function kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _PHI_KINDS:
+        raise _InputError(f"unknown Phi-function kind {kind!r:.40}")
+    args = [_exponent(payload, k) for k in _PHI_KINDS[kind]]
+    if kind.startswith("subcritical"):
+        args.append(payload.get("mode", "subcritical"))
+    return getattr(PhiSpec, kind)(field, *args)
 
 
-def _number(value, what: str) -> float:
-    """A finite JSON number (not a bool) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise _InputError(f"'{what}' must be a finite number, got {value!r:.40}")
-    return float(value)
+def _exponent(payload, key: str) -> np.ndarray:
+    """A finite number, or nested lists of finite numbers, as one float array."""
+    arr = io.array_from_json(payload[key], key)
+    if arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise _InputError(f"'{key}' must be a finite number or nested lists of them, got {payload[key]!r:.40}")
+    return arr
 
 
 def _flat_numbers(values, what: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
+    values = io.array_from_json(values, what)
     if values.ndim != 1 or not np.all(np.isfinite(values)):
         raise _InputError(f"{what} must be a flat list of finite numbers")
     return values
@@ -200,7 +197,9 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
     ts = payload.get("t_values")
     if ts is None:
         rng = np.random.default_rng(cfg.seed)
-        ts = np.sort(rng.uniform(0.0, payload.get("t_max", 10.0), payload.get("n_samples", 32)))
+        t_max = io.number_from_json(payload.get("t_max", 10.0), "t_max")
+        n_samples = io.number_from_json(payload.get("n_samples", 32), "n_samples", integer=True)
+        ts = np.sort(rng.uniform(0.0, t_max, n_samples))
     ts = _flat_numbers(ts, "t values")
     normalized = bool(payload.get("normalized", False))
 
@@ -228,12 +227,11 @@ def _cmd_embed_scan(cfg: RunConfig) -> int:
     if payload.get("function") is not None:
         u = _function_from_payload(payload, domain)
     else:
-        u = embedding_lab.bump_function(domain, payload.get("radius", 1.0))
-    lambdas = payload.get("lambdas", [1.0, 2.0, 4.0, 8.0, 16.0])
+        u = embedding_lab.bump_function(domain, io.number_from_json(payload.get("radius", 1.0), "radius"))
+    lambdas = _flat_numbers(payload.get("lambdas", [1.0, 2.0, 4.0, 8.0, 16.0]), "lambdas")
+    r, s, alpha = (io.number_from_json(payload[k], k) for k in ("r", "s", "alpha"))
     exp = embedding_lab.run_scaling_experiment(
-        u, field,
-        r=float(payload["r"]), s=float(payload["s"]), alpha=float(payload["alpha"]),
-        lambdas=lambdas, weight_mode=payload.get("weight_mode", "unit"),
+        u, field, r=r, s=s, alpha=alpha, lambdas=lambdas, weight_mode=payload.get("weight_mode", "unit"),
     )
     fits = embedding_lab.exponent_scan(exp)
     names = sorted(exp.quantities)
@@ -256,7 +254,7 @@ def _cmd_embed_scan(cfg: RunConfig) -> int:
 def _cmd_recursion(cfg: RunConfig) -> int:
     payload = _load_json(cfg.input)
     try:
-        K, b, mu1, mu2, z0 = (_number(payload[k], k) for k in ("K", "b", "mu1", "mu2", "Z0"))
+        K, b, mu1, mu2, z0 = (io.number_from_json(payload[k], k) for k in ("K", "b", "mu1", "mu2", "Z0"))
     except KeyError as exc:
         raise _InputError(f"recursion payload missing {exc}")
     params = degiorgi.RecursionParams(K=K, b=b, mu1=mu1, mu2=mu2)
@@ -314,7 +312,7 @@ def _bound_constants(obj) -> degiorgi.BoundConstants:
     unknown = sorted(set(obj) - set(names))
     if unknown:
         raise _InputError(f"unknown constants {unknown}; the constants are {names}")
-    return degiorgi.BoundConstants(**{k: _number(v, k) for k, v in obj.items()})
+    return degiorgi.BoundConstants(**{k: io.number_from_json(v, k) for k, v in obj.items()})
 
 
 def _cmd_bound_check(cfg: RunConfig) -> int:
@@ -323,7 +321,7 @@ def _cmd_bound_check(cfg: RunConfig) -> int:
     u = _function_from_payload(payload, domain)
     constants = _bound_constants(payload.get("constants", {}))
     regime = payload.get("regime", "subcritical-D")
-    kw = {k: payload[k] for k in ("r", "s", "l", "h") if k in payload}
+    kw = {k: _exponent(payload, k) for k in ("r", "s", "l", "h") if k in payload}
     grid = payload.get("kappa_grid")
     if grid is None:
         top = float(np.max(np.abs(u.values))) + 1.0

@@ -308,7 +308,7 @@ def _slacks(N, p, q, mu, t, h_star, const):
     the samples; ``const`` is max over the nodes of q*(x)^q*(x)."""
     p_star = N * p / (N - p)
     q_star = N * q / (N - q)
-    mu_pow = np.where(mu > 0, np.where(mu > 0, mu, 1.0) ** (q_star / q), 0.0)
+    mu_pow = mu ** (q_star / q)
     scale = np.maximum(1.0, h_star)
 
     bound_p = p_star**-p_star * t**p_star
@@ -317,7 +317,7 @@ def _slacks(N, p, q, mu, t, h_star, const):
 
     p_trace = (N - 1.0) * p / (N - p)
     q_trace = (N - 1.0) * q / (N - q)
-    t_star = t**p_trace + np.where(mu > 0, np.where(mu > 0, mu, 1.0) ** (q_trace / q), 0.0) * t**q_trace
+    t_star = t**p_trace + mu ** (q_trace / q) * t**q_trace
     rhs = 2.0 * const ** ((N - 1.0) / N) * h_star ** ((N - 1.0) / N)
     return {
         "power_p": (h_star - bound_p) / scale,

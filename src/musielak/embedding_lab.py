@@ -195,8 +195,8 @@ def run_scaling_experiment(
     otherwise interpolation error dominates the fitted slopes.
     """
     lambdas = np.asarray(sorted(float(l) for l in lambdas))
-    if lambdas[0] < 1.0:
-        raise DomainError("dilation factors must be >= 1")
+    if not lambdas.size or lambdas[0] < 1.0:
+        raise DomainError("dilation factors must be given, each >= 1")
     dom = u.domain
     support = float(np.max(dom.radius()[np.abs(u.values) > 0])) if np.any(u.values != 0) else 0.0
     if support <= 0:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ __all__ = [
     "function_to_csv",
     "function_from_csv",
     "norm_result_to_json",
+    "number_from_json",
+    "array_from_json",
     "load_function",
     "save_function",
 ]
@@ -30,6 +33,30 @@ __all__ = [
 def _require_object(obj, what: str) -> None:
     if not isinstance(obj, dict):
         raise DomainError(f"{what} must be a JSON object, got {obj!r:.40}")
+
+
+def number_from_json(value, what: str, integer: bool = False):
+    """A finite JSON number (not a bool) as a float; with ``integer``, a
+    whole number (such as 3 or 3.0) as an int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max
+            or integer and not float(value).is_integer()):
+        raise DomainError(f"'{what}' must be a finite {'integer' if integer else 'number'}, got {value!r:.40}")
+    return int(value) if integer else float(value)
+
+
+def array_from_json(value, what: str) -> np.ndarray:
+    """A JSON number or nested lists of numbers as one float array; null
+    reads as NaN, which the callers reject where it is not allowed."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"'{what}' must be a number or nested lists of numbers, got {value!r:.40}")
+
+
+def _numbers(value, what: str, integer: bool = False) -> tuple:
+    if not isinstance(value, list):
+        raise DomainError(f"'{what}' must be a list of numbers, got {value!r:.40}")
+    return tuple(number_from_json(v, what, integer) for v in value)
 
 
 def grid_to_json(domain: GridDomain) -> dict:
@@ -44,12 +71,11 @@ def grid_from_json(obj: dict) -> GridDomain:
     _require_object(obj, "grid")
     if "shape" not in obj:
         raise DomainError("grid needs a 'shape' entry")
-    shape = tuple(int(n) for n in obj["shape"])
-    origin = tuple(obj.get("origin", [0.0] * len(shape)))
+    shape = _numbers(obj["shape"], "shape", integer=True)
+    origin = _numbers(obj.get("origin", [0.0] * len(shape)), "origin")
     if "spacing" in obj:
-        return GridDomain(shape, tuple(obj["spacing"]), origin)
-    lengths = obj.get("lengths", [1.0] * len(shape))
-    return GridDomain.box(shape, tuple(lengths), origin)
+        return GridDomain(shape, _numbers(obj["spacing"], "spacing"), origin)
+    return GridDomain.box(shape, _numbers(obj.get("lengths", [1.0] * len(shape)), "lengths"), origin)
 
 
 def _field_entry(arr: np.ndarray):
@@ -71,21 +97,20 @@ def field_to_json(field: ExponentField, domain: GridDomain | None = None) -> dic
 
 
 def field_from_json(obj: dict, domain: GridDomain | None = None):
-    """Returns (field, domain); the domain may come from the payload itself."""
+    """Returns (field, domain).  The field's own ``grid`` entry, when it has
+    one, takes the place of ``domain``; with a domain, p, q and mu are
+    broadcast over its lattice."""
     _require_object(obj, "field")
-    if domain is None and "grid" in obj:
+    if "grid" in obj:
         domain = grid_from_json(obj["grid"])
+    N = number_from_json(obj["N"], "N", integer=True)
+    p, q, mu = (array_from_json(obj[k], k) for k in ("p", "q", "mu"))
     kw = {}
     if obj.get("lipschitz_bound") is not None:
-        kw["lipschitz_bound"] = float(obj["lipschitz_bound"])
-    if domain is not None:
-        kw["spacing"] = domain.spacing
-        ones = np.ones(domain.shape)
-        p = ones * np.asarray(obj["p"], dtype=float)
-        q = ones * np.asarray(obj["q"], dtype=float)
-        mu = ones * np.asarray(obj["mu"], dtype=float)
-        return ExponentField(int(obj["N"]), p, q, mu, **kw), domain
-    return ExponentField(int(obj["N"]), obj["p"], obj["q"], obj["mu"], **kw), None
+        kw["lipschitz_bound"] = number_from_json(obj["lipschitz_bound"], "lipschitz_bound")
+    if domain is None:
+        return ExponentField(N, p, q, mu, **kw), None
+    return domain.constant_field(N, p, q, mu, **kw), domain
 
 
 def function_to_json(u: GridFunction) -> dict:
@@ -96,7 +121,7 @@ def function_from_json(obj: dict, domain: GridDomain | None = None) -> GridFunct
     _require_object(obj, "function")
     if domain is None:
         domain = grid_from_json(obj["grid"])
-    values = np.asarray(obj["values"], dtype=float)
+    values = array_from_json(obj["values"], "values")
     if values.shape not in (domain.shape, (int(np.prod(domain.shape)),)):
         raise DomainError(f"function values of shape {values.shape} on a grid of shape {domain.shape}: "
                           "give the grid's shape or a flat list of all node values")

@@ -70,8 +70,8 @@ class GridDomain:
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if not (len(self.shape) == len(self.spacing) == len(self.origin)):
             raise GridMismatchError("shape, spacing and origin must have equal length")
-        if any(n < 3 for n in self.shape):
-            raise DomainError("each axis needs >= 3 nodes")
+        if not self.shape or any(n < 3 for n in self.shape):
+            raise DomainError("a grid needs at least one axis, each with >= 3 nodes")
         if any(h <= 0 for h in self.spacing):
             raise DomainError("spacing must be positive")
 
@@ -267,7 +267,7 @@ def _norm(spec: PhiSpec, terms, rho_u: float, tol: float) -> NormResult:
     lam, val, it = _unit_root(
         lambda lam: _terms_modular(spec, terms, lam), rho_u, *spec.exponent_bounds(), math.log1p(tol),
     )
-    if abs(val - 1.0) > tol:
+    if not abs(val - 1.0) <= tol:
         raise ConvergenceError(f"norm root-finder stalled at lam={lam} with modular {val}")
     return NormResult(lam, val, it)
 

@@ -74,13 +74,13 @@ class ExponentField:
     def __post_init__(self):
         if self.N < 2:
             raise DomainError(f"spatial dimension must be >= 2, got {self.N}")
-        shapes = [np.shape(a) for a in (self.p, self.q, self.mu) if np.shape(a)]
+        arrays = {k: np.asarray(getattr(self, k), dtype=float) for k in ("p", "q", "mu")}
+        shapes = [a.shape for a in arrays.values() if a.shape]
         shape = shapes[0] if shapes else ()
         if any(s != shape for s in shapes):
             raise GridMismatchError(f"p/q/mu shapes disagree: {shapes}")
-        object.__setattr__(self, "p", _as_field_array(self.p, shape))
-        object.__setattr__(self, "q", _as_field_array(self.q, shape))
-        object.__setattr__(self, "mu", _as_field_array(self.mu, shape))
+        for k, a in arrays.items():
+            object.__setattr__(self, k, _as_field_array(a, shape))
         # An infinite mu stays: validate_hypotheses reports it as "mu bounded".
         if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.q))) or np.any(np.isnan(self.mu)):
             raise DomainError("p and q must be finite and mu must not be NaN")
@@ -234,17 +234,6 @@ def _lipschitz_violations(field: ExponentField):
 # PhiSpec: the parametric Phi-function family
 # ---------------------------------------------------------------------------
 
-_POWER_KINDS = (
-    "double_phase",
-    "critical",
-    "critical_trace",
-    "subcritical",
-    "subcritical_trace",
-    "weighted",
-)
-_ALL_KINDS = _POWER_KINDS + ("double_phase_normalized",)
-
-
 @dataclass(frozen=True)
 class PhiSpec:
     """A tagged selection of one generalized Phi-function over an ExponentField.
@@ -309,7 +298,7 @@ class PhiSpec:
         r = _as_field_array(r, base.shape)
         s = _as_field_array(s, base.shape)
         alpha = _as_field_array(alpha, base.shape)
-        if np.any(r <= 0) or np.any(s <= 0) or np.any(alpha <= 0):
+        if not (np.all(r > 0) and np.all(s > 0) and np.all(alpha > 0)):
             raise DomainError("weighted family needs positive r, s, alpha")
         return cls("weighted", base, r, s, _mu_power(base.mu, alpha))
 

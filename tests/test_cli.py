@@ -3,15 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import musielak
 from musielak import (ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi,
                       verify_conjugate_bounds, verify_trace_bound)
-from musielak import cli
+from musielak import cli, io
 
 
 def _run(tmp_path, command, payload, text=None):
@@ -205,7 +208,7 @@ def test_conjugate_below_1e290_is_solved(tmp_path):
     assert float(rows[0]["conjugate"]) < 1e-290
 
 
-@pytest.mark.parametrize("t_values", [2.0, [1.0, float("nan")], [1.0, float("inf")], [[1.0], [2.0]]])
+@pytest.mark.parametrize("t_values", [2.0, [1.0, float("nan")], [1.0, float("inf")], [[1.0], [2.0]], {"t": 1.0}])
 def test_malformed_t_values_are_input_errors(tmp_path, capsys, t_values):
     # json writes the tokens NaN and Infinity, which Python's json reads back
     payload = {"field": {"N": 3, "p": 1.5, "q": 1.8, "mu": 0.5}, "t_values": t_values}
@@ -423,6 +426,27 @@ MALFORMED = (
     + [pytest.param("recursion", dict(RECURSION, **{key: bad}), f"'{key}' must be a finite number",
                     id=f"recursion-{key}-{type(bad).__name__}") for key in RECURSION for bad in (None, [1.0])]
     + [pytest.param("recursion", [RECURSION], "must be a JSON object", id="recursion-list")]
+    + [pytest.param("validate", {"field": dict(FLAT, N=bad)}, "'N' must be a finite integer", id=f"N-{bad}")
+       for bad in (3.7, None, True)]
+    + [pytest.param("validate", {"field": dict(FLAT, lipschitz_bound=[1])}, "'lipschitz_bound' must be a finite number",
+                    id="lipschitz_bound-list")]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], grid=grid), what, id=name)
+       for name, grid, what in [("shape-fraction", {"shape": [9.5, 9]}, "'shape' must be a finite integer"),
+                                ("shape-null", {"shape": None}, "'shape' must be a list"),
+                                ("lengths-null", dict(GRID, lengths=None), "'lengths' must be a list"),
+                                ("origin-null", dict(GRID, origin=[None, 0]), "'origin' must be a finite number"),
+                                ("spacing-string", dict(GRID, spacing="abc"), "'spacing' must be a list")]]
+    + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], **{key: None}), what, id=f"embed-scan-{key}-null")
+       for key, what in [("r", "'r' must be a finite number"), ("alpha", "'alpha' must be a finite number"),
+                         ("radius", "'radius' must be a finite number"), ("lambdas", "lambdas must be a flat list")]]
+    + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], lambdas=[]), "dilation factors must be given",
+                    id="embed-scan-lambdas-empty")]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": []}), "at least one axis", id="shape-empty")]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], kind="weighted", r=None, s=3.0, alpha=1.0),
+                    "'r' must be a finite number", id="weighted-r-null")]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], kind=["critical"]), "unknown Phi-function kind", id="kind-list")]
+    + [pytest.param("conjugate-table", {"field": FLAT, key: bad}, f"'{key}' must be a finite", id=f"{key}-{bad}")
+       for key, bad in [("t_max", None), ("t_max", "10"), ("n_samples", 2.5), ("n_samples", True)]]
     + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], constants=bad), what, id=f"constants-{name}")
        for name, bad, what in [("string", "abc", "'constants' must be a JSON object"),
                                ("bogus", {"bogus": 1}, "unknown constants"),
@@ -471,3 +495,88 @@ def test_source_values_of_another_shape_are_an_input_error(tmp_path, capsys):
     assert code == cli.EXIT_INPUT_ERROR
     assert "shape" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_a_top_level_grid_payload_decodes_its_field_once(tmp_path, monkeypatch):
+    calls = []
+    decode = io.field_from_json
+
+    def counted(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(io, "field_from_json", counted)
+    code, _ = _run(tmp_path, "norm", None, text=(DATA / "cli_norm_luxemburg.json").read_text())
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+def test_the_fields_own_grid_wins_over_the_payloads():
+    payload = {"field": dict(FLAT, grid={"shape": [5, 7]}), "grid": GRID}
+    field, domain = cli._field_and_domain(payload, need_domain=True)
+    assert domain.shape == field.shape == (5, 7)
+
+
+# A 9 x 9 field with exponent windows that every subcritical kind accepts in
+# both modes: r, l and s, h as node arrays, alpha as a number.
+SPEC_FIELD = io.grid_from_json(GRID).constant_field(3, 1.6, 1.9, np.linspace(0.0, 2.0, 81).reshape(9, 9))
+SPEC_ARGS = {"r": np.full((9, 9), 2.5), "s": np.full((9, 9), 3.0), "l": np.full((9, 9), 1.9),
+             "h": np.full((9, 9), 2.5), "alpha": 1.5}
+
+
+@pytest.mark.parametrize("mode", [None, "critical"])
+@pytest.mark.parametrize("kind", sorted(cli._PHI_KINDS))
+def test_phi_spec_matches_its_constructor(kind, mode):
+    payload = {"kind": kind, **{k: np.asarray(v).tolist() for k, v in SPEC_ARGS.items()}}
+    if mode is not None:
+        payload["mode"] = mode  # only the subcritical kinds take a mode
+    got = cli._phi_spec(payload, SPEC_FIELD)
+    constructor = getattr(PhiSpec, kind)
+    args = [SPEC_ARGS[k] for k in cli._PHI_KINDS[kind]]
+    if mode is not None and kind.startswith("subcritical"):
+        args.append(mode)
+    want = constructor(SPEC_FIELD, *args)
+    assert got.kind == want.kind == kind and got.mode == want.mode
+    for name in ("lo", "hi", "weight"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# Every committed input of the subcommands that read exponent fields, and the
+# keys their decoding reads: (subcommand, input stem, where the key sits, key).
+_FIELD_KEYS = ("N", "p", "q", "mu", "lipschitz_bound")
+_GRID_KEYS = ("shape", "spacing", "lengths", "origin")
+_TOP_KEYS = {
+    "validate": (),
+    "norm": ("kind", "r", "s", "l", "h", "alpha"),
+    "embed-scan": ("r", "s", "alpha", "radius", "lambdas"),
+    "bound-check": ("r", "s", "l", "h"),
+}
+_INPUTS = {
+    "validate": ("cli_validate_h1", "cli_validate_h3"),
+    "norm": ("cli_norm_luxemburg", "cli_norm_sobolev", "cli_norm_boundary"),
+    "embed-scan": ("cli_embed_scan",),
+    "bound-check": tuple(f"bound_check_{regime}" for regime in
+                         ("subcritical-D", "subcritical-N", "critical-D", "critical-N")),
+}
+_SITES = [
+    (command, stem, where, key)
+    for command, stems in _INPUTS.items()
+    for stem in stems
+    for where, keys in [("field", _FIELD_KEYS), ("grid", _GRID_KEYS), (None, _TOP_KEYS[command])]
+    if where != "grid" or "grid" in json.loads((DATA / f"{stem}.json").read_text())
+    for key in keys
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(site=st.sampled_from(_SITES), value=st.sampled_from([None, "abc", True, [[1.0]], float("nan"), 1e308]))
+def test_a_bad_value_in_a_committed_input_never_escapes(site, value):
+    command, stem, where, key = site
+    payload = json.loads((DATA / f"{stem}.json").read_text())
+    (payload if where is None else payload[where])[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        # json writes the token NaN, which Python's json reads back as nan
+        code, out = _run(Path(tmp), command, None, text=json.dumps(payload))
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_INPUT_ERROR)
+        if code == cli.EXIT_INPUT_ERROR:
+            assert list(out.iterdir()) == []

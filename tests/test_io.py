@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from musielak import DomainError, ExponentField, GridDomain, GridFunction
-from musielak.io import (field_from_json, field_to_json, function_from_csv, function_from_json,
-                         function_to_csv, function_to_json)
+from musielak.io import (array_from_json, field_from_json, field_to_json, function_from_csv, function_from_json,
+                         function_to_csv, function_to_json, grid_from_json, number_from_json)
 
 
 @st.composite
@@ -136,3 +136,41 @@ class TestFunctionValueShapes:
     def test_any_other_shape_is_a_domain_error(self, values):
         with pytest.raises(DomainError, match="shape"):
             function_from_json({"values": values}, self.GRID)
+
+
+@pytest.mark.parametrize("value,integer,want", [(3, True, 3), (3.0, True, 3), (-2, False, -2.0), (1e308, False, 1e308)])
+def test_number_reader_accepts(value, integer, want):
+    got = number_from_json(value, "x", integer)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("value,integer", [
+    (3.7, True), (None, True), (True, True), ("3", True), ([3], True), (10**400, True),
+    (None, False), (False, False), ("1.5", False), ([1.0], False), (float("nan"), False), (float("inf"), False),
+])
+def test_number_reader_rejects(value, integer):
+    with pytest.raises(DomainError, match="'x' must be a finite"):
+        number_from_json(value, "x", integer)
+
+
+@pytest.mark.parametrize("value", [{}, [1.0, "x"], [[1.0], [1.0, 2.0]], 10**400])
+def test_array_reader_rejects_what_is_not_numbers(value):
+    with pytest.raises(DomainError, match="'p' must be a number or nested lists of numbers"):
+        array_from_json(value, "p")
+
+
+@pytest.mark.parametrize("grid", [
+    {"shape": [9.5, 9]}, {"shape": None}, {"shape": [True, 9]}, {"shape": [9, 9], "lengths": None},
+    {"shape": [9, 9], "origin": [None, 0]}, {"shape": [9, 9], "spacing": [0.1, "0.1"]},
+])
+def test_grid_reader_rejects_what_is_not_numbers(grid):
+    with pytest.raises(DomainError, match="'(shape|lengths|origin|spacing)' must be a"):
+        grid_from_json(grid)
+
+
+def test_field_with_a_domain_is_broadcast_with_its_spacing():
+    domain = GridDomain.box((5, 4), (2.0, 3.0))
+    field, got = field_from_json({"N": 3, "p": 1.5, "q": [1.8, 1.9, 2.0, 2.1], "mu": 0.5,
+                                  "lipschitz_bound": 2}, domain)
+    assert got is domain and field.shape == (5, 4) and field.spacing == domain.spacing
+    assert field.lipschitz_bound == 2.0 and np.array_equal(field.q[3], [1.8, 1.9, 2.0, 2.1])

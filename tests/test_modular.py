@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from musielak import (
+    ConvergenceError,
     DomainError,
     ExponentField,
     GridDomain,
@@ -45,6 +46,10 @@ class TestGridDomain:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(DomainError):
             GridDomain.box((2, 5))
+
+    def test_no_axis_rejected(self):
+        with pytest.raises(DomainError):
+            GridDomain((), (), ())
 
 
 class TestModulars:
@@ -108,6 +113,15 @@ class TestLuxemburgNorm:
         field = unit_interval.constant_field(3, 2.0, 3.0, 0.0)
         res = luxemburg_norm(PhiSpec.double_phase(field), GridFunction.constant(unit_interval, 0.0))
         assert res.value == 0.0
+
+    def test_nan_modular_is_not_a_root(self, unit_interval):
+        # A spec built past the constructors' checks with a NaN exponent has a
+        # NaN modular at every lam, which must fail the tolerance test.
+        field = unit_interval.constant_field(3, 2.0, 3.0, 0.0)
+        good = PhiSpec.double_phase(field)
+        spec = PhiSpec("double_phase", field, np.full(field.shape, np.nan), good.hi, good.weight)
+        with pytest.raises(ConvergenceError):
+            luxemburg_norm(spec, GridFunction.constant(unit_interval, 2.0))
 
     def test_unit_modular_means_unit_norm(self, rng, unit_interval):
         field = random_field_h3(rng, unit_interval)

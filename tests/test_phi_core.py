@@ -277,6 +277,12 @@ class TestPhiSpecWindows:
         with pytest.raises(DomainError):
             PhiSpec.weighted(f, -1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("bad", ["r", "s", "alpha"])
+    def test_weighted_rejects_nan_exponents(self, bad):
+        args = dict({"r": 1.5, "s": 2.5, "alpha": 1.0}, **{bad: float("nan")})
+        with pytest.raises(DomainError):
+            PhiSpec.weighted(const_field(4, 2.0, 3.0, 1.0), **args)
+
     def test_zero_weight_kills_upper_phase(self):
         # mu = 0 with a fractional weight exponent must not produce NaN
         spec = PhiSpec.critical(const_field(4, 2.0, 3.0, 0.0))
