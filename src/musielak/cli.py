@@ -1,5 +1,26 @@
 """Command-line entry point: one subcommand per toolkit area, file I/O only.
 
+A run is its input file: ``musielak COMMAND --input FILE --output DIR`` takes
+no other option, so the same file always gives the same outputs.  Each
+subcommand reads these payload keys (default in brackets, none means required):
+
+- validate: field, grid [none], level ["H3"]
+- norm: field, grid or a field with one, function, norm ["luxemburg"; or
+  "sobolev", "boundary"], kind ["double_phase"] with its exponents r, s, l, h,
+  alpha and mode ["subcritical"]; the modular is solved to 1e-10
+- conjugate-table: field, nodes [required when the field varies], t_values
+  [n_samples (32) uniform draws on [0, t_max (10)] from seed 0, sorted],
+  normalized [false]; slacks pass at -1e-10
+- embed-scan: field, grid, r, s, alpha, function [a bump of radius ``radius``
+  (1)], lambdas [1, 2, 4, 8, 16: at least 4, spanning a decade], weight_mode
+  ["unit"]
+- recursion: K, b, mu1, mu2, Z0, n_max [200]
+- solve: field, grid, function or source [0], bc ["dirichlet-zero"], flux
+  [none], grad_tol [1e-10], max_iter [200]
+- bound-check: field, grid, function, regime ["subcritical-D"], r, s, l, h
+  [none], constants [the BoundConstants defaults], kappa_grid [16 geometric
+  levels up to max |u| + 1]
+
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
 All outputs land under the directory given by --output.
 """
@@ -33,10 +54,6 @@ class RunConfig:
     command: str
     input: Path
     output: Path
-    tol: float = 1e-10
-    seed: int = 0
-    max_iter: int | None = None
-    level: str = "H3"
 
 
 def _load_json(path: Path) -> dict:
@@ -119,6 +136,11 @@ def _flat_numbers(values, what: str) -> np.ndarray:
     return values
 
 
+def _given(payload, *keys) -> dict:
+    """The payload entries among ``keys``; the library defaults fill the rest."""
+    return {k: payload[k] for k in keys if k in payload}
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -132,7 +154,7 @@ def _write_json(path: Path, obj) -> None:
 def _cmd_validate(cfg: RunConfig) -> int:
     payload = _load_json(cfg.input)
     field, _ = _field_and_domain(payload)
-    report = validate_hypotheses(field, payload.get("level", cfg.level))
+    report = validate_hypotheses(field, **_given(payload, "level"))
     out = {
         "level": report.level,
         "passed": report.passed,
@@ -149,15 +171,15 @@ def _cmd_norm(cfg: RunConfig) -> int:
     u = _function_from_payload(payload, domain)
     which = payload.get("norm", "luxemburg")
     if which == "sobolev":
-        result = sobolev_norm(field, u, tol=cfg.tol)
+        result = sobolev_norm(field, u)
         modular = None
     else:
         spec = _phi_spec(payload, field)
         if which == "boundary":
-            result = boundary_norm(spec, u, tol=cfg.tol)
+            result = boundary_norm(spec, u)
             modular = None
         elif which == "luxemburg":
-            result = luxemburg_norm(spec, u, tol=cfg.tol)
+            result = luxemburg_norm(spec, u)
             modular = modular_rho(spec, u)
         else:
             raise _InputError(f"unknown norm type {which!r}")
@@ -196,14 +218,16 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
     nodes = _node_list(payload, field)
     ts = payload.get("t_values")
     if ts is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(0)
         t_max = io.number_from_json(payload.get("t_max", 10.0), "t_max")
         n_samples = io.number_from_json(payload.get("n_samples", 32), "n_samples", integer=True)
         ts = np.sort(rng.uniform(0.0, t_max, n_samples))
     ts = _flat_numbers(ts, "t values")
-    normalized = bool(payload.get("normalized", False))
+    normalized = payload.get("normalized", False)
+    if not isinstance(normalized, bool):
+        raise _InputError(f"'normalized' must be true or false, got {normalized!r:.40}")
 
-    report = tabulate_bounds(field, nodes, ts, tol=cfg.tol, normalized=normalized)
+    report = tabulate_bounds(field, nodes, ts, normalized=normalized)
     crit_spec = PhiSpec.critical(field)
     # Python floats: csv.writer formats them with the same bytes as np.float64, faster.
     critical = [v for x in nodes for v in crit_spec(x, ts).tolist()]
@@ -229,6 +253,7 @@ def _cmd_embed_scan(cfg: RunConfig) -> int:
     else:
         u = embedding_lab.bump_function(domain, io.number_from_json(payload.get("radius", 1.0), "radius"))
     lambdas = _flat_numbers(payload.get("lambdas", [1.0, 2.0, 4.0, 8.0, 16.0]), "lambdas")
+    embedding_lab._require_ladder(lambdas)
     r, s, alpha = (io.number_from_json(payload[k], k) for k in ("r", "s", "alpha"))
     exp = embedding_lab.run_scaling_experiment(
         u, field, r=r, s=s, alpha=alpha, lambdas=lambdas, weight_mode=payload.get("weight_mode", "unit"),
@@ -258,8 +283,7 @@ def _cmd_recursion(cfg: RunConfig) -> int:
     except KeyError as exc:
         raise _InputError(f"recursion payload missing {exc}")
     params = degiorgi.RecursionParams(K=K, b=b, mu1=mu1, mu2=mu2)
-    n_max = payload.get("n_max", 200 if cfg.max_iter is None else cfg.max_iter)
-    trace = degiorgi.iterate_recursion(z0, params, n_max)
+    trace = degiorgi.iterate_recursion(z0, params, **_given(payload, "n_max"))
     out = {
         "Z": trace.Z.tolist(),
         "n0": trace.n0,
@@ -283,8 +307,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         domain, field, f,
         bc=payload.get("bc", "dirichlet-zero"),
         flux=None if payload.get("flux") is None else _grid_data(payload["flux"], domain, "flux"),
-        grad_tol=payload.get("grad_tol", cfg.tol),
-        max_iter=payload.get("max_iter", 200 if cfg.max_iter is None else cfg.max_iter),
+        **_given(payload, "grad_tol", "max_iter"),
     )
     u, report = solver.solve(spec)
     io.function_to_csv(u, cfg.output / "solution.csv")
@@ -393,16 +416,8 @@ def main(argv=None) -> int:
         sp.add_argument("--input", type=Path, required=True, help="input JSON file")
         sp.add_argument("--output", type=Path, default=Path("musielak-out"),
                         help="output directory (created if missing)")
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-iter", type=int, default=None)
-        sp.add_argument("--level", type=str, default="H3", choices=("H1", "H2", "H3"))
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command, input=args.input, output=args.output,
-        tol=args.tol, seed=args.seed, max_iter=args.max_iter, level=args.level,
-    )
-    return run(cfg)
+    return run(RunConfig(args.command, args.input, args.output))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ bound checks solve in one batch.
 is closed form up to ``s = 1 + mu = W(1)``, and only rows above that add
 ``G(T) - G(1)`` (on the others that difference is rounding noise).
 
-With no quadrature, ``tol`` no longer changes the inverse.  The accuracy it
+The inverse takes no tolerance.  The accuracy it
 returns is an a priori bound: ``_REL_ERR`` times the value, raised where
 ``b - 1/N = (N-q)/(N(q-p))`` is small, since 2F1 then loses about
 eps/(b - 1/N) of each term.  Against 30-digit mpmath the worst relative
@@ -56,6 +56,10 @@ _REL_ERR = 1e-10
 _DELTA_LOSS = 4.0
 # Above this b the Pfaff form of the hypergeometric function is used.
 _PFAFF_B = 20.0
+# Steps either Newton loop may take, and the tolerance the bound checks solve
+# the conjugate to.
+_MAX_ITER = 200
+_VERIFY_TOL = 1e-11
 
 
 def _require_admissible(N, p, q, mu):
@@ -86,19 +90,19 @@ def _log_w(p, q, log_mu, y):
     return log_w, p + (q - p) * np.exp(log_mu + q * y - log_w)
 
 
-def _invert_w(p, q, log_mu, s, rtol=1e-14, max_iter=200):
+def _invert_w(p, q, log_mu, s):
     """Solve t^p + mu t^q = s elementwise by monotone Newton in log t.
 
     The arguments are 1-D arrays of one length.  Each row takes one step past
-    ``|log s - log W| <= rtol max(1, |log s|)`` and stops, so its value does
+    ``|log s - log W| <= 1e-14 max(1, |log s|)`` and stops, so its value does
     not depend on the other rows.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         log_s = np.log(s)
         y = np.fmin(log_s / p, (log_s - log_mu) / q)  # above the root; -inf where s = 0
-    target = rtol * np.maximum(1.0, np.abs(log_s))
+    target = 1e-14 * np.maximum(1.0, np.abs(log_s))
     a = np.nonzero(s > 0)[0]  # the rows still iterating
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if a.size == 0:
             return np.exp(y)
         log_w, theta = _log_w(p[a], q[a], log_mu[a], y[a])
@@ -130,13 +134,12 @@ def _broadcast_inputs(*args):
     return tuple(np.ascontiguousarray(a.ravel(), dtype=float) for a in arrs)
 
 
-def conjugate_inverse_batch(N, p, q, mu, s, tol=1e-10, normalized=False):
+def conjugate_inverse_batch(N, p, q, mu, s, normalized=False):
     """Inverse Sobolev conjugate at the values ``s``, batched.
 
     Arguments broadcast to a common shape and are flattened; every entry
     needs 1 < p < q < N and a finite mu >= 0.  Returns (values, a priori
-    accuracy bounds, see the module docstring).  ``tol`` is accepted for
-    compatibility and does not change the value.
+    accuracy bounds, see the module docstring).
     """
     N, p, q, mu, s = _broadcast_inputs(N, p, q, mu, s)
     _require_admissible(N, p, q, mu)
@@ -161,7 +164,7 @@ def conjugate_inverse_batch(N, p, q, mu, s, tol=1e-10, normalized=False):
     return vals, np.maximum(_REL_ERR * np.abs(vals), _DELTA_LOSS * np.finfo(float).eps / delta * scale)
 
 
-def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
+def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False):
     """Sobolev conjugate values at arguments ``t``, batched.
 
     Solves ``inverse(W(T)) = t`` by Newton in log T and returns ``s = W(T)``:
@@ -197,7 +200,7 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
         if normalized:
             y = np.maximum(y, 0.0)
         a = rows  # the rows still iterating
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             if a.size == 0:
                 break
             log_w, theta = _log_w(p[a], q[a], log_mu[a], y[a])
@@ -216,19 +219,15 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False, max_iter=200):
 # Per-node public interface
 # ---------------------------------------------------------------------------
 
-def conjugate_inverse(field: ExponentField, x, s: float, tol: float = 1e-10,
-                      normalized: bool = False) -> float:
-    """Inverse Sobolev conjugate at node ``x`` and value ``s >= 0``.
-
-    ``tol`` is accepted for compatibility and does not change the value.
-    """
+def conjugate_inverse(field: ExponentField, x, s: float, normalized: bool = False) -> float:
+    """Inverse Sobolev conjugate at node ``x`` and value ``s >= 0``."""
     _require_admissible(field.N, field.p, field.q, field.mu)
     if s < 0:
         raise DomainError("s must be nonnegative")
     if s == 0.0:
         return 0.0
     p, q, mu = field.at(x)
-    vals, _ = conjugate_inverse_batch(field.N, p, q, mu, s, tol=tol, normalized=normalized)
+    vals, _ = conjugate_inverse_batch(field.N, p, q, mu, s, normalized=normalized)
     return float(vals[0])
 
 
@@ -254,17 +253,15 @@ class ConjugateTable:
     accuracy: np.ndarray
 
 
-def build_conjugate_table(field: ExponentField, x, s_values, tol: float = 1e-10,
-                          normalized: bool = False) -> ConjugateTable:
+def build_conjugate_table(field: ExponentField, x, s_values, normalized: bool = False) -> ConjugateTable:
     """Inverse conjugate at node ``x`` and the ``s_values``, with the accuracy
-    bounds of ``conjugate_inverse_batch``; ``tol`` does not change the values."""
+    bounds of ``conjugate_inverse_batch``."""
     _require_admissible(field.N, field.p, field.q, field.mu)
     s_values = np.asarray(s_values, dtype=float)
     if np.any(s_values < 0):
         raise DomainError("s values must be nonnegative")
     p, q, mu = field.at(x)
-    vals, err = conjugate_inverse_batch(field.N, p, q, mu, s_values, tol=tol,
-                                        normalized=normalized)
+    vals, err = conjugate_inverse_batch(field.N, p, q, mu, s_values, normalized=normalized)
     return ConjugateTable(x, s_values, vals, err)
 
 
@@ -327,11 +324,11 @@ def _slacks(N, p, q, mu, t, h_star, const):
     }
 
 
-def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slack_names):
+def _bounds(field: ExponentField, samples, normalized, conjugate, slack_names):
     """The report of the slacks ``slack_names`` at the (node, t) samples.
 
     Unless ``conjugate`` gives its values at the samples, the conjugate is
-    solved at ``quad_tol`` in one ``conjugate_batch`` call over all of them.
+    solved to ``_VERIFY_TOL`` in one ``conjugate_batch`` call over all of them.
     Raises DomainError when the domination constant max q*(x)^q*(x) overflows.
     """
     _require_admissible(field.N, field.p, field.q, field.mu)
@@ -343,7 +340,7 @@ def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slac
     xs, p, q, mu, t = _sample_arrays(field, samples)
     N = float(field.N)
     if conjugate is None:
-        h_star = conjugate_batch(N, p, q, mu, t, tol=quad_tol, normalized=normalized)
+        h_star = conjugate_batch(N, p, q, mu, t, tol=_VERIFY_TOL, normalized=normalized)
     else:
         h_star = np.asarray(conjugate, dtype=float)
         if h_star.shape != t.shape:
@@ -355,30 +352,28 @@ def _bounds(field: ExponentField, samples, quad_tol, normalized, conjugate, slac
 
 
 def verify_conjugate_bounds(field: ExponentField, samples, tol: float = 1e-9,
-                            quad_tol: float = 1e-11, normalized: bool = False) -> BoundReport:
+                            normalized: bool = False) -> BoundReport:
     """Slack of the two power lower bounds on the conjugate and of the
     domination of the critical function, at the given (node, t) samples.
 
     Slacks are normalized by max(1, dominant side); the bound holds when the
     slack is >= -tol.
     """
-    samples, slacks, h_star = _bounds(field, samples, quad_tol, normalized, None,
+    samples, slacks, h_star = _bounds(field, samples, normalized, None,
                                       ("power_p", "power_q", "critical_domination"))
     return BoundReport(samples, slacks, tol, h_star)
 
 
 def verify_trace_bound(field: ExponentField, samples, tol: float = 1e-9,
-                       quad_tol: float = 1e-11, normalized: bool = False, *,
-                       conjugate=None) -> BoundReport:
+                       normalized: bool = False, *, conjugate=None) -> BoundReport:
     """Slack of the domination of the trace-critical function by the
     (N-1)/N power of the conjugate, at the given (node, t) samples.
 
     ``conjugate``, if given, holds the conjugate at the samples (the
     ``conjugate`` of a ``verify_conjugate_bounds`` report) and replaces the
-    solve at ``quad_tol``; its values must be finite and nonnegative.
+    solve; its values must be finite and nonnegative.
     """
-    samples, slacks, h_star = _bounds(field, samples, quad_tol, normalized, conjugate,
-                                      ("trace_domination",))
+    samples, slacks, h_star = _bounds(field, samples, normalized, conjugate, ("trace_domination",))
     return BoundReport(samples, slacks, tol, h_star)
 
 
@@ -387,14 +382,13 @@ def tabulate_bounds(field: ExponentField, nodes, ts, tol: float = 1e-10,
     """The conjugate and the slacks of both bound checks at every (node, t)
     of ``nodes`` x ``ts``, in node-major order, from one solve per sample.
 
-    ``verify_conjugate_bounds`` solves the conjugate at ``min(tol, 1e-11)``
-    (never looser than the default of the ``verify_*`` functions) and
+    ``verify_conjugate_bounds`` solves the conjugate and
     ``verify_trace_bound`` reuses its values.  The report holds all four
     slacks, with pass tolerance ``tol``, and the conjugate values.
     """
     ts = np.asarray(ts, dtype=float).tolist()
     samples = ((x, s) for x in nodes for s in ts)  # read once, so no list during the solve
-    checks = verify_conjugate_bounds(field, samples, tol, min(tol, 1e-11), normalized)
+    checks = verify_conjugate_bounds(field, samples, tol, normalized=normalized)
     trace = verify_trace_bound(field, checks.samples, tol, normalized=normalized,
                                conjugate=checks.conjugate)
     checks.slacks.update(trace.slacks)

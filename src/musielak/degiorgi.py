@@ -50,6 +50,9 @@ __all__ = [
 REGIMES = ("subcritical-D", "subcritical-N", "critical-D", "critical-N")
 
 _SENTINEL = 1e150  # recursion values beyond this count as divergence
+# Most recursion steps one run may take: a cap far past any collapse the
+# thresholds certify, so an input cannot ask for minutes of work.
+_N_MAX_CAP = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +106,8 @@ class RecursionTrace:
 def iterate_recursion(Z0: float, params: RecursionParams, n_max: int = 200) -> RecursionTrace:
     """Run the worst-case recursion with equality and audit the collapse claim.
 
+    ``n_max`` is a positive integer up to ``_N_MAX_CAP``.
+
     ``n0`` is the first index with Z_n <= 1.  When the seed satisfies one of
     the two thresholds, the decay envelope is checked for every n >= n0.
     Divergence, an overflowing step included, is capped at a sentinel and
@@ -110,8 +115,8 @@ def iterate_recursion(Z0: float, params: RecursionParams, n_max: int = 200) -> R
     """
     if not Z0 >= 0:
         raise DomainError("seed must be nonnegative")
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or not 1 <= n_max <= _N_MAX_CAP:
+        raise DomainError(f"n_max must be an integer from 1 to {_N_MAX_CAP}, got {n_max!r:.40}")
     # numpy scalars overflow to inf where Python floats raise OverflowError
     K, b, m1, m2 = (np.float64(v) for v in (params.K, params.b, params.mu1, params.mu2))
     zs = [float(Z0)]

@@ -131,6 +131,8 @@ def embedding_sides(
     the Luxemburg norm of the two-term function: half their sum must lie below
     the norm, and 2^{1/r} times their sum above.
     """
+    if not (r > 0 and s > 0):
+        raise DomainError(f"need exponents r, s > 0, got r = {r!r}, s = {s!r}")
     dom = u.domain
     w = dom.interior_weights
     weight = _weight_array(dom, weight_mode)
@@ -229,16 +231,23 @@ class SlopeFit:
         return self.residual <= 0.05
 
 
+def _require_ladder(lambdas):
+    """Raise DomainError unless the dilation factors can carry a slope fit:
+    at least 4 of them, each >= 1, spanning at least one decade."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.size < 4 or lambdas.min() < 1.0 or lambdas.max() / lambdas.min() < 10.0:
+        raise DomainError("need >= 4 dilation factors, each >= 1, spanning at least one decade")
+
+
 def exponent_scan(experiment: ScalingExperiment) -> dict:
     """Least-squares log-log slope of every tracked quantity.
 
-    Needs at least 4 dilation factors spanning a decade.  The residual is the
+    Needs a ladder that ``_require_ladder`` accepts.  The residual is the
     rms misfit in log coordinates; fits with residual above 0.05 are flagged
     unreliable.
     """
     lambdas = experiment.lambdas
-    if lambdas.size < 4 or lambdas[-1] / lambdas[0] < 10.0:
-        raise DomainError("need >= 4 dilation factors spanning at least one decade")
+    _require_ladder(lambdas)
     predicted = experiment.predicted_slopes()
     out = {}
     for name, vals in experiment.quantities.items():

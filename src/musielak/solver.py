@@ -247,15 +247,21 @@ def energy_gradient(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     nodes are not degrees of freedom.
     """
     _check_bc(spec, u)
+    return GridFunction(spec.domain, _energy_gradient(spec, u.values)[0])
+
+
+def _energy_gradient(spec: ProblemSpec, values: np.ndarray):
+    """The energy gradient at nodal ``values`` and the diffusivity on cells
+    it was built from (the coefficient of the metric at the same iterate)."""
     dom = spec.domain
-    p, q, mu = spec._cells
-    comps = _components(spec, u.values)
-    weight = dom.cell_measure * _diffusivity(comps, p, q, mu, spec.eps_reg)
+    comps = _components(spec, values)
+    coeff = _diffusivity(comps, *spec._cells, spec.eps_reg)
+    weight = dom.cell_measure * coeff
     grad = sum(t @ (weight * c) for t, c in zip(spec._gradient[1], comps))
     grad = grad.reshape(dom.shape) - spec._load
     if spec.bc == "dirichlet-zero":
         grad = np.where(dom.boundary_mask, 0.0, grad)
-    return GridFunction(dom, grad)
+    return grad, coeff
 
 
 def splu(M):
@@ -380,7 +386,6 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
         _check_bc(spec, u0)
         u = u0.values.copy()
 
-    p, q, mu = spec._cells
     history = []
     e = energy(spec, GridFunction(dom, u))
     grad_norm = prev_grad_norm = np.inf
@@ -391,7 +396,7 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
     factorizations = linear_iterations = 0
     it = 0
     for it in range(1, spec.max_iter + 1):
-        g = energy_gradient(spec, GridFunction(dom, u)).values
+        g, coeff = _energy_gradient(spec, u)
         grad_norm = float(np.max(np.abs(g[free])))
         if grad_norm <= spec.grad_tol:
             converged, message = True, "gradient tolerance reached"
@@ -404,7 +409,6 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
             break
         prev_grad_norm = grad_norm
 
-        coeff = _diffusivity(_components(spec, u), p, q, mu, spec.eps_reg)
         if lu is None:
             lu, shift = _metric(spec, coeff, free_idx)
             factorizations += 1

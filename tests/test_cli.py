@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import musielak
 from musielak import (ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi,
                       verify_conjugate_bounds, verify_trace_bound)
-from musielak import cli, io
+from musielak import cli, degiorgi, embedding_lab, io
 
 
 def _run(tmp_path, command, payload, text=None):
@@ -385,7 +385,7 @@ def test_bad_solve_tolerance_or_cap_is_an_input_error(tmp_path, capsys, bad):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("n_max", [2.7, True, 0])
+@pytest.mark.parametrize("n_max", [2.7, True, 0, 10**400, degiorgi._N_MAX_CAP + 1])
 def test_bad_recursion_cap_is_an_input_error(tmp_path, capsys, n_max):
     payload = json.loads((DATA / "cli_recursion.json").read_text())
     code, out = _run(tmp_path, "recursion", dict(payload, n_max=n_max))
@@ -439,7 +439,7 @@ MALFORMED = (
     + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], **{key: None}), what, id=f"embed-scan-{key}-null")
        for key, what in [("r", "'r' must be a finite number"), ("alpha", "'alpha' must be a finite number"),
                          ("radius", "'radius' must be a finite number"), ("lambdas", "lambdas must be a flat list")]]
-    + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], lambdas=[]), "dilation factors must be given",
+    + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], lambdas=[]), "need >= 4 dilation factors",
                     id="embed-scan-lambdas-empty")]
     + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": []}), "at least one axis", id="shape-empty")]
     + [pytest.param("norm", dict(PAYLOADS["norm"], kind="weighted", r=None, s=3.0, alpha=1.0),
@@ -447,6 +447,9 @@ MALFORMED = (
     + [pytest.param("norm", dict(PAYLOADS["norm"], kind=["critical"]), "unknown Phi-function kind", id="kind-list")]
     + [pytest.param("conjugate-table", {"field": FLAT, key: bad}, f"'{key}' must be a finite", id=f"{key}-{bad}")
        for key, bad in [("t_max", None), ("t_max", "10"), ("n_samples", 2.5), ("n_samples", True)]]
+    + [pytest.param("conjugate-table", dict(PAYLOADS["conjugate-table"], normalized=bad),
+                    "'normalized' must be true or false", id=f"normalized-{bad}")
+       for bad in ("false", "true", [0], 0, 1, None)]
     + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], constants=bad), what, id=f"constants-{name}")
        for name, bad, what in [("string", "abc", "'constants' must be a JSON object"),
                                ("bogus", {"bogus": 1}, "unknown constants"),
@@ -541,18 +544,22 @@ def test_phi_spec_matches_its_constructor(kind, mode):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-# Every committed input of the subcommands that read exponent fields, and the
-# keys their decoding reads: (subcommand, input stem, where the key sits, key).
+# Every committed input of the subcommands, and the keys their decoding
+# reads: (subcommand, input stem, where the key sits, key).
 _FIELD_KEYS = ("N", "p", "q", "mu", "lipschitz_bound")
 _GRID_KEYS = ("shape", "spacing", "lengths", "origin")
 _TOP_KEYS = {
     "validate": (),
+    "recursion": ("K", "b", "mu1", "mu2", "Z0", "n_max"),
+    "conjugate-table": ("nodes", "t_values", "normalized", "t_max", "n_samples"),
     "norm": ("kind", "r", "s", "l", "h", "alpha"),
     "embed-scan": ("r", "s", "alpha", "radius", "lambdas"),
     "bound-check": ("r", "s", "l", "h"),
 }
 _INPUTS = {
     "validate": ("cli_validate_h1", "cli_validate_h3"),
+    "recursion": ("cli_recursion",),
+    "conjugate-table": ("conjugate_golden_raw", "conjugate_golden_normalized"),
     "norm": ("cli_norm_luxemburg", "cli_norm_sobolev", "cli_norm_boundary"),
     "embed-scan": ("cli_embed_scan",),
     "bound-check": tuple(f"bound_check_{regime}" for regime in
@@ -563,7 +570,7 @@ _SITES = [
     for command, stems in _INPUTS.items()
     for stem in stems
     for where, keys in [("field", _FIELD_KEYS), ("grid", _GRID_KEYS), (None, _TOP_KEYS[command])]
-    if where != "grid" or "grid" in json.loads((DATA / f"{stem}.json").read_text())
+    if where is None or where in json.loads((DATA / f"{stem}.json").read_text())
     for key in keys
 ]
 
@@ -580,3 +587,40 @@ def test_a_bad_value_in_a_committed_input_never_escapes(site, value):
         assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_INPUT_ERROR)
         if code == cli.EXIT_INPUT_ERROR:
             assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value", [("--tol", "5"), ("--seed", "7"), ("--max-iter", "3"), ("--level", "H1")])
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_a_run_takes_no_option_but_input_and_output(tmp_path, capsys, command, flag, value):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(PAYLOADS.get(command, RECURSION)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--input", str(src), "--output", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == cli.EXIT_INPUT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,stem,where,key",
+                         [("norm", f"cli_norm_{norm}", "field", key)
+                          for norm in ("luxemburg", "sobolev", "boundary") for key in ("p", "q")]
+                         + [("embed-scan", "cli_embed_scan", None, key) for key in ("r", "s")])
+def test_a_zero_exponent_is_an_input_error(tmp_path, capsys, command, stem, where, key):
+    payload = json.loads((DATA / f"{stem}.json").read_text())
+    (payload if where is None else payload[where])[key] = 0
+    code, out = _run(tmp_path, command, payload)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "exponents" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("lambdas", [[1.0, 2.0], [1.0, 2.0, 4.0, 8.0]])
+def test_a_short_ladder_is_rejected_before_any_dilation(tmp_path, capsys, monkeypatch, lambdas):
+    calls = []
+    scale = embedding_lab.scale_function
+    monkeypatch.setattr(embedding_lab, "scale_function", lambda *args: calls.append(1) or scale(*args))
+    payload = json.loads((DATA / "cli_embed_scan.json").read_text())
+    code, out = _run(tmp_path, "embed-scan", dict(payload, lambdas=lambdas))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "need >= 4 dilation factors" in capsys.readouterr().err
+    assert calls == [] and list(out.iterdir()) == []

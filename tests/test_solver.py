@@ -401,6 +401,16 @@ def test_cell_fields_are_built_once_per_solve(monkeypatch):
     assert len(calls) == 3  # p, q and mu
 
 
+def test_one_diffusivity_per_iterate(monkeypatch):
+    # the metric reuses the coefficient the energy gradient was built from
+    calls = []
+    diffusivity = solver_impl._diffusivity
+    monkeypatch.setattr(solver_impl, "_diffusivity", lambda *args: calls.append(1) or diffusivity(*args))
+    _, rep = solve(lattice_problem((17, 17), "low", "neumann", True, 6.0))
+    assert rep.converged and rep.iterations > 5
+    assert len(calls) == rep.iterations
+
+
 class TestStepTolerance:
     def test_small_step_with_falling_gradient_does_not_stop(self):
         # Stopping on the first step below step_tol ended this solve at
