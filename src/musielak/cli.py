@@ -23,6 +23,12 @@ subcommand reads these payload keys (default in brackets, none means required):
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
 All outputs land under the directory given by --output.
+
+``run(command, input_path, output_dir)`` is a run without the argument
+parser.  It loads the payload once and hands it to the subcommand's handler,
+``handler(payload, output_dir) -> exit code``.  An input error is a
+``ValueError`` (a ``DomainError`` where this module raises it) or the
+``KeyError`` of a missing payload key.
 """
 
 from __future__ import annotations
@@ -31,29 +37,22 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import degiorgi, embedding_lab, io, solver
 from .conjugate import tabulate_bounds
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .modular import GridFunction, boundary_norm, luxemburg_norm, modular_rho, sobolev_norm
 from .phi_core import PhiSpec, validate_hypotheses
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: Path
-    output: Path
 
 
 def _load_json(path: Path) -> dict:
@@ -61,39 +60,35 @@ def _load_json(path: Path) -> dict:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except FileNotFoundError:
-        raise _InputError(f"input file not found: {path}")
+        raise DomainError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+        raise DomainError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(payload, dict):
-        raise _InputError(f"{path}: the payload must be a JSON object")
+        raise DomainError(f"{path}: the payload must be a JSON object")
     return payload
-
-
-class _InputError(Exception):
-    pass
 
 
 def _field_and_domain(payload, need_domain=False):
     """The payload's field, and its lattice: the field's own ``grid`` when it
     has one, else the payload's."""
     if "field" not in payload:
-        raise _InputError("payload needs a 'field' entry")
+        raise DomainError("payload needs a 'field' entry")
     domain = io.grid_from_json(payload["grid"]) if "grid" in payload else None
     field, domain = io.field_from_json(payload["field"], domain)
     if need_domain and domain is None:
-        raise _InputError("payload needs a 'grid' entry (or a field with one)")
+        raise DomainError("payload needs a 'grid' entry (or a field with one)")
     return field, domain
 
 
 def _function_from_payload(payload, domain):
     obj = payload.get("function")
     if obj is None:
-        raise _InputError("payload needs a 'function' entry")
+        raise DomainError("payload needs a 'function' entry")
     if isinstance(obj, str):
         try:
             return io.load_function(obj, domain)
         except FileNotFoundError:
-            raise _InputError(f"function file not found: {obj}")
+            raise DomainError(f"function file not found: {obj}")
     return _grid_data(obj, domain, "function")
 
 
@@ -103,7 +98,7 @@ def _grid_data(obj, domain, what: str) -> GridFunction:
         return GridFunction.constant(domain, float(obj))
     if isinstance(obj, dict):
         return io.function_from_json(obj, domain)
-    raise _InputError(f"'{what}' must be a number or a grid function, got {obj!r:.40}")
+    raise DomainError(f"'{what}' must be a number or a grid function, got {obj!r:.40}")
 
 
 # PhiSpec constructor name -> the payload keys of its exponents, in argument order.
@@ -114,7 +109,7 @@ _PHI_KINDS = {"double_phase": (), "double_phase_normalized": (), "critical": (),
 def _phi_spec(payload, field):
     kind = payload.get("kind", "double_phase")
     if not isinstance(kind, str) or kind not in _PHI_KINDS:
-        raise _InputError(f"unknown Phi-function kind {kind!r:.40}")
+        raise DomainError(f"unknown Phi-function kind {kind!r:.40}")
     args = [_exponent(payload, k) for k in _PHI_KINDS[kind]]
     if kind.startswith("subcritical"):
         args.append(payload.get("mode", "subcritical"))
@@ -125,15 +120,17 @@ def _exponent(payload, key: str) -> np.ndarray:
     """A finite number, or nested lists of finite numbers, as one float array."""
     arr = io.array_from_json(payload[key], key)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise _InputError(f"'{key}' must be a finite number or nested lists of them, got {payload[key]!r:.40}")
+        raise DomainError(f"'{key}' must be a finite number or nested lists of them, got {payload[key]!r:.40}")
     return arr
 
 
 def _flat_numbers(values, what: str) -> np.ndarray:
-    values = io.array_from_json(values, what)
-    if values.ndim != 1 or not np.all(np.isfinite(values)):
-        raise _InputError(f"{what} must be a flat list of finite numbers")
-    return values
+    """A flat list of finite numbers, not bools (as io.number_from_json), as a float array."""
+    arr = io.array_from_json(values, what)
+    if (arr.ndim != 1 or not np.all(np.isfinite(arr))
+            or isinstance(values, list) and any(isinstance(v, bool) for v in values)):
+        raise DomainError(f"{what} must be a flat list of finite numbers")
+    return arr
 
 
 def _given(payload, *keys) -> dict:
@@ -151,8 +148,7 @@ def _write_json(path: Path, obj) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    payload = _load_json(cfg.input)
+def _cmd_validate(payload: dict, outdir: Path) -> int:
     field, _ = _field_and_domain(payload)
     report = validate_hypotheses(field, **_given(payload, "level"))
     out = {
@@ -161,12 +157,11 @@ def _cmd_validate(cfg: RunConfig) -> int:
         "violations": [{"node": list(np.atleast_1d(n).tolist()) if n != () else [],
                         "condition": c} for n, c in report.violations],
     }
-    _write_json(cfg.output / "report.json", out)
+    _write_json(outdir / "report.json", out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_norm(cfg: RunConfig) -> int:
-    payload = _load_json(cfg.input)
+def _cmd_norm(payload: dict, outdir: Path) -> int:
     field, domain = _field_and_domain(payload, need_domain=True)
     u = _function_from_payload(payload, domain)
     which = payload.get("norm", "luxemburg")
@@ -182,11 +177,11 @@ def _cmd_norm(cfg: RunConfig) -> int:
             result = luxemburg_norm(spec, u)
             modular = modular_rho(spec, u)
         else:
-            raise _InputError(f"unknown norm type {which!r}")
+            raise DomainError(f"unknown norm type {which!r}")
     out = io.norm_result_to_json(result)
     if modular is not None:
         out["modular_of_u"] = modular
-    _write_json(cfg.output / "norm.json", out)
+    _write_json(outdir / "norm.json", out)
     return EXIT_OK
 
 
@@ -195,10 +190,10 @@ def _node_list(payload, field):
     nodes = payload.get("nodes")
     if nodes is None:
         if field.shape:
-            raise _InputError(f"field varies over nodes of shape {field.shape}: payload needs a 'nodes' list")
+            raise DomainError(f"field varies over nodes of shape {field.shape}: payload needs a 'nodes' list")
         return [None]
     if not isinstance(nodes, list):
-        raise _InputError(f"'nodes' must be a list of node indices, got {nodes!r}")
+        raise DomainError(f"'nodes' must be a list of node indices, got {nodes!r}")
     out = []
     for node in nodes:
         index = tuple(node) if isinstance(node, list) else node
@@ -207,13 +202,12 @@ def _node_list(payload, field):
         if field.shape:
             ok = ok and len(parts) == len(field.shape) and all(i < n for i, n in zip(parts, field.shape))
         if not ok:
-            raise _InputError(f"node {node!r} is not a node index of a field of shape {field.shape}")
+            raise DomainError(f"node {node!r} is not a node index of a field of shape {field.shape}")
         out.append(index)
     return out
 
 
-def _cmd_conjugate_table(cfg: RunConfig) -> int:
-    payload = _load_json(cfg.input)
+def _cmd_conjugate_table(payload: dict, outdir: Path) -> int:
     field, _ = _field_and_domain(payload)
     nodes = _node_list(payload, field)
     ts = payload.get("t_values")
@@ -221,11 +215,13 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
         rng = np.random.default_rng(0)
         t_max = io.number_from_json(payload.get("t_max", 10.0), "t_max")
         n_samples = io.number_from_json(payload.get("n_samples", 32), "n_samples", integer=True)
+        io._require_size(n_samples * len(nodes), "the conjugate table size (n_samples x nodes)")
         ts = np.sort(rng.uniform(0.0, t_max, n_samples))
     ts = _flat_numbers(ts, "t values")
+    io._require_size(ts.size * len(nodes), "the conjugate table size (t values x nodes)")
     normalized = payload.get("normalized", False)
     if not isinstance(normalized, bool):
-        raise _InputError(f"'normalized' must be true or false, got {normalized!r:.40}")
+        raise DomainError(f"'normalized' must be true or false, got {normalized!r:.40}")
 
     report = tabulate_bounds(field, nodes, ts, normalized=normalized)
     crit_spec = PhiSpec.critical(field)
@@ -236,7 +232,7 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
                                             "trace_domination")]
     rows = ([*sample, *values] for sample, *values in zip(report.samples, *columns))
 
-    with open(cfg.output / "conjugate_table.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(outdir / "conjugate_table.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_index", "t", "conjugate", "critical_value",
                          "slack_power_p", "slack_power_q",
@@ -245,8 +241,7 @@ def _cmd_conjugate_table(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
-def _cmd_embed_scan(cfg: RunConfig) -> int:
-    payload = _load_json(cfg.input)
+def _cmd_embed_scan(payload: dict, outdir: Path) -> int:
     field, domain = _field_and_domain(payload, need_domain=True)
     if payload.get("function") is not None:
         u = _function_from_payload(payload, domain)
@@ -261,7 +256,7 @@ def _cmd_embed_scan(cfg: RunConfig) -> int:
     fits = embedding_lab.exponent_scan(exp)
     names = sorted(exp.quantities)
     ok = True
-    with open(cfg.output / "embed_scan.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(outdir / "embed_scan.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda"] + names)
         for i, lam in enumerate(exp.lambdas):
@@ -276,12 +271,11 @@ def _cmd_embed_scan(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_recursion(cfg: RunConfig) -> int:
-    payload = _load_json(cfg.input)
+def _cmd_recursion(payload: dict, outdir: Path) -> int:
     try:
         K, b, mu1, mu2, z0 = (io.number_from_json(payload[k], k) for k in ("K", "b", "mu1", "mu2", "Z0"))
     except KeyError as exc:
-        raise _InputError(f"recursion payload missing {exc}")
+        raise DomainError(f"recursion payload missing {exc}")
     params = degiorgi.RecursionParams(K=K, b=b, mu1=mu1, mu2=mu2)
     trace = degiorgi.iterate_recursion(z0, params, **_given(payload, "n_max"))
     out = {
@@ -291,15 +285,14 @@ def _cmd_recursion(cfg: RunConfig) -> int:
         "envelope_ok": trace.envelope_ok,
         "diverged": trace.diverged,
     }
-    _write_json(cfg.output / "recursion.json", out)
+    _write_json(outdir / "recursion.json", out)
     seeded_below = z0 <= max(trace.thresholds)
     if seeded_below and (trace.diverged or trace.envelope_ok is False):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    payload = _load_json(cfg.input)
+def _cmd_solve(payload: dict, outdir: Path) -> int:
     field, domain = _field_and_domain(payload, need_domain=True)
     f = (_function_from_payload(payload, domain) if "function" in payload
          else _grid_data(payload.get("source", 0.0), domain, "source"))
@@ -310,8 +303,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
         **_given(payload, "grad_tol", "max_iter"),
     )
     u, report = solver.solve(spec)
-    io.function_to_csv(u, cfg.output / "solution.csv")
-    _write_json(cfg.output / "convergence.json", {
+    # The gradient at the returned iterate is not finite when the diffusivity overflowed.
+    residual = solver.weak_residual(spec, u) if np.isfinite(report.grad_norm) else None
+    io.function_to_csv(u, outdir / "solution.csv")
+    _write_json(outdir / "convergence.json", {
         "converged": report.converged,
         "iterations": report.iterations,
         "energy": report.energy,
@@ -321,7 +316,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
         "message": report.message,
         "factorizations": report.factorizations,
         "linear_iterations": report.linear_iterations,
-        "weak_residual": solver.weak_residual(spec, u),
+        "weak_residual": residual,
     })
     return EXIT_OK if report.converged else EXIT_CHECK_FAILED
 
@@ -330,16 +325,15 @@ def _bound_constants(obj) -> degiorgi.BoundConstants:
     """The ``constants`` object of a bound-check payload: known names, each
     with a finite number (a constant left out keeps its default)."""
     if not isinstance(obj, dict):
-        raise _InputError(f"'constants' must be a JSON object, got {obj!r:.40}")
+        raise DomainError(f"'constants' must be a JSON object, got {obj!r:.40}")
     names = sorted(f.name for f in fields(degiorgi.BoundConstants))
     unknown = sorted(set(obj) - set(names))
     if unknown:
-        raise _InputError(f"unknown constants {unknown}; the constants are {names}")
+        raise DomainError(f"unknown constants {unknown}; the constants are {names}")
     return degiorgi.BoundConstants(**{k: io.number_from_json(v, k) for k, v in obj.items()})
 
 
-def _cmd_bound_check(cfg: RunConfig) -> int:
-    payload = _load_json(cfg.input)
+def _cmd_bound_check(payload: dict, outdir: Path) -> int:
     field, domain = _field_and_domain(payload, need_domain=True)
     u = _function_from_payload(payload, domain)
     constants = _bound_constants(payload.get("constants", {}))
@@ -370,7 +364,7 @@ def _cmd_bound_check(cfg: RunConfig) -> int:
         "bound_estimate": bound,
         "pass": bool(report.found and report.bound_ok),
     }
-    _write_json(cfg.output / "bound_check.json", out)
+    _write_json(outdir / "bound_check.json", out)
     return EXIT_OK if out["pass"] else EXIT_CHECK_FAILED
 
 
@@ -385,16 +379,17 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one subcommand; returns the process exit status."""
-    handler = _COMMANDS.get(config.command)
+def run(command: str, input_path: Path, output_dir: Path) -> int:
+    """Run one subcommand on the payload in ``input_path``, writing under
+    ``output_dir``; returns the process exit status."""
+    handler = _COMMANDS.get(command)
     if handler is None:
-        print(f"unknown subcommand: {config.command}", file=sys.stderr)
+        print(f"unknown subcommand: {command}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    config.output.mkdir(parents=True, exist_ok=True)
+    output_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return handler(config)
-    except (_InputError, KeyError, ValueError) as exc:
+        return handler(_load_json(input_path), output_dir)
+    except (KeyError, ValueError) as exc:
         # ValueError covers every toolkit error about the input: DomainError,
         # GridMismatchError, HypothesisError, SingularityError, ContractError.
         print(f"input error: {exc}", file=sys.stderr)
@@ -417,7 +412,7 @@ def main(argv=None) -> int:
         sp.add_argument("--output", type=Path, default=Path("musielak-out"),
                         help="output directory (created if missing)")
     args = parser.parse_args(argv)
-    return run(RunConfig(args.command, args.input, args.output))
+    return run(args.command, args.input, args.output)
 
 
 if __name__ == "__main__":

@@ -140,10 +140,11 @@ def embedding_sides(
     grad = u.gradient_magnitude()
     p, q = float(np.min(field.p)), float(np.min(field.q))
 
-    lhs_r = float(np.sum(w * absu**r)) ** (1.0 / r)
-    lhs_s = float(np.sum(w * weight**alpha * absu**s)) ** (1.0 / s)
-    rhs_p = float(np.sum(w * grad**p)) ** (1.0 / p)
-    rhs_q = float(np.sum(w * weight * grad**q)) ** (1.0 / q)
+    with np.errstate(over="ignore"):  # a norm beyond the double range reads inf
+        lhs_r = float(np.sum(w * absu**r) ** (1.0 / r))
+        lhs_s = float(np.sum(w * weight**alpha * absu**s) ** (1.0 / s))
+        rhs_p = float(np.sum(w * grad**p) ** (1.0 / p))
+        rhs_q = float(np.sum(w * weight * grad**q) ** (1.0 / q))
 
     sandwich = None
     if check_sandwich and r >= 1.0 and r <= s and np.any(absu > 0):
@@ -252,8 +253,8 @@ def exponent_scan(experiment: ScalingExperiment) -> dict:
     out = {}
     for name, vals in experiment.quantities.items():
         vals = np.asarray(vals)
-        if np.any(vals <= 0):
-            raise ConvergenceError(f"quantity {name} is not positive; cannot fit log-log slope")
+        if not np.all((vals > 0) & np.isfinite(vals)):
+            raise ConvergenceError(f"quantity {name} is not positive and finite; cannot fit log-log slope")
         x = np.log(lambdas)
         y = np.log(vals)
         slope, intercept = np.polyfit(x, y, 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +29,18 @@ __all__ = [
     "load_function",
     "save_function",
 ]
+
+
+# The most nodes a decoded grid may have, and the most entries of a
+# conjugate table: 2**24 doubles are 128 MiB per array.  Checked before any
+# array of that size is built.
+_MAX_NODES = 2**24
+
+
+def _require_size(count: float, what: str) -> None:
+    """Raise DomainError when ``count`` exceeds ``_MAX_NODES``."""
+    if count > _MAX_NODES:
+        raise DomainError(f"{what} is {count:.0f}, more than the {_MAX_NODES} allowed")
 
 
 def _require_object(obj, what: str) -> None:
@@ -72,6 +85,7 @@ def grid_from_json(obj: dict) -> GridDomain:
     if "shape" not in obj:
         raise DomainError("grid needs a 'shape' entry")
     shape = _numbers(obj["shape"], "shape", integer=True)
+    _require_size(math.prod(map(float, shape)), f"the node count of a grid of shape {list(shape)!r:.40}")
     origin = _numbers(obj.get("origin", [0.0] * len(shape)), "origin")
     if "spacing" in obj:
         return GridDomain(shape, _numbers(obj["spacing"], "spacing"), origin)

@@ -262,12 +262,14 @@ def _norm(spec: PhiSpec, terms, rho_u: float, tol: float) -> NormResult:
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    lo, hi = spec.exponent_bounds()
-    if lo <= 0.0:  # a NaN exponent gives a NaN modular, which fails the tolerance test
-        raise DomainError(f"a norm needs exponents > 0, got a smallest exponent of {lo:g}")
+    # The spec's own exponents, not exponent_bounds(): the normalized kind's start at 1.
+    smallest = float(min(np.min(spec.lo), np.min(spec.hi)))
+    if smallest <= 0.0:  # a NaN exponent gives a NaN modular, which fails the tolerance test
+        raise DomainError(f"a norm needs exponents > 0, got a smallest exponent of {smallest:g}")
     if rho_u == 0.0:
         return NormResult(0.0, 0.0, 0)
-    lam, val, it = _unit_root(lambda lam: _terms_modular(spec, terms, lam), rho_u, lo, hi, math.log1p(tol))
+    lam, val, it = _unit_root(lambda lam: _terms_modular(spec, terms, lam), rho_u, *spec.exponent_bounds(),
+                              math.log1p(tol))
     if not abs(val - 1.0) <= tol:
         raise ConvergenceError(f"norm root-finder stalled at lam={lam} with modular {val}")
     return NormResult(lam, val, it)

@@ -19,6 +19,7 @@ describe spatially constant data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -163,11 +164,8 @@ class ValidationReport:
 
 
 def _violating_nodes(mask):
-    bad = np.argwhere(np.asarray(mask))
-    out = []
-    for idx in bad:
-        out.append(tuple(int(i) for i in idx) if idx.size > 1 else int(idx[0]) if idx.size else ())
-    return out
+    return [tuple(int(i) for i in idx) if idx.size > 1 else int(idx[0]) if idx.size else ()
+            for idx in np.argwhere(np.asarray(mask))]
 
 
 _LEVELS = ("H1", "H2", "H3")
@@ -200,14 +198,9 @@ def validate_hypotheses(field: ExponentField, level: str = "H3") -> ValidationRe
         checks.append((q >= N, "q(x) < N"))
         checks.append((q / p >= 1.0 + 1.0 / N, "(q/p)^+ < 1 + 1/N"))
 
-    violations = []
-    for mask, name in checks:
-        mask = np.broadcast_to(np.asarray(mask), field.shape) if field.shape else np.asarray(mask)
-        if field.shape == ():
-            if bool(mask):
-                violations.append(((), name))
-        else:
-            violations.extend((node, name) for node in _violating_nodes(mask))
+    # A constant field's 0-d mask, when set, gives the one node ().
+    violations = [(node, name) for mask, name in checks
+                  for node in _violating_nodes(np.broadcast_to(mask, field.shape))]
 
     if level == "H3" and field.lipschitz_bound is not None and field.spacing is not None:
         violations.extend(_lipschitz_violations(field))
@@ -267,14 +260,14 @@ class PhiSpec:
         """t^{p*(x)} + mu(x)^{q*(x)/q(x)} t^{q*(x)} with interior critical exponents."""
         lo = base.critical("p")
         hi = base.critical("q")
-        return cls("critical", base, lo, hi, _mu_power(base.mu, hi / base.q))
+        return cls("critical", base, lo, hi, _upper_weight(base, hi))
 
     @classmethod
     def critical_trace(cls, base: ExponentField) -> "PhiSpec":
         """Trace analogue built from the boundary critical exponents."""
         lo = base.critical_trace("p")
         hi = base.critical_trace("q")
-        return cls("critical_trace", base, lo, hi, _mu_power(base.mu, hi / base.q))
+        return cls("critical_trace", base, lo, hi, _upper_weight(base, hi))
 
     @classmethod
     def subcritical(cls, base: ExponentField, r, s, mode: str = "subcritical") -> "PhiSpec":
@@ -282,7 +275,7 @@ class PhiSpec:
         r = _as_field_array(r, base.shape)
         s = _as_field_array(s, base.shape)
         _check_subcritical_window(base, r, s, base.critical("p"), base.critical("q"), mode)
-        return cls("subcritical", base, r, s, _mu_power(base.mu, s / base.q), mode=mode)
+        return cls("subcritical", base, r, s, _upper_weight(base, s), mode=mode)
 
     @classmethod
     def subcritical_trace(cls, base: ExponentField, l, h, mode: str = "subcritical") -> "PhiSpec":
@@ -290,7 +283,7 @@ class PhiSpec:
         l = _as_field_array(l, base.shape)
         h = _as_field_array(h, base.shape)
         _check_subcritical_window(base, l, h, base.critical_trace("p"), base.critical_trace("q"), mode)
-        return cls("subcritical_trace", base, l, h, _mu_power(base.mu, h / base.q), mode=mode)
+        return cls("subcritical_trace", base, l, h, _upper_weight(base, h), mode=mode)
 
     @classmethod
     def weighted(cls, base: ExponentField, r, s, alpha) -> "PhiSpec":
@@ -326,6 +319,13 @@ def _mu_power(mu, expo):
     with np.errstate(divide="ignore"):
         out = np.where(mu > 0.0, np.power(np.maximum(mu, 1e-300), expo), 0.0)
     return out
+
+
+def _upper_weight(base, expo):
+    """mu(x)^{expo(x)/q(x)}, the weight of an upper phase rescaled from q to ``expo``."""
+    if not np.all(base.q > 0.0):
+        raise DomainError(f"the weight mu^(s/q) needs exponents q > 0, got a smallest q of {base.q_minus:g}")
+    return _mu_power(base.mu, expo / base.q)
 
 
 def _phi(kind, t, lo, hi, w):
@@ -367,6 +367,8 @@ def eval_phi(spec: PhiSpec, x, t):
 
 
 _LN2 = math.log(2.0)
+# |log lam| <= _LOG_MAX keeps both lam and 1 / lam finite doubles.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _unit_root(rho, rho_one, lo_exp, hi_exp, tol, max_iter=100):
@@ -379,7 +381,8 @@ def _unit_root(rho, rho_one, lo_exp, hi_exp, tol, max_iter=100):
     is searched in y = log lam, where log rho is almost linear, by regula
     falsi with the Illinois modification (Dowell and Jarratt, BIT 11, 1971).
     Stops when |log rho| <= ``tol`` or the bracket has collapsed.  Returns
-    (lam, rho(lam), evaluations of rho) at the latest evaluation.
+    (lam, rho(lam), evaluations of rho) at the latest evaluation.  Raises
+    ConvergenceError when the root lies where lam or 1 / lam overflows.
     """
     evals = 0
     g = math.log(rho_one)
@@ -390,12 +393,15 @@ def _unit_root(rho, rho_one, lo_exp, hi_exp, tol, max_iter=100):
         evals += 1
         if evals > max_iter:
             raise ConvergenceError(f"no unit root in {max_iter} evaluations; last (lam, rho) {last[:2]}")
+        if not abs(y) <= _LOG_MAX:
+            raise ConvergenceError(f"no unit root in the double range |log lam| <= {_LOG_MAX:.6g}; "
+                                   f"last (lam, rho) {last[:2]}")
         val = rho(math.exp(y))
         last = (math.exp(y), val, math.log(val) if val > 0.0 else -math.inf)
         return last[2]
 
-    a = min(g / lo_exp, g / hi_exp) - _LN2
-    b = max(g / lo_exp, g / hi_exp) + _LN2
+    a = max(min(g / lo_exp, g / hi_exp) - _LN2, -_LOG_MAX)
+    b = min(max(g / lo_exp, g / hi_exp) + _LN2, _LOG_MAX)
     fa = fb = math.nan  # not yet evaluated
     if a < 0.0 < g:
         a, fa = 0.0, g

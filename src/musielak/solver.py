@@ -410,7 +410,11 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
         prev_grad_norm = grad_norm
 
         if lu is None:
-            lu, shift = _metric(spec, coeff, free_idx)
+            try:
+                lu, shift = _metric(spec, coeff, free_idx)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                message = f"metric factorization failed: {exc}"
+                break
             factorizations += 1
         x, its = _pcg(_metric_operator(spec, coeff, free_idx, shift), lu.solve, -g.ravel()[free_idx])
         linear_iterations += its

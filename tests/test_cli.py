@@ -56,7 +56,7 @@ class TestExitCodes:
         assert code == cli.EXIT_INPUT_ERROR
 
     def test_convergence_failure_is_a_failed_check(self, tmp_path, monkeypatch):
-        def stalled(cfg):
+        def stalled(payload, outdir):
             raise ConvergenceError("stalled")
 
         monkeypatch.setitem(cli._COMMANDS, "validate", stalled)
@@ -208,7 +208,8 @@ def test_conjugate_below_1e290_is_solved(tmp_path):
     assert float(rows[0]["conjugate"]) < 1e-290
 
 
-@pytest.mark.parametrize("t_values", [2.0, [1.0, float("nan")], [1.0, float("inf")], [[1.0], [2.0]], {"t": 1.0}])
+@pytest.mark.parametrize("t_values", [2.0, [1.0, float("nan")], [1.0, float("inf")], [[1.0], [2.0]], {"t": 1.0},
+                                      [True, 2.0]])
 def test_malformed_t_values_are_input_errors(tmp_path, capsys, t_values):
     # json writes the tokens NaN and Infinity, which Python's json reads back
     payload = {"field": {"N": 3, "p": 1.5, "q": 1.8, "mu": 0.5}, "t_values": t_values}
@@ -284,7 +285,7 @@ BOUND = {"grid": {"shape": [9, 9]}, "field": {"N": 3, "p": 1.6, "q": 1.9, "mu": 
 
 
 @pytest.mark.parametrize("kappa_grid", [2.0, [0.5, float("nan")], [0.5, float("inf")],
-                                        [float("-inf"), 0.5], [[0.5], [1.0]]])
+                                        [float("-inf"), 0.5], [[0.5], [1.0]], [True, 2.0]])
 def test_malformed_kappa_grid_is_an_input_error(tmp_path, capsys, kappa_grid):
     # json writes the tokens NaN and Infinity, which Python's json reads back
     code, out = _run(tmp_path, "bound-check", None, text=json.dumps(dict(BOUND, kappa_grid=kappa_grid)))
@@ -441,6 +442,14 @@ MALFORMED = (
                          ("radius", "'radius' must be a finite number"), ("lambdas", "lambdas must be a flat list")]]
     + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], lambdas=[]), "need >= 4 dilation factors",
                     id="embed-scan-lambdas-empty")]
+    + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], lambdas=[True, 2, 4, 10]),
+                    "lambdas must be a flat list", id="embed-scan-lambdas-bool")]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": shape}), "node count", id=f"shape-{name}")
+       for name, shape in [("over-cap", [4097, 4097]), ("huge", [10**6] * 3)]]
+    + [pytest.param("validate", {"field": dict(FLAT, grid={"shape": [4097, 4097]})}, "node count",
+                    id="field-grid-over-cap")]
+    + [pytest.param("conjugate-table", {"field": FLAT, "n_samples": n}, "conjugate table size", id=f"n_samples-{n}")
+       for n in (2**24 + 1, 10**15)]
     + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": []}), "at least one axis", id="shape-empty")]
     + [pytest.param("norm", dict(PAYLOADS["norm"], kind="weighted", r=None, s=3.0, alpha=1.0),
                     "'r' must be a finite number", id="weighted-r-null")]
@@ -555,6 +564,7 @@ _TOP_KEYS = {
     "norm": ("kind", "r", "s", "l", "h", "alpha"),
     "embed-scan": ("r", "s", "alpha", "radius", "lambdas"),
     "bound-check": ("r", "s", "l", "h"),
+    "solve": ("source", "bc", "flux", "grad_tol", "max_iter"),
 }
 _INPUTS = {
     "validate": ("cli_validate_h1", "cli_validate_h3"),
@@ -564,6 +574,7 @@ _INPUTS = {
     "embed-scan": ("cli_embed_scan",),
     "bound-check": tuple(f"bound_check_{regime}" for regime in
                          ("subcritical-D", "subcritical-N", "critical-D", "critical-N")),
+    "solve": ("cli_solve",),
 }
 _SITES = [
     (command, stem, where, key)
@@ -576,7 +587,8 @@ _SITES = [
 
 
 @settings(max_examples=120, deadline=None)
-@given(site=st.sampled_from(_SITES), value=st.sampled_from([None, "abc", True, [[1.0]], float("nan"), 1e308]))
+@given(site=st.sampled_from(_SITES),
+       value=st.sampled_from([None, "abc", True, [[1.0]], float("nan"), 1e308, 1e-300]))
 def test_a_bad_value_in_a_committed_input_never_escapes(site, value):
     command, stem, where, key = site
     payload = json.loads((DATA / f"{stem}.json").read_text())
@@ -601,14 +613,30 @@ def test_a_run_takes_no_option_but_input_and_output(tmp_path, capsys, command, f
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,stem,where,key",
-                         [("norm", f"cli_norm_{norm}", "field", key)
-                          for norm in ("luxemburg", "sobolev", "boundary") for key in ("p", "q")]
-                         + [("embed-scan", "cli_embed_scan", None, key) for key in ("r", "s")])
-def test_a_zero_exponent_is_an_input_error(tmp_path, capsys, command, stem, where, key):
-    payload = json.loads((DATA / f"{stem}.json").read_text())
-    (payload if where is None else payload[where])[key] = 0
-    code, out = _run(tmp_path, command, payload)
+def _mutated(stem, where, key, value, change):
+    """A committed input with ``change`` merged into its top level and
+    ``value`` put at ``key`` (of its ``where`` object, when given)."""
+    payload = dict(json.loads((DATA / f"{stem}.json").read_text()), **change)
+    (payload if where is None else payload[where])[key] = value
+    return payload
+
+
+# (subcommand, input stem, where, key, value, top-level change)
+_ZERO_EXPONENTS = (
+    [("norm", f"cli_norm_{norm}", "field", key, 0, {})
+     for norm in ("luxemburg", "sobolev", "boundary") for key in ("p", "q")]
+    + [("embed-scan", "cli_embed_scan", None, key, 0, {}) for key in ("r", "s")]
+    + [("norm", "cli_norm_luxemburg", "field", key, value, {"kind": "double_phase_normalized"})
+       for key, value in (("q", 0), ("q", -1), ("p", 0))]
+    + [("norm", "cli_norm_boundary", "field", "q", -1, {})]
+)
+
+
+@pytest.mark.parametrize("command,stem,where,key,value,change", _ZERO_EXPONENTS,
+                         ids=["-".join(map(str, case[:4])) + (f"={case[4]}" if case[4] else "")
+                              + ("-" + case[5]["kind"] if case[5] else "") for case in _ZERO_EXPONENTS])
+def test_a_zero_exponent_is_an_input_error(tmp_path, capsys, command, stem, where, key, value, change):
+    code, out = _run(tmp_path, command, _mutated(stem, where, key, value, change))
     assert code == cli.EXIT_INPUT_ERROR
     assert "exponents" in capsys.readouterr().err
     assert list(out.iterdir()) == []
@@ -624,3 +652,33 @@ def test_a_short_ladder_is_rejected_before_any_dilation(tmp_path, capsys, monkey
     assert code == cli.EXIT_INPUT_ERROR
     assert "need >= 4 dilation factors" in capsys.readouterr().err
     assert calls == [] and list(out.iterdir()) == []
+
+
+# Exponents so small that a norm, about rho(1)^(1/p), lies beyond the double range.
+_TINY_EXPONENTS = (
+    [("norm", f"cli_norm_{norm}", "field", key, 1e-300, {})
+     for norm in ("luxemburg", "sobolev", "boundary") for key in ("p", "q")]
+    + [("norm", "cli_norm_boundary", "field", "p", 1e-3, {"kind": "double_phase"})]
+    + [("embed-scan", "cli_embed_scan", "field", key, 1e-300, {}) for key in ("p", "q")]
+    + [("embed-scan", "cli_embed_scan", None, key, 1e-300, {}) for key in ("r", "s")]
+)
+
+
+@pytest.mark.parametrize("command,stem,where,key,value,change", _TINY_EXPONENTS,
+                         ids=[f"{case[1]}-{case[3]}={case[4]}" for case in _TINY_EXPONENTS])
+def test_a_result_beyond_the_double_range_is_a_failed_check(tmp_path, capsys, command, stem, where, key, value,
+                                                           change):
+    code, out = _run(tmp_path, command, _mutated(stem, where, key, value, change))
+    assert code == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
+def test_a_singular_metric_stops_the_solve_and_says_why(tmp_path):
+    # mu = 1e308 overflows the diffusivity, and SuperLU finds the metric singular
+    code, out = _run(tmp_path, "solve", _mutated("cli_solve", "field", "mu", 1e308, {}))
+    assert code == cli.EXIT_CHECK_FAILED
+    conv = json.loads((out / "convergence.json").read_text())
+    assert conv["converged"] is False
+    assert conv["message"].startswith("metric factorization failed: ")
+    assert "singular" in conv["message"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from musielak import (
+    ConvergenceError,
     DomainError,
     ExponentField,
     GridDomain,
@@ -129,6 +130,15 @@ class TestExponentScan:
         exp = run_scaling_experiment(bump, field, r=3.0, s=3.0, alpha=1.0,
                                      lambdas=(1, 2, 4, 8), weight_mode="unit")
         with pytest.raises(DomainError):
+            exponent_scan(exp)
+
+    def test_a_quantity_beyond_the_double_range_is_not_fitted(self, square, bump):
+        # r = 1e-300: the r-integral norm at lambda = 1, about pi^(1e300), reads inf
+        field = square.constant_field(2, 2.0, 3.0, 1.0)
+        exp = run_scaling_experiment(bump, field, r=1e-300, s=3.0, alpha=1.0, weight_mode="unit")
+        assert exp.quantities["lhs_r"][0] == np.inf
+        exp.quantities["lhs_r"] = np.array([np.inf, 4.0, 3.0, 2.0, 1.0])  # positive, one not finite
+        with pytest.raises(ConvergenceError, match="lhs_r is not positive and finite"):
             exponent_scan(exp)
 
     def test_support_resolution_guard(self, bump, square):

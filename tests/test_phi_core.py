@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musielak import (
+    ConvergenceError,
     DomainError,
     ExponentField,
     HypothesisError,
@@ -220,6 +223,14 @@ class TestCriticalExponents:
         with pytest.raises(SingularityError):
             critical_exponents(const_field(3, 2.0, 3.0, 0.0))
 
+    @pytest.mark.parametrize("q", [0.0, -1.0])
+    @pytest.mark.parametrize("kind", ["critical", "critical_trace"])
+    def test_q_at_most_zero_is_rejected_before_the_weight_divides_by_it(self, kind, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 0 / 0 in mu^(q*/q) would warn first
+            with pytest.raises(DomainError, match="exponents q > 0"):
+                getattr(PhiSpec, kind)(const_field(3, 1.5, q, 1.0))
+
 
 class TestPhiInverse:
     def test_square_root_case(self):
@@ -249,6 +260,19 @@ class TestPhiInverse:
         spec = PhiSpec.double_phase(const_field(3, 2.0, 2.5, 0.0))
         with pytest.raises(DomainError):
             phi_inverse(spec, None, -1.0)
+
+    @pytest.mark.parametrize("p,s", [(1e-3, 10.0), (1e-3, 0.1), (1e-300, 4.0), (1e-300, 1.0)])
+    def test_an_inverse_beyond_the_double_range_is_a_convergence_error(self, p, s):
+        # t^p + t^p: t = (s/2)^(1/p) overflows (s > 2) or underflows (s < 2)
+        spec = PhiSpec.double_phase(const_field(3, p, p, 1.0))
+        with pytest.raises(ConvergenceError, match="double range"):
+            phi_inverse(spec, None, s)
+
+    def test_an_inverse_near_the_end_of_the_double_range_is_found(self):
+        # t = s^1000 = 1 / lam with log lam = 709.3, 0.5 below log(max double):
+        # the bracket widened by a factor 2 crosses that end and is cut there
+        spec = PhiSpec.double_phase(const_field(3, 1e-3, 2.0, 0.0))
+        assert phi_inverse(spec, None, 0.492) == pytest.approx(0.492**1000, rel=1e-8)
 
     @pytest.mark.parametrize("spec", nodewise_specs(), ids=lambda s: s.kind)
     def test_round_trip_every_kind(self, spec):
