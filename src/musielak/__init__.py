@@ -40,15 +40,10 @@ from .modular import (
 )
 from .conjugate import (
     BoundReport,
-    ConjugateTable,
-    build_conjugate_table,
-    conjugate,
     conjugate_batch,
-    conjugate_inverse,
     conjugate_inverse_batch,
     tabulate_bounds,
     verify_conjugate_bounds,
-    verify_trace_bound,
 )
 from .embedding_lab import (
     EmbeddingSides,

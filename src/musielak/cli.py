@@ -22,7 +22,8 @@ subcommand reads these payload keys (default in brackets, none means required):
   levels up to max |u| + 1]
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
-All outputs land under the directory given by --output.
+All outputs land under the directory given by --output; a JSON output is
+standard JSON, with null for a quantity that is not finite.
 
 ``run(command, input_path, output_dir)`` is a run without the argument
 parser.  It loads the payload once and hands it to the subcommand's handler,
@@ -139,9 +140,16 @@ def _given(payload, *keys) -> dict:
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as standard JSON; a NaN or infinity raises ValueError
+    before the file is opened, so no partial file is left."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _finite_or_none(value):
+    """``value``, or None where it is not finite (standard JSON has no NaN or infinity)."""
+    return value if np.isfinite(value) else None
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +289,7 @@ def _cmd_recursion(payload: dict, outdir: Path) -> int:
     out = {
         "Z": trace.Z.tolist(),
         "n0": trace.n0,
-        "thresholds": list(trace.thresholds),
+        "thresholds": [_finite_or_none(t) for t in trace.thresholds],
         "envelope_ok": trace.envelope_ok,
         "diverged": trace.diverged,
     }
@@ -309,10 +317,9 @@ def _cmd_solve(payload: dict, outdir: Path) -> int:
     _write_json(outdir / "convergence.json", {
         "converged": report.converged,
         "iterations": report.iterations,
-        "energy": report.energy,
-        "grad_norm": report.grad_norm,
-        # inf when no step was accepted, which standard JSON cannot hold
-        "step_norm": report.step_norm if np.isfinite(report.step_norm) else None,
+        "energy": _finite_or_none(report.energy),
+        "grad_norm": _finite_or_none(report.grad_norm),
+        "step_norm": _finite_or_none(report.step_norm),  # inf when no step was accepted
         "message": report.message,
         "factorizations": report.factorizations,
         "linear_iterations": report.linear_iterations,

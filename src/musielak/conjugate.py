@@ -13,8 +13,14 @@ gives ``(t/p*)^{p*}`` back.  The conjugate is found by Newton in log T on
 ``G(T) = t`` and is ``s = W(T)``, so each step is one closed-form evaluation
 with no inner inversion.  ``Winv`` (which the inverse needs) is Newton in
 log T too.  Both read W only as log W, so no power of T overflows before W
-does; both stop row by row, so a value does not depend on its batch, and the
-bound checks solve in one batch.
+does; both stop row by row, so a value does not depend on its batch.
+
+The interface is two batch functions, ``conjugate_batch`` and
+``conjugate_inverse_batch`` (a node's exponents are ``ExponentField.at``),
+and one bound check, ``verify_conjugate_bounds``.  It reports the two power
+lower bounds, the critical domination and the trace domination from one pass
+over its samples and one batch solve; ``tabulate_bounds`` is that check over
+a node x t grid.
 
 ``normalized=True`` uses the variant that is linear below t = 1: its inverse
 is closed form up to ``s = 1 + mu = W(1)``, and only rows above that add
@@ -38,15 +44,10 @@ from .errors import ConvergenceError, DomainError, HypothesisError
 from .phi_core import ExponentField
 
 __all__ = [
-    "ConjugateTable",
     "BoundReport",
-    "conjugate_inverse",
-    "conjugate",
     "conjugate_inverse_batch",
     "conjugate_batch",
-    "build_conjugate_table",
     "verify_conjugate_bounds",
-    "verify_trace_bound",
     "tabulate_bounds",
 ]
 
@@ -216,56 +217,6 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False):
 
 
 # ---------------------------------------------------------------------------
-# Per-node public interface
-# ---------------------------------------------------------------------------
-
-def conjugate_inverse(field: ExponentField, x, s: float, normalized: bool = False) -> float:
-    """Inverse Sobolev conjugate at node ``x`` and value ``s >= 0``."""
-    _require_admissible(field.N, field.p, field.q, field.mu)
-    if s < 0:
-        raise DomainError("s must be nonnegative")
-    if s == 0.0:
-        return 0.0
-    p, q, mu = field.at(x)
-    vals, _ = conjugate_inverse_batch(field.N, p, q, mu, s, normalized=normalized)
-    return float(vals[0])
-
-
-def conjugate(field: ExponentField, x, t: float, tol: float = 1e-10,
-              normalized: bool = False) -> float:
-    """Sobolev conjugate at node ``x`` and argument ``t`` (zero maps to zero)."""
-    _require_admissible(field.N, field.p, field.q, field.mu)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    p, q, mu = field.at(x)
-    return float(conjugate_batch(field.N, p, q, mu, t, tol=tol, normalized=normalized)[0])
-
-
-@dataclass(frozen=True)
-class ConjugateTable:
-    """Sampled inverse-conjugate values at one node, with a priori accuracy bounds."""
-
-    x: object
-    s_values: np.ndarray
-    inverse_values: np.ndarray
-    accuracy: np.ndarray
-
-
-def build_conjugate_table(field: ExponentField, x, s_values, normalized: bool = False) -> ConjugateTable:
-    """Inverse conjugate at node ``x`` and the ``s_values``, with the accuracy
-    bounds of ``conjugate_inverse_batch``."""
-    _require_admissible(field.N, field.p, field.q, field.mu)
-    s_values = np.asarray(s_values, dtype=float)
-    if np.any(s_values < 0):
-        raise DomainError("s values must be nonnegative")
-    p, q, mu = field.at(x)
-    vals, err = conjugate_inverse_batch(field.N, p, q, mu, s_values, normalized=normalized)
-    return ConjugateTable(x, s_values, vals, err)
-
-
-# ---------------------------------------------------------------------------
 # Inequality verification
 # ---------------------------------------------------------------------------
 
@@ -276,7 +227,7 @@ class BoundReport:
     samples: list  # (x, t) pairs
     slacks: dict  # name -> normalized slack array
     tol: float
-    conjugate: np.ndarray | None = None  # conjugate values the slacks were computed from
+    conjugate: np.ndarray  # conjugate values the slacks were computed from
 
     @property
     def all_pass(self) -> bool:
@@ -301,8 +252,8 @@ def _sample_arrays(field: ExponentField, samples):
 
 
 def _slacks(N, p, q, mu, t, h_star, const):
-    """Slacks of both bound checks given the conjugate values ``h_star`` at
-    the samples; ``const`` is max over the nodes of q*(x)^q*(x)."""
+    """The four slacks given the conjugate values ``h_star`` at the samples;
+    ``const`` is max over the nodes of q*(x)^q*(x)."""
     p_star = N * p / (N - p)
     q_star = N * q / (N - q)
     mu_pow = mu ** (q_star / q)
@@ -324,12 +275,18 @@ def _slacks(N, p, q, mu, t, h_star, const):
     }
 
 
-def _bounds(field: ExponentField, samples, normalized, conjugate, slack_names):
-    """The report of the slacks ``slack_names`` at the (node, t) samples.
+def verify_conjugate_bounds(field: ExponentField, samples, tol: float = 1e-9,
+                            normalized: bool = False) -> BoundReport:
+    """Slacks of the conjugate's four inequalities at the (node, t) samples.
 
-    Unless ``conjugate`` gives its values at the samples, the conjugate is
-    solved to ``_VERIFY_TOL`` in one ``conjugate_batch`` call over all of them.
-    Raises DomainError when the domination constant max q*(x)^q*(x) overflows.
+    ``power_p`` and ``power_q`` are the two power lower bounds on the
+    conjugate, ``critical_domination`` the domination of the critical
+    function and ``trace_domination`` that of the trace-critical function by
+    the (N-1)/N power of the conjugate.  The samples are read once and the
+    conjugate is solved to ``_VERIFY_TOL`` in one ``conjugate_batch`` call
+    over all of them.  Slacks are normalized by max(1, dominant side); the
+    bound holds when the slack is >= -tol.  Raises DomainError when the
+    domination constant max q*(x)^q*(x) overflows.
     """
     _require_admissible(field.N, field.p, field.q, field.mu)
     qq = field.critical("q")
@@ -339,57 +296,14 @@ def _bounds(field: ExponentField, samples, normalized, conjugate, slack_names):
         raise DomainError(f"domination constant max q*(x)^q*(x) overflows (q* up to {np.max(qq):.6g})")
     xs, p, q, mu, t = _sample_arrays(field, samples)
     N = float(field.N)
-    if conjugate is None:
-        h_star = conjugate_batch(N, p, q, mu, t, tol=_VERIFY_TOL, normalized=normalized)
-    else:
-        h_star = np.asarray(conjugate, dtype=float)
-        if h_star.shape != t.shape:
-            raise DomainError(f"{h_star.size} conjugate values for {t.size} samples")
-        if not np.all(np.isfinite(h_star) & (h_star >= 0.0)):
-            raise DomainError("given conjugate values must be finite and nonnegative")
-    slacks = _slacks(N, p, q, mu, t, h_star, const)
-    return list(zip(xs, t)), {k: slacks[k] for k in slack_names}, h_star
-
-
-def verify_conjugate_bounds(field: ExponentField, samples, tol: float = 1e-9,
-                            normalized: bool = False) -> BoundReport:
-    """Slack of the two power lower bounds on the conjugate and of the
-    domination of the critical function, at the given (node, t) samples.
-
-    Slacks are normalized by max(1, dominant side); the bound holds when the
-    slack is >= -tol.
-    """
-    samples, slacks, h_star = _bounds(field, samples, normalized, None,
-                                      ("power_p", "power_q", "critical_domination"))
-    return BoundReport(samples, slacks, tol, h_star)
-
-
-def verify_trace_bound(field: ExponentField, samples, tol: float = 1e-9,
-                       normalized: bool = False, *, conjugate=None) -> BoundReport:
-    """Slack of the domination of the trace-critical function by the
-    (N-1)/N power of the conjugate, at the given (node, t) samples.
-
-    ``conjugate``, if given, holds the conjugate at the samples (the
-    ``conjugate`` of a ``verify_conjugate_bounds`` report) and replaces the
-    solve; its values must be finite and nonnegative.
-    """
-    samples, slacks, h_star = _bounds(field, samples, normalized, conjugate, ("trace_domination",))
-    return BoundReport(samples, slacks, tol, h_star)
+    h_star = conjugate_batch(N, p, q, mu, t, tol=_VERIFY_TOL, normalized=normalized)
+    return BoundReport(list(zip(xs, t)), _slacks(N, p, q, mu, t, h_star, const), tol, h_star)
 
 
 def tabulate_bounds(field: ExponentField, nodes, ts, tol: float = 1e-10,
                     normalized: bool = False) -> BoundReport:
-    """The conjugate and the slacks of both bound checks at every (node, t)
-    of ``nodes`` x ``ts``, in node-major order, from one solve per sample.
-
-    ``verify_conjugate_bounds`` solves the conjugate and
-    ``verify_trace_bound`` reuses its values.  The report holds all four
-    slacks, with pass tolerance ``tol``, and the conjugate values.
-    """
+    """``verify_conjugate_bounds`` at every (node, t) of ``nodes`` x ``ts``,
+    in node-major order, with pass tolerance ``tol``."""
     ts = np.asarray(ts, dtype=float).tolist()
     samples = ((x, s) for x in nodes for s in ts)  # read once, so no list during the solve
-    checks = verify_conjugate_bounds(field, samples, tol, normalized=normalized)
-    trace = verify_trace_bound(field, checks.samples, tol, normalized=normalized,
-                               conjugate=checks.conjugate)
-    checks.slacks.update(trace.slacks)
-    return checks
+    return verify_conjugate_bounds(field, samples, tol, normalized=normalized)

@@ -54,6 +54,11 @@ def _as_field_array(value, shape):
     return arr
 
 
+# The largest spatial dimension: far above any a run uses, and small enough
+# that N r / (N - r) and the other powers of N stay finite doubles.
+_MAX_DIMENSION = 2**24
+
+
 @dataclass(frozen=True)
 class ExponentField:
     """The (p, q, mu, N) data defining a double-phase structure on a node set.
@@ -73,8 +78,8 @@ class ExponentField:
     spacing: tuple | None = None
 
     def __post_init__(self):
-        if self.N < 2:
-            raise DomainError(f"spatial dimension must be >= 2, got {self.N}")
+        if not 2 <= self.N <= _MAX_DIMENSION:
+            raise DomainError(f"spatial dimension must be from 2 to {_MAX_DIMENSION}, got {self.N:.6g}")
         arrays = {k: np.asarray(getattr(self, k), dtype=float) for k in ("p", "q", "mu")}
         shapes = [a.shape for a in arrays.values() if a.shape]
         shape = shapes[0] if shapes else ()
@@ -96,10 +101,6 @@ class ExponentField:
     @property
     def p_minus(self) -> float:
         return float(np.min(self.p))
-
-    @property
-    def p_plus(self) -> float:
-        return float(np.max(self.p))
 
     @property
     def q_minus(self) -> float:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import musielak
-from musielak import (ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi,
-                      verify_conjugate_bounds, verify_trace_bound)
+from musielak import ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi, verify_conjugate_bounds
 from musielak import cli, degiorgi, embedding_lab, io
 
 
@@ -143,8 +143,7 @@ def test_one_pass_table_matches_separate_solves(tmp_path, normalized):
         node_rows = rows[x * ts.size:(x + 1) * ts.size]
         h_ref = conjugate_batch(3, *field.at(x), ts, tol=1e-10, normalized=normalized)
         samples = [(x, t) for t in ts]
-        slacks = {**verify_conjugate_bounds(field, samples, normalized=normalized).slacks,
-                  **verify_trace_bound(field, samples, normalized=normalized).slacks}
+        slacks = verify_conjugate_bounds(field, samples, normalized=normalized).slacks
         for i, (row, t) in enumerate(zip(node_rows, ts)):
             assert float(row["conjugate"]) == pytest.approx(h_ref[i], rel=_conjugate_rtol(t), abs=0.0)
             assert float(row["critical_value"]) == crit_spec(x, ts)[i]
@@ -487,17 +486,57 @@ def test_bound_check_reads_its_constants(tmp_path):
     assert bounds[1] == pytest.approx(2.0 * bounds[0], rel=1e-15)
 
 
+def _read_standard_json(path):
+    """The JSON in ``path``; NaN, Infinity and -Infinity, which standard JSON
+    does not have, raise ValueError."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_convergence_json_is_standard_json(tmp_path):
     # With no load the zero start is already the solution: no step is taken,
     # so the report's step length is inf, which is written as null.
     code, out = _run(tmp_path, "solve", dict(BOX9, source=0.0))
     assert code == cli.EXIT_OK
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    conv = json.loads((out / "convergence.json").read_text(), parse_constant=reject)
+    conv = _read_standard_json(out / "convergence.json")
     assert conv["converged"] and conv["iterations"] == 1 and conv["step_norm"] is None
+
+
+def test_an_infinite_recursion_threshold_is_written_as_null(tmp_path):
+    # K = 1e-300 puts the second threshold beyond the double range
+    payload = dict(json.loads((DATA / "cli_recursion.json").read_text()), K=1e-300)
+    code, out = _run(tmp_path, "recursion", payload)
+    assert code == cli.EXIT_OK
+    assert _read_standard_json(out / "recursion.json")["thresholds"] == [1.0, None]
+
+
+def test_an_overflowing_solve_writes_its_energy_and_gradient_as_null(tmp_path):
+    code, out = _run(tmp_path, "solve", _mutated("cli_solve", "field", "mu", 1e308, {}))
+    assert code == cli.EXIT_CHECK_FAILED
+    conv = _read_standard_json(out / "convergence.json")
+    assert conv["energy"] is None and conv["grad_norm"] is None
+
+
+def test_an_overflowing_solve_warns_nothing(tmp_path):
+    # The diffusivity overflows to inf, and inf * 0 at cells with zero gradient is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = _run(tmp_path, "solve", _mutated("cli_solve", "field", "mu", 1e308, {}))
+    assert code == cli.EXIT_CHECK_FAILED
+    assert json.loads((out / "convergence.json").read_text())["message"].startswith("metric factorization failed: ")
+
+
+@pytest.mark.parametrize("N", [2**24 + 1, 1e308])
+@pytest.mark.parametrize("command", sorted(PAYLOADS))
+def test_a_dimension_beyond_the_cap_is_an_input_error(tmp_path, capsys, command, N):
+    # N = 1e308 overflows the critical exponents N r / (N - r)
+    payload = dict(PAYLOADS[command], field=dict(FLAT, N=N))
+    code, out = _run(tmp_path, command, payload)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "spatial dimension" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_source_values_of_another_shape_are_an_input_error(tmp_path, capsys):
@@ -599,6 +638,8 @@ def test_a_bad_value_in_a_committed_input_never_escapes(site, value):
         assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_INPUT_ERROR)
         if code == cli.EXIT_INPUT_ERROR:
             assert list(out.iterdir()) == []
+        for path in out.glob("*.json"):
+            _read_standard_json(path)
 
 
 @pytest.mark.parametrize("flag,value", [("--tol", "5"), ("--seed", "7"), ("--max-iter", "3"), ("--level", "H1")])

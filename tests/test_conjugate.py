@@ -13,15 +13,11 @@ from musielak import (
     ExponentField,
     HypothesisError,
     PhiSpec,
-    build_conjugate_table,
-    conjugate,
     conjugate_batch,
-    conjugate_inverse,
     conjugate_inverse_batch,
     eval_phi,
     tabulate_bounds,
     verify_conjugate_bounds,
-    verify_trace_bound,
 )
 
 # Reference for (N, p, q, mu, s) = (4, 2, 3, 1, 12), computed two independent
@@ -40,15 +36,16 @@ class TestConjugateInverse:
     def test_pure_power_closed_form(self):
         # with mu = 0 the inverse is p* s^{1/p*}; N=4, p=2 gives 4 * 16^{1/4} = 8
         f = pure_power_field()
-        assert conjugate_inverse(f, None, 16.0) == pytest.approx(8.0, rel=1e-10)
+        vals, _ = conjugate_inverse_batch(f.N, *f.at(None), 16.0)
+        assert vals[0] == pytest.approx(8.0, rel=1e-10)
 
     def test_zero(self):
-        assert conjugate_inverse(pure_power_field(), None, 0.0) == 0.0
+        f = pure_power_field()
+        assert conjugate_inverse_batch(f.N, *f.at(None), 0.0)[0][0] == 0.0
 
     def test_double_phase_reference_value(self):
-        f = ExponentField(4, 2.0, 3.0, 1.0)
-        val = conjugate_inverse(f, None, 12.0)
-        assert val == pytest.approx(REF_N4_P2_Q3_MU1_S12, abs=1e-9)
+        vals, _ = conjugate_inverse_batch(4, 2.0, 3.0, 1.0, 12.0)
+        assert vals[0] == pytest.approx(REF_N4_P2_Q3_MU1_S12, abs=1e-9)
 
     def test_midpoint_oracle_agreement(self):
         # independent fixed-order oracle: 10^6 midpoint panels on the
@@ -62,27 +59,27 @@ class TestConjugateInverse:
         ln_w = np.logaddexp(p * lt, np.log(mu) + q * lt)
         ln_wp = np.logaddexp(np.log(p) + (p - 1) * lt, np.log(mu * q) + (q - 1) * lt)
         oracle = float(np.sum(np.exp(lt + ln_wp - (N + 1) / N * ln_w) * T * m * sig ** (m - 1)) / M)
-        lib = conjugate_inverse(ExponentField(4, 2.0, 3.0, 1.0), None, 12.0)
-        assert lib == pytest.approx(oracle, abs=1e-9)
+        lib, _ = conjugate_inverse_batch(4, 2.0, 3.0, 1.0, 12.0)
+        assert lib[0] == pytest.approx(oracle, abs=1e-9)
 
     def test_strictly_increasing_and_concave(self):
-        f = ExponentField(4, 2.0, 3.0, 2.0)
-        table = build_conjugate_table(f, None, np.linspace(0.0, 30.0, 40))
-        assert table.inverse_values[0] == 0.0
-        assert np.all(np.diff(table.inverse_values) > 0)
-        second = np.diff(table.inverse_values, 2)
+        vals, _ = conjugate_inverse_batch(4, 2.0, 3.0, 2.0, np.linspace(0.0, 30.0, 40))
+        assert vals[0] == 0.0
+        assert np.all(np.diff(vals) > 0)
+        second = np.diff(vals, 2)
         assert np.all(second <= 1e-9)
 
     @pytest.mark.parametrize("s", [-1.0, float("nan"), float("inf"), -float("inf")])
     def test_negative_s_rejected(self, s):
+        f = pure_power_field()
         with pytest.raises(DomainError):
-            conjugate_inverse(pure_power_field(), None, s)
+            conjugate_inverse_batch(f.N, *f.at(None), s)
         with pytest.raises(DomainError):
             conjugate_inverse_batch(3, 1.5, 2, 1, [1.0, s])
 
     def test_inadmissible_field_rejected(self):
         with pytest.raises(HypothesisError):
-            conjugate_inverse(ExponentField(3, 2.0, 3.5, 1.0), None, 1.0)  # q > N
+            conjugate_inverse_batch(3, 2.0, 3.5, 1.0, 1.0)  # q > N
 
     def test_normalized_variant_linear_branch(self):
         # below the value at 1 the normalized inverse is closed form
@@ -104,18 +101,17 @@ class TestConjugate:
     def test_pure_power_closed_form(self):
         # H*(t) = (t/p*)^{p*}; N=4, p=2: (8/4)^4 = 16
         f = pure_power_field()
-        assert conjugate(f, None, 8.0, tol=1e-11) == pytest.approx(16.0, rel=1e-9)
+        assert conjugate_batch(f.N, *f.at(None), 8.0, tol=1e-11)[0] == pytest.approx(16.0, rel=1e-9)
 
     def test_zero(self):
-        assert conjugate(pure_power_field(), None, 0.0) == 0.0
+        f = pure_power_field()
+        assert conjugate_batch(f.N, *f.at(None), 0.0)[0] == 0.0
 
     def test_round_trip(self, rng):
-        f = ExponentField(4, 2.0, 3.0, 1.0)
         tol = 1e-11
-        for t in rng.uniform(0.01, 20.0, 12):
-            s = conjugate(f, None, t, tol=tol)
-            back = conjugate_inverse(f, None, s)
-            assert back == pytest.approx(t, abs=10 * tol * max(1.0, t))
+        ts = rng.uniform(0.01, 20.0, 12)
+        back, _ = conjugate_inverse_batch(4, 2.0, 3.0, 1.0, conjugate_batch(4, 2.0, 3.0, 1.0, ts, tol=tol))
+        assert np.all(np.abs(back - ts) <= 10 * tol * np.maximum(1.0, ts))
 
     def test_increasing_and_convex_sampled(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
@@ -126,8 +122,9 @@ class TestConjugate:
 
     @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf"), -float("inf")])
     def test_negative_or_non_finite_t_rejected(self, t):
+        f = pure_power_field()
         with pytest.raises(DomainError):
-            conjugate(pure_power_field(), None, t)
+            conjugate_batch(f.N, *f.at(None), t)
         for normalized in (False, True):
             with pytest.raises(DomainError):
                 conjugate_batch(3, 1.5, 2, 1, [1.0, t], normalized=normalized)
@@ -145,11 +142,10 @@ class TestConjugate:
             batch(3, p, q, 1, 1.0)
 
     def test_batch_matches_scalar(self, rng):
-        f = ExponentField(5, 1.8, 2.7, 0.6)
         ts = rng.uniform(0.0, 10.0, 6)
         batch = conjugate_batch(5.0, 1.8, 2.7, 0.6, ts, tol=1e-11)
         for t, v in zip(ts, batch):
-            assert conjugate(f, None, float(t), tol=1e-11) == pytest.approx(v, rel=1e-9)
+            assert conjugate_batch(5.0, 1.8, 2.7, 0.6, float(t), tol=1e-11)[0] == pytest.approx(v, rel=1e-9)
 
 
 class TestBoundVerification:
@@ -174,13 +170,15 @@ class TestBoundVerification:
 
     def test_trace_bound_pure_power(self):
         f = pure_power_field(N=4, p=2.0)
-        rep = verify_trace_bound(f, [(None, t) for t in np.linspace(0.0, 10.0, 21)], tol=1e-9)
-        assert rep.all_pass, rep.worst()
+        trace = verify_conjugate_bounds(f, [(None, t) for t in np.linspace(0.0, 10.0, 21)],
+                                        tol=1e-9).slacks["trace_domination"]
+        assert np.all(trace >= -1e-9), np.min(trace)
 
     def test_trace_bound_double_phase(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
-        rep = verify_trace_bound(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)], tol=1e-9)
-        assert rep.all_pass, rep.worst()
+        trace = verify_conjugate_bounds(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)],
+                                        tol=1e-9).slacks["trace_domination"]
+        assert np.all(trace >= -1e-9), np.min(trace)
 
     def test_nodewise_fields(self, rng):
         p = rng.uniform(1.4, 2.0, 7)
@@ -188,8 +186,9 @@ class TestBoundVerification:
         mu = rng.uniform(0.0, 2.0, 7)
         f = ExponentField(4, p, q, mu)
         samples = [(i, float(t)) for i, t in enumerate(rng.uniform(0.0, 8.0, 7))]
-        assert verify_conjugate_bounds(f, samples).all_pass
-        assert verify_trace_bound(f, samples).all_pass
+        rep = verify_conjugate_bounds(f, samples)
+        assert rep.all_pass
+        assert np.all(rep.slacks["trace_domination"] >= -rep.tol)
 
     def test_critical_function_agreement(self):
         # the critical-function value used in the domination check matches eval_phi
@@ -289,8 +288,7 @@ class TestTabulateBounds:
         nodes = [0, 1, 2]
         samples = [(x, t) for x in nodes for t in self.TS]
         report = tabulate_bounds(self.FIELD, nodes, self.TS, tol=1e-9)
-        ref = {**verify_conjugate_bounds(self.FIELD, samples).slacks,
-               **verify_trace_bound(self.FIELD, samples).slacks}
+        ref = verify_conjugate_bounds(self.FIELD, samples).slacks
         assert report.samples == samples and report.tol == 1e-9
         assert set(report.slacks) == set(ref)
         for name, vals in ref.items():
@@ -301,38 +299,15 @@ class TestTabulateBounds:
         with pytest.raises(HypothesisError):
             tabulate_bounds(ExponentField(3, 1.5, 3.5, 0.0), [None], self.TS)
 
-    def test_trace_bound_reuses_a_given_conjugate(self, monkeypatch):
-        samples = [(x, t) for x in (0, 1, 3) for t in self.TS]
-        checks = verify_conjugate_bounds(self.FIELD, samples, normalized=True)
-        h_ref = np.concatenate([conjugate_batch(3, *self.FIELD.at(x), self.TS, tol=1e-11,
-                                                normalized=True) for x in (0, 1, 3)])
-        np.testing.assert_allclose(checks.conjugate, h_ref, rtol=1e-12, atol=0.0)
-        solved = verify_trace_bound(self.FIELD, samples, normalized=True)
-        monkeypatch.setattr(importlib.import_module("musielak.conjugate"), "conjugate_batch", None)
-        given = verify_trace_bound(self.FIELD, samples, conjugate=checks.conjugate)
-        assert given.samples == solved.samples
-        np.testing.assert_array_equal(given.conjugate, solved.conjugate)
-        np.testing.assert_array_equal(given.slacks["trace_domination"], solved.slacks["trace_domination"])
-        with pytest.raises(DomainError):
-            verify_trace_bound(self.FIELD, samples, conjugate=checks.conjugate[:-1])
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_trace_bound_rejects_a_bad_given_conjugate(self, bad):
-        samples = [(x, t) for x in (0, 1) for t in self.TS]
-        h = verify_conjugate_bounds(self.FIELD, samples).conjugate.copy()
-        h[1] = bad
-        with pytest.raises(DomainError, match="finite and nonnegative"):
-            verify_trace_bound(self.FIELD, samples, conjugate=h)
-
     def test_one_field_lookup_per_node(self, monkeypatch):
         calls = []
         lookup = ExponentField.at
         monkeypatch.setattr(ExponentField, "at", lambda f, x: calls.append(x) or lookup(f, x))
         nodes = [4, 2, 7]
         tabulate_bounds(self.FIELD, nodes, self.TS)
-        assert calls == nodes * 2
+        assert calls == nodes
         calls.clear()
-        verify_trace_bound(self.FIELD, [(4, 1.0), (2, 1.0), (4, 2.0)])
+        verify_conjugate_bounds(self.FIELD, [(4, 1.0), (2, 1.0), (4, 2.0)])
         assert calls == [4, 2, 4]
 
 
@@ -526,9 +501,8 @@ def test_overflowing_domination_constant_is_a_domain_error(monkeypatch):
     # q = 2.95 on N = 3 gives q* = 177, and 177^177 overflows a double
     field = ExponentField(3, 1.5, 2.95, 0.5)
     monkeypatch.setattr(importlib.import_module("musielak.conjugate"), "conjugate_batch", None)
-    for check in (verify_conjugate_bounds, verify_trace_bound):
-        with pytest.raises(DomainError, match="domination constant"):
-            check(field, [(None, 1.0)])
+    with pytest.raises(DomainError, match="domination constant"):
+        verify_conjugate_bounds(field, [(None, 1.0)])
     with pytest.raises(DomainError, match="domination constant"):
         tabulate_bounds(field, [None], [0.5, 1.0])
     monkeypatch.undo()
