@@ -7,36 +7,41 @@ fields averaged to cell centers, minus the nodal load  f u  (and a boundary
 flux term in the Neumann case).  The density is convex in the nodal values,
 so the minimizer is the discrete weak solution.
 
-Minimization is first-order descent with Armijo backtracking; the descent
-direction is preconditioned by the symmetric positive definite operator
-obtained by freezing the current nonlinear coefficient (a lagged-diffusivity
-metric).  For p = q = 2 the metric is the exact Hessian and the method
-converges in one step; in general it keeps the iteration count in the tens
-where plain gradient descent would need millions of steps on fine lattices.
+Minimization is an inexact Newton-CG method with Armijo backtracking
+(Nocedal and Wright, "Numerical Optimization", 2nd ed., 2006, section 7.1).
+With s = |g|^2 + eps_reg for the cell gradient g, the density's gradient in g
+is a g with a = s^((p-2)/2) + mu s^((q-2)/2), and its Hessian in g is
+a I + 2 a' g g^T with a' = da/ds.  Its eigenvalues are a across g and
+(p-1) s^((p-2)/2) + mu (q-1) s^((q-2)/2) along g, so against the metric, the
+same matrix without the term along g (the lagged-diffusivity operator of
+Huang, Li and Liu, J. Sci. Comput. 32, 2007), the spectrum lies cell by cell
+in [min(1, p-1), max(1, q-1)].  The metric is therefore a preconditioner of
+bounded quality for the Hessian, and a factor of it serves as one (below).
+For p = q = 2, a' = 0: the Hessian is the metric, and the method converges
+in one step.
 
 The cell gradient is one sparse matrix per axis, built once per problem; the
-energy, its gradient, CG and the factored metric all use these matrices and
-their transposes.  The metric with cell weights W is summed axis by axis,
-op^T W op per axis: on equal spacing the couplings along the lattice edges
-cancel exactly between the axes and the sparse sum drops them, where one
-product of the stacked operators adds the same terms in another order,
-leaves rounding residue in their place and more than doubles the fill of
-the factor.
+energy, its gradient, the Hessian and the factored metric all use these
+matrices and their transposes.  The metric with cell weights W is summed
+axis by axis, op^T W op per axis: on equal spacing the couplings along the
+lattice edges cancel exactly between the axes and the sparse sum drops them,
+where one product of the stacked operators adds the same terms in another
+order, leaves rounding residue in their place and more than doubles the fill
+of the factor.
 
-The metric changes little from one outer iteration to the next, so it is not
-factored every time.  Each direction solves the current metric, applied
-through the per-axis operators without assembling it, by conjugate gradients
-to a fixed relative residual (an inexact Newton forcing term, Eisenstat and
-Walker 1996).  CG is preconditioned by one cached sparse LU factor of an
-earlier metric: it is made on the first outer iteration and made again only
-after a direction needed more than a few CG iterations, the sign that the
-cached metric has drifted.  On a fresh factor CG converges in one iteration.
-CG started from zero returns a descent direction even when stopped early.
-In the Neumann case the metric has a kernel (the constants, and from 2D on
-sign patterns such as the checkerboard, which the averaged cell gradient
-cannot see); a tiny diagonal shift makes it definite, and the operator CG
-applies adds the same shift as the factor, so the kernel is no harder for CG
-than the rest.
+Each direction solves the Hessian, applied through the per-axis operators
+without assembling it, by conjugate gradients to a fixed relative residual
+(an inexact Newton forcing term, Eisenstat and Walker 1996).  The metric
+changes little from one outer iteration to the next, so it is not factored
+every time: CG is preconditioned by one cached sparse LU factor of an earlier
+metric, made on the first outer iteration and made again only after a
+direction needed more than a few CG iterations, the sign that the cached
+metric has drifted.  CG started from zero returns a descent direction even
+when stopped early.  In the Neumann case both operators have a kernel (the
+constants, and from 2D on sign patterns such as the checkerboard, which the
+averaged cell gradient cannot see); a tiny diagonal shift makes the factor
+definite, and the operator CG applies adds the same shift, so the kernel is
+no harder for CG than the rest.
 
 The factor is made in SuperLU's symmetric mode: minimum degree ordering on
 A^T + A and diagonal pivots (X. S. Li, "An overview of SuperLU", ACM TOMS 31,
@@ -48,7 +53,8 @@ It fills in much less than the default unsymmetric ordering (582k against
 
 The loop stops when the gradient drops below ``grad_tol``, or when the step
 drops below ``step_tol`` and the gradient has stopped falling; either way the
-report carries the gradient at the returned iterate.
+report carries the gradient at the returned iterate.  A gradient that is not
+finite (the density overflowed) stops the solve unconverged.
 
 A tiny regularization ``eps_reg`` is added under the gradient powers so the
 density stays differentiable at zero gradient when p < 2; the constant shift
@@ -64,8 +70,6 @@ from itertools import combinations
 from numbers import Real
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu as _superlu
 
 from .errors import ContractError, ConvergenceError, DomainError, HypothesisError
 from .modular import GridDomain, GridFunction
@@ -186,6 +190,8 @@ def _cell_operators(domain: GridDomain):
     along that axis averaged over the transverse corner pairs: the Kronecker
     product of a forward difference and pair averages, written out row by row
     (row c holds the 2^d corners of cell c, weighted +-1/h and 1/2 per other axis)."""
+    import scipy.sparse as sp  # lazy: only a solve needs scipy.sparse (about 0.3 s to import)
+
     dim = domain.dim
     corners = np.indices((2,) * dim).reshape(dim, -1)
     first = np.ravel_multi_index(np.indices([n - 1 for n in domain.shape]).reshape(dim, -1), domain.shape)
@@ -237,10 +243,12 @@ def energy(spec: ProblemSpec, u: GridFunction) -> float:
 
 
 def _diffusivity(comps, p, q, mu, eps):
-    """The lagged-diffusivity coefficient |grad u|^(p-2) + mu |grad u|^(q-2) on
-    cells, with |grad u|^2 regularized by ``eps``."""
+    """The coefficient a = s^((p-2)/2) + mu s^((q-2)/2) of the density's
+    gradient on cells, with s = |grad u|^2 + eps, and its derivative da/ds."""
     sq = sum(c * c for c in comps) + eps
-    return sq ** ((p - 2.0) / 2.0) + mu * sq ** ((q - 2.0) / 2.0)
+    low = sq ** ((p - 2.0) / 2.0)
+    high = mu * sq ** ((q - 2.0) / 2.0)
+    return low + high, (0.5 * (p - 2.0) * low + 0.5 * (q - 2.0) * high) / sq
 
 
 def energy_gradient(spec: ProblemSpec, u: GridFunction) -> GridFunction:
@@ -254,33 +262,39 @@ def energy_gradient(spec: ProblemSpec, u: GridFunction) -> GridFunction:
 
 
 def _energy_gradient(spec: ProblemSpec, values: np.ndarray):
-    """The energy gradient at nodal ``values`` and the diffusivity on cells
-    it was built from (the coefficient of the metric at the same iterate)."""
+    """The energy gradient at nodal ``values``, with what the Hessian at the
+    same iterate is built from: the cell gradient components, the
+    coefficient a on cells and its derivative a'."""
     dom = spec.domain
     comps = _components(spec, values)
-    coeff = _diffusivity(comps, *spec._cells, spec.eps_reg)
-    weight = dom.cell_measure * coeff
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 as in ``energy``
+        coeff, dcoeff = _diffusivity(comps, *spec._cells, spec.eps_reg)
+        weight = dom.cell_measure * coeff
         grad = sum(t @ (weight * c) for t, c in zip(spec._gradient[1], comps))
     grad = grad.reshape(dom.shape) - spec._load
     if spec.bc == "dirichlet-zero":
         grad = np.where(dom.boundary_mask, 0.0, grad)
-    return grad, coeff
+    return grad, comps, coeff, dcoeff
 
 
 def splu(M):
     """Sparse LU factor of the symmetric positive definite metric ``M``, made
     in SuperLU's symmetric mode (see the module docstring)."""
-    return _superlu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
 
 
 def _metric(spec: ProblemSpec, coeff_cells: np.ndarray, free_idx):
-    """Factor the lagged-diffusivity metric on the free nodes.
+    """Factor the metric, the Hessian without its term along the cell
+    gradient, on the free nodes.
 
     Returns the LU factor and the diagonal shift that was added to the matrix
     before factoring (zero unless the problem is Neumann).
     """
+    import scipy.sparse as sp
+
     w = sp.diags(spec.domain.cell_measure * coeff_cells.ravel())
     # Per axis: equal-spacing edge couplings cancel exactly; a stacked product leaves fill-in residue.
     terms = [t @ w @ op for op, t in zip(*spec._gradient)]
@@ -295,20 +309,26 @@ def _metric(spec: ProblemSpec, coeff_cells: np.ndarray, free_idx):
     return splu(M), shift
 
 
-def _metric_operator(spec: ProblemSpec, coeff_cells: np.ndarray, free_idx, shift: float):
-    """The metric on the free nodes, applied without assembling it.
+def _hessian_operator(spec: ProblemSpec, comps, coeff_cells, dcoeff_cells, free_idx, shift: float):
+    """The Hessian of the energy on the free nodes, applied without assembling it.
 
-    It is the matrix that ``_metric`` factors for the same coefficients plus
-    ``shift`` times the identity.  The shift must be the one of the factor used
-    as preconditioner: the kernel modes see only the shift, in both.
+    Per cell the density's Hessian in the cell gradient g is a I + 2 a' g g^T,
+    with a = ``coeff_cells``, a' = ``dcoeff_cells`` and g = ``comps``.  With
+    a' = 0 it is the matrix that ``_metric`` factors for the same coefficients.
+    Both add ``shift`` times the identity, which must be the shift of the
+    factor used as preconditioner: the kernel modes see only the shift, in both.
     """
     ops, adjoints = spec._gradient
-    weight = spec.domain.cell_measure * coeff_cells.ravel()
+    cell = spec.domain.cell_measure
+    weight = cell * np.ravel(coeff_cells)
+    along = [2.0 * cell * np.ravel(dcoeff_cells) * c for c in comps]
     full = np.zeros(ops[0].shape[1])
 
     def apply(v):
         full[free_idx] = v
-        return sum(t @ (weight * (op @ full)) for op, t in zip(ops, adjoints))[free_idx] + shift * v
+        dv = [op @ full for op in ops]
+        g_dv = sum(c * d for c, d in zip(comps, dv))
+        return sum(t @ (weight * d + g_dv * b) for t, d, b in zip(adjoints, dv, along))[free_idx] + shift * v
 
     return apply
 
@@ -374,11 +394,15 @@ class ConvergenceReport:
 def solve(spec: ProblemSpec, u0: GridFunction | None = None):
     """Minimize the discrete energy; returns (solution, ConvergenceReport).
 
-    Preconditioned descent with Armijo backtracking.  Accepted steps never
-    increase the energy; the loop stops when either the gradient or the
-    preconditioned step drops below the configured tolerances, and in both
-    cases ``grad_norm`` is the gradient at the returned iterate.  Hitting the
-    iteration cap returns the last iterate with ``converged=False``.
+    Inexact Newton-CG with Armijo backtracking: each direction solves the
+    exact Hessian by CG, preconditioned by a cached factor of the metric (see
+    the module docstring), and falls back to steepest descent when it is not
+    a descent direction.  Accepted steps never increase the energy; the loop
+    stops when either the gradient or the step drops below the configured
+    tolerances, and in both cases ``grad_norm`` is the gradient at the
+    returned iterate.  A gradient that is not finite, a metric that cannot be
+    factored, a failed line search and the iteration cap all return the last
+    iterate with ``converged=False``.
     """
     dom = spec.domain
     free = spec.free_mask
@@ -400,8 +424,11 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
     factorizations = linear_iterations = 0
     it = 0
     for it in range(1, spec.max_iter + 1):
-        g, coeff = _energy_gradient(spec, u)
+        g, comps, coeff, dcoeff = _energy_gradient(spec, u)
         grad_norm = float(np.max(np.abs(g[free])))
+        if not np.isfinite(grad_norm):
+            message = "energy gradient is not finite (the data overflow the double range)"
+            break
         if grad_norm <= spec.grad_tol:
             converged, message = True, "gradient tolerance reached"
             break
@@ -420,7 +447,7 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
                 message = f"metric factorization failed: {exc}"
                 break
             factorizations += 1
-        x, its = _pcg(_metric_operator(spec, coeff, free_idx, shift), lu.solve, -g.ravel()[free_idx])
+        x, its = _pcg(_hessian_operator(spec, comps, coeff, dcoeff, free_idx, shift), lu.solve, -g.ravel()[free_idx])
         linear_iterations += its
         if its > _STALE_AFTER:
             lu = None
@@ -428,7 +455,7 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
         direction.ravel()[free_idx] = x
 
         slope = float(np.sum(g[free] * direction[free]))
-        if slope >= 0.0:  # numerically stagnant metric; fall back to steepest descent
+        if slope >= 0.0:  # numerically stagnant direction; fall back to steepest descent
             direction = np.where(free, -g, 0.0)
             slope = -float(np.sum(g[free] ** 2))
         alpha = 1.0

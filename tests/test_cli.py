@@ -355,13 +355,38 @@ def test_solve_golden(tmp_path):
     _assert_close(_csv_cells(out / "solution.csv"), _csv_cells(DATA / "cli_solve.golden.csv"))
 
 
-def test_import_leaves_scipy_special_out():
-    # the closed-form conjugate imports scipy.special (55-70 ms) on first use
+def test_solve_golden_is_within_1e8_of_a_tight_solve(tmp_path):
+    # The golden pins the path of one method; this pins what it converged to:
+    # the same input solved to grad_tol 1e-13.  Both the golden and a fresh
+    # solve lie within 1e-8 of it (max |u| is 0.27).
+    (tmp_path / "tight").mkdir()
+    payload = json.loads((DATA / "cli_solve.json").read_text())
+    code, out = _run(tmp_path / "tight", "solve", dict(payload, grad_tol=1e-13))
+    assert code == cli.EXIT_OK
+    assert _read_standard_json(out / "convergence.json")["weak_residual"] <= 1e-13
+    tight = io.function_from_csv(out / "solution.csv").values
+    code, out = _run(tmp_path, "solve", payload)
+    assert code == cli.EXIT_OK
+    for path in (out / "solution.csv", DATA / "cli_solve.golden.csv"):
+        assert np.max(np.abs(io.function_from_csv(path).values - tight)) <= 1e-8
+
+
+def _imported_by_the_cli(module):
     src = str(Path(musielak.__file__).resolve().parents[1])
-    code = "import sys, musielak.cli; print('scipy.special' in sys.modules)"
+    code = f"import sys, musielak.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_special_out():
+    # the closed-form conjugate imports scipy.special (55-70 ms) on first use
+    assert not _imported_by_the_cli("scipy.special")
+
+
+def test_import_leaves_scipy_sparse_out():
+    # only a solve imports scipy.sparse (about 0.3 s)
+    assert not _imported_by_the_cli("scipy.sparse")
 
 
 def test_overflowing_domination_constant_is_an_input_error(tmp_path, capsys):
@@ -525,7 +550,17 @@ def test_an_overflowing_solve_warns_nothing(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         code, out = _run(tmp_path, "solve", _mutated("cli_solve", "field", "mu", 1e308, {}))
     assert code == cli.EXIT_CHECK_FAILED
-    assert json.loads((out / "convergence.json").read_text())["message"].startswith("metric factorization failed: ")
+    assert json.loads((out / "convergence.json").read_text())["message"].startswith("energy gradient is not finite")
+
+
+def test_a_non_finite_gradient_stops_the_solve_and_says_so(tmp_path):
+    # mu = 1e308 overflows the diffusivity, so the gradient at the first iterate is NaN
+    code, out = _run(tmp_path, "solve", _mutated("cli_solve", "field", "mu", 1e308, {}))
+    assert code == cli.EXIT_CHECK_FAILED
+    conv = _read_standard_json(out / "convergence.json")
+    assert conv["converged"] is False and conv["iterations"] == 1 and conv["factorizations"] == 0
+    assert conv["message"] == "energy gradient is not finite (the data overflow the double range)"
+    assert conv["energy"] is None and conv["grad_norm"] is None
 
 
 @pytest.mark.parametrize("N", [2**24 + 1, 1e308])
@@ -716,10 +751,15 @@ def test_a_result_beyond_the_double_range_is_a_failed_check(tmp_path, capsys, co
 
 
 def test_a_singular_metric_stops_the_solve_and_says_why(tmp_path):
-    # mu = 1e308 overflows the diffusivity, and SuperLU finds the metric singular
-    code, out = _run(tmp_path, "solve", _mutated("cli_solve", "field", "mu", 1e308, {}))
+    # p = q = 60: from u = 0 the diffusivity eps_reg^29 underflows to zero, so
+    # the metric is zero while the gradient (the load) is finite
+    payload = json.loads((DATA / "cli_solve.json").read_text())
+    payload["field"].update(p=60.0, q=60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = _run(tmp_path, "solve", payload)
     assert code == cli.EXIT_CHECK_FAILED
     conv = json.loads((out / "convergence.json").read_text())
     assert conv["converged"] is False
-    assert conv["message"].startswith("metric factorization failed: ")
-    assert "singular" in conv["message"]
+    assert conv["message"] == "metric factorization failed: Factor is exactly singular"
+    assert conv["grad_norm"] == pytest.approx(7.7e-2, rel=0.01)

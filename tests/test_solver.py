@@ -291,16 +291,25 @@ def lattice_problem(shape, regime, bc, variable, load):
 
 
 # The seven lattice-solve problems on smaller lattices, with the outer
-# iteration count and energy that one splu per outer iteration gave.
+# iteration count of the Newton-CG solve, and the energy that the
+# lagged-diffusivity iteration with one splu per outer iteration gave.
 SMALL_SOLVES = {
-    "s65-dir-const-plow": (((33, 33), "low", "dirichlet-zero", False, 8.0), 22, -0.48932429040226566),
-    "s65-dir-var-phigh": (((33, 33), "high", "dirichlet-zero", True, 10.0), 19, -0.985523402064393),
-    "s65-neu-var-plow": (((33, 33), "low", "neumann", True, 6.0), 21, -0.356089514238103),
+    "s65-dir-const-plow": (((33, 33), "low", "dirichlet-zero", False, 8.0), 8, -0.48932429040226566),
+    "s65-dir-var-phigh": (((33, 33), "high", "dirichlet-zero", True, 10.0), 6, -0.985523402064393),
+    "s65-neu-var-plow": (((33, 33), "low", "neumann", True, 6.0), 11, -0.356089514238103),
     "s65-dir-p2q2": (((33, 33), "quadratic", "dirichlet-zero", False, 25.0), 2, -5.637405972997269),
-    "s129-dir-var-plow": (((49, 49), "low", "dirichlet-zero", True, 8.0), 18, -0.47789916217147066),
-    "s129-dir-const-phigh": (((49, 49), "high", "dirichlet-zero", False, 10.0), 15, -1.0015327738356947),
-    "s17c-dir-const-phigh": (((9, 9, 9), "high", "dirichlet-zero", False, 10.0), 15, -1.0296358418479412),
+    "s129-dir-var-plow": (((49, 49), "low", "dirichlet-zero", True, 8.0), 9, -0.47789916217147066),
+    "s129-dir-const-phigh": (((49, 49), "high", "dirichlet-zero", False, 10.0), 6, -1.0015327738356947),
+    "s17c-dir-const-phigh": (((9, 9, 9), "high", "dirichlet-zero", False, 10.0), 5, -1.0296358418479412),
 }
+
+
+def metric_operator(spec, coeff, free_idx, shift):
+    """The Hessian operator with a' = 0: the metric that ``_metric`` factors
+    for ``coeff``, plus ``shift``.  The cell gradient it is given does not
+    matter, since its term is scaled by a' = 0."""
+    comps = [np.ones(op.shape[0]) for op in spec._gradient[0]]
+    return solver_impl._hessian_operator(spec, comps, coeff, 0.0, free_idx, shift)
 
 
 class TestFactorReuse:
@@ -313,7 +322,7 @@ class TestFactorReuse:
         coeff = rng.uniform(0.1, 10.0, cells)
         lu, shift = solver_impl._metric(spec, coeff, free_idx)
         assert (shift > 0.0) == (bc == "neumann")
-        apply = solver_impl._metric_operator(spec, coeff, free_idx, shift)
+        apply = metric_operator(spec, coeff, free_idx, shift)
         # an energy gradient, like every right side in solve: orthogonal to
         # the kernel of the Neumann metric
         u = GridFunction(dom, np.where(spec.free_mask, rng.normal(size=dom.shape), 0.0))
@@ -329,13 +338,13 @@ class TestFactorReuse:
         spec = lattice_problem((9, 7), "low", "neumann", False, 6.0)
         free_idx = np.arange(63)
         coeff = np.ones((8, 6))
-        apply = solver_impl._metric_operator(spec, coeff, free_idx, 0.25)
+        apply = metric_operator(spec, coeff, free_idx, 0.25)
         checker = np.indices((9, 7)).sum(axis=0) % 2 * 2.0 - 1.0
         for mode in (np.ones(63), checker.ravel()):
             assert np.allclose(apply(mode), 0.25 * mode, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(SMALL_SOLVES))
-    def test_outer_iterations_match_one_factor_per_iteration(self, name):
+    def test_newton_iterations_and_energy_match_the_reference(self, name):
         args, iterations, energy_ref = SMALL_SOLVES[name]
         spec = lattice_problem(*args)
         u, rep = solve(spec)
@@ -373,6 +382,61 @@ class TestFactorReuse:
         # refreshed at least once as the metric drifts, far from once per step
         assert 1 < rep.factorizations <= rep.iterations // 4
         assert rep.linear_iterations >= rep.iterations - 1
+
+
+# ---------------------------------------------------------------------------
+# The exact Hessian that CG applies
+# ---------------------------------------------------------------------------
+
+
+def hessian_at(rng, spec):
+    """The Hessian operator (no shift) at a random iterate of ``spec``, that
+    iterate, and the free nodes."""
+    dom = spec.domain
+    free_idx = np.nonzero(spec.free_mask.ravel())[0]
+    u = np.where(spec.free_mask, rng.normal(size=dom.shape), 0.0)
+    _, comps, coeff, dcoeff = solver_impl._energy_gradient(spec, u)
+    return solver_impl._hessian_operator(spec, comps, coeff, dcoeff, free_idx, 0.0), u, free_idx
+
+
+HESSIAN_PROBLEMS = {
+    "2d-dir-var-plow": lambda: lattice_problem((17, 13), "low", "dirichlet-zero", True, 6.0),
+    "3d-neu-var-phigh": lambda: lattice_problem((7, 6, 5), "high", "neumann", True, 6.0),
+}
+
+
+class TestHessianOperator:
+    @pytest.mark.parametrize("name", sorted(HESSIAN_PROBLEMS))
+    def test_is_the_derivative_of_the_energy_gradient(self, rng, name):
+        spec = HESSIAN_PROBLEMS[name]()
+        dom = spec.domain
+        apply, u, free_idx = hessian_at(rng, spec)
+        v = np.where(spec.free_mask, rng.normal(size=dom.shape), 0.0)
+        h = 1e-5
+        plus = energy_gradient(spec, GridFunction(dom, u + h * v)).values.ravel()[free_idx]
+        minus = energy_gradient(spec, GridFunction(dom, u - h * v)).values.ravel()[free_idx]
+        assert _close(apply(v.ravel()[free_idx]), (plus - minus) / (2.0 * h), 1e-6)
+
+    @pytest.mark.parametrize("name", sorted(HESSIAN_PROBLEMS))
+    def test_is_symmetric(self, rng, name):
+        apply, _, free_idx = hessian_at(rng, HESSIAN_PROBLEMS[name]())
+        v, w = rng.normal(size=(2, free_idx.size))
+        wHv, vHw = float(w @ apply(v)), float(v @ apply(w))
+        assert abs(wHv - vHw) <= 1e-12 * abs(wHv)
+
+
+class TestLinearGrowth:
+    # p = 1: along the cell gradient the Hessian's eigenvalue is only
+    # eps_reg / s times the one across it, so CG may stop on it early.
+    @pytest.mark.parametrize("q,f", [(1.5, 4.0), (1.0, 1.0)])
+    def test_p1_converges_with_falling_energy(self, q, f):
+        dom = GridDomain.box((17, 17))
+        spec = ProblemSpec(dom, dom.constant_field(3, 1.0, q, 1.0), GridFunction.constant(dom, f),
+                           grad_tol=1e-8)
+        u, rep = solve(spec)
+        assert rep.converged
+        assert weak_residual(spec, u) <= spec.grad_tol
+        assert all(b <= a for a, b in zip(rep.energy_history, rep.energy_history[1:]))
 
 
 class TestSymmetricModeFactor:
@@ -628,7 +692,7 @@ class TestAssembledMetric:
         spec = random_spacing_problem(rng, shape, bc)
         coeff = rng.uniform(0.1, 10.0, tuple(n - 1 for n in shape))
         M, free_idx, shift = _factored_metric(monkeypatch, spec, coeff)
-        apply = solver_impl._metric_operator(spec, coeff, free_idx, shift)
+        apply = metric_operator(spec, coeff, free_idx, shift)
         v = rng.normal(size=free_idx.size)
         assert _close(M @ v, apply(v), 1e-13)
 
