@@ -16,7 +16,8 @@ subcommand reads these payload keys (default in brackets, none means required):
   ["unit"]
 - recursion: K, b, mu1, mu2, Z0, n_max [200]
 - solve: field, grid, function or source [0], bc ["dirichlet-zero"], flux
-  [none], grad_tol [1e-10], max_iter [200]
+  [none], grad_tol [1e-10], max_iter [200]; a solve fails (exit 1) unless
+  the energy gradient on the free nodes reaches grad_tol in the max-norm
 - bound-check: field, grid, function, regime ["subcritical-D"], r, s, l, h
   [none], constants [the BoundConstants defaults], kappa_grid [16 geometric
   levels up to max |u| + 1]

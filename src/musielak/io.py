@@ -59,11 +59,14 @@ def number_from_json(value, what: str, integer: bool = False):
 
 def array_from_json(value, what: str) -> np.ndarray:
     """A JSON number or nested lists of numbers as one float array; null
-    reads as NaN, which the callers reject where it is not allowed."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"'{what}' must be a number or nested lists of numbers, got {value!r:.40}")
+    reads as NaN, which the callers reject where it is not allowed.  A bare
+    bool is not a number; one nested in a list is not looked for."""
+    if not isinstance(value, bool):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"'{what}' must be a number or nested lists of numbers, got {value!r:.40}")
 
 
 def _numbers(value, what: str, integer: bool = False) -> tuple:

@@ -191,7 +191,7 @@ def validate_hypotheses(field: ExponentField, level: str = "H3") -> ValidationRe
         (mu < 0.0, "mu(x) >= 0"),
     ]
     if level in ("H2", "H3"):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p_star = np.where(p < N, N * p / np.maximum(N - p, 1e-300), np.inf)
         checks.append((q >= p_star, "q(x) < p*(x)"))
         checks.append((~np.isfinite(mu), "mu bounded"))
@@ -317,7 +317,7 @@ class PhiSpec:
 def _mu_power(mu, expo):
     # 0^0 := 0 here: a vanishing weight kills the upper-phase term entirely.
     mu = np.asarray(mu, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out = np.where(mu > 0.0, np.power(np.maximum(mu, 1e-300), expo), 0.0)
     return out
 
@@ -326,7 +326,10 @@ def _upper_weight(base, expo):
     """mu(x)^{expo(x)/q(x)}, the weight of an upper phase rescaled from q to ``expo``."""
     if not np.all(base.q > 0.0):
         raise DomainError(f"the weight mu^(s/q) needs exponents q > 0, got a smallest q of {base.q_minus:g}")
-    return _mu_power(base.mu, expo / base.q)
+    weight = _mu_power(base.mu, expo / base.q)
+    if np.any(np.isinf(weight) & np.isfinite(base.mu)):
+        raise DomainError("the weight mu^(s/q) overflows the double range for a finite mu")
+    return weight
 
 
 def _phi(kind, t, lo, hi, w):
@@ -335,10 +338,10 @@ def _phi(kind, t, lo, hi, w):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("Phi-functions are defined for t >= 0 only")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         first = np.where(t > 0.0, np.power(t, lo), 0.0)
         second = np.where(t > 0.0, np.power(t, hi), 0.0)
-    out = first + w * second
+        out = first + w * second
     if kind == "double_phase_normalized":
         return np.where(t <= 1.0, t * (1.0 + w), out)
     return out

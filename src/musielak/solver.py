@@ -9,7 +9,7 @@ so the minimizer is the discrete weak solution.
 
 Minimization is an inexact Newton-CG method with Armijo backtracking
 (Nocedal and Wright, "Numerical Optimization", 2nd ed., 2006, section 7.1).
-With s = |g|^2 + eps_reg for the cell gradient g, the density's gradient in g
+With s = |g|^2 + eps for the cell gradient g (eps as below), the density's gradient in g
 is a g with a = s^((p-2)/2) + mu s^((q-2)/2), and its Hessian in g is
 a I + 2 a' g g^T with a' = da/ds.  Its eigenvalues are a across g and
 (p-1) s^((p-2)/2) + mu (q-1) s^((q-2)/2) along g, so against the metric, the
@@ -51,15 +51,15 @@ making the kernel modes definite too, so every diagonal pivot is positive.
 It fills in much less than the default unsymmetric ordering (582k against
 931k nonzeros in L + U on a 129 x 129 lattice).
 
-The loop stops when the gradient drops below ``grad_tol``, or when the step
-drops below ``step_tol`` and the gradient has stopped falling; either way the
-report carries the gradient at the returned iterate.  A gradient that is not
-finite (the density overflowed) stops the solve unconverged.
+A solve converges exactly when the max-norm of the energy gradient on the
+free nodes at the returned iterate is at most ``grad_tol``; every other
+ending is unconverged and says why (see ``solve``).  A ``grad_tol`` below
+what rounding lets the gradient reach ends at the iteration cap.
 
-A tiny regularization ``eps_reg`` is added under the gradient powers so the
-density stays differentiable at zero gradient when p < 2; the constant shift
-is removed so the energy of the zero function is exactly zero, and for p = 2
-terms the regularization cancels identically.
+A tiny regularization eps = ``_EPS_REG`` is added under the gradient powers
+so the density stays differentiable at zero gradient when p < 2; the
+constant shift is removed so the energy of the zero function is exactly
+zero, and for p = 2 terms the regularization cancels identically.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, DomainError, HypothesisError
+from .errors import ContractError, DomainError, HypothesisError
 from .modular import GridDomain, GridFunction
 from .phi_core import ExponentField
 
@@ -83,6 +83,9 @@ __all__ = [
     "solve",
     "weak_residual",
 ]
+
+# The regularization eps under the gradient powers (see the module docstring).
+_EPS_REG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,19 +106,14 @@ class ProblemSpec:
     bc: str = "dirichlet-zero"
     flux: GridFunction | None = None
     grad_tol: float = 1e-10
-    step_tol: float = 1e-11
     max_iter: int = 200
-    eps_reg: float = 1e-12
 
     def __post_init__(self):
         if self.bc not in ("dirichlet-zero", "neumann"):
             raise DomainError(f"unknown boundary condition {self.bc!r}")
-        for name in ("grad_tol", "step_tol"):
-            value = getattr(self, name)
-            if not (_finite_number(value) and value >= 0.0):
-                raise DomainError(f"{name} must be a finite number >= 0, got {value!r}")
-        if not (_finite_number(self.eps_reg) and self.eps_reg > 0.0):
-            raise DomainError(f"eps_reg must be a finite number > 0, got {self.eps_reg!r}")
+        tol = self.grad_tol
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 <= tol < np.inf:
+            raise DomainError(f"grad_tol must be a finite number >= 0, got {tol!r}")
         cap = self.max_iter
         if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
             raise DomainError(f"max_iter must be a positive integer, got {cap!r}")
@@ -177,10 +175,6 @@ class ProblemSpec:
         return load
 
 
-def _finite_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and bool(np.isfinite(value))
-
-
 # ---------------------------------------------------------------------------
 # The cell gradient
 # ---------------------------------------------------------------------------
@@ -233,19 +227,18 @@ def energy(spec: ProblemSpec, u: GridFunction) -> float:
     _check_bc(spec, u)
     dom = spec.domain
     p, q, mu = spec._cells
-    sq = sum(c * c for c in _components(spec, u.values)) + spec.eps_reg
-    eps = spec.eps_reg
+    sq = sum(c * c for c in _components(spec, u.values)) + _EPS_REG
     # inf * 0 where the density overflows at a cell with zero gradient is NaN
     with np.errstate(invalid="ignore", over="ignore"):
-        dens = (sq ** (p / 2.0) - eps ** (p / 2.0)) / p + mu * (sq ** (q / 2.0) - eps ** (q / 2.0)) / q
+        dens = (sq ** (p / 2) - _EPS_REG ** (p / 2)) / p + mu * (sq ** (q / 2) - _EPS_REG ** (q / 2)) / q
     bulk = dom.cell_measure * float(np.sum(dens))
     return bulk - float(np.sum(spec._load * u.values))
 
 
-def _diffusivity(comps, p, q, mu, eps):
+def _diffusivity(comps, p, q, mu):
     """The coefficient a = s^((p-2)/2) + mu s^((q-2)/2) of the density's
     gradient on cells, with s = |grad u|^2 + eps, and its derivative da/ds."""
-    sq = sum(c * c for c in comps) + eps
+    sq = sum(c * c for c in comps) + _EPS_REG
     low = sq ** ((p - 2.0) / 2.0)
     high = mu * sq ** ((q - 2.0) / 2.0)
     return low + high, (0.5 * (p - 2.0) * low + 0.5 * (q - 2.0) * high) / sq
@@ -268,7 +261,7 @@ def _energy_gradient(spec: ProblemSpec, values: np.ndarray):
     dom = spec.domain
     comps = _components(spec, values)
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 as in ``energy``
-        coeff, dcoeff = _diffusivity(comps, *spec._cells, spec.eps_reg)
+        coeff, dcoeff = _diffusivity(comps, *spec._cells)
         weight = dom.cell_measure * coeff
         grad = sum(t @ (weight * c) for t, c in zip(spec._gradient[1], comps))
     grad = grad.reshape(dom.shape) - spec._load
@@ -377,8 +370,10 @@ def _pcg(apply, precondition, b):
 
 @dataclass
 class ConvergenceReport:
-    """How a solve ended.  ``factorizations`` counts the sparse LU factors
-    made and ``linear_iterations`` the CG iterations of all outer iterations."""
+    """How a solve ended.  ``converged`` is true exactly when ``grad_norm``, the
+    gradient at the returned iterate, is at most ``grad_tol``.  ``factorizations``
+    counts the sparse LU factors made and ``linear_iterations`` the CG
+    iterations of all outer iterations."""
 
     converged: bool
     iterations: int
@@ -396,13 +391,12 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
 
     Inexact Newton-CG with Armijo backtracking: each direction solves the
     exact Hessian by CG, preconditioned by a cached factor of the metric (see
-    the module docstring), and falls back to steepest descent when it is not
-    a descent direction.  Accepted steps never increase the energy; the loop
-    stops when either the gradient or the step drops below the configured
-    tolerances, and in both cases ``grad_norm`` is the gradient at the
-    returned iterate.  A gradient that is not finite, a metric that cannot be
-    factored, a failed line search and the iteration cap all return the last
-    iterate with ``converged=False``.
+    the module docstring).  Accepted steps never increase the energy.  The
+    solve converges when the gradient at an iterate drops to ``grad_tol``;
+    a gradient or direction that is not finite, a direction that does not
+    descend, a metric that cannot be factored, a failed line search and the
+    iteration cap return the last iterate with ``converged=False``.  Either
+    way ``grad_norm`` is the gradient at the returned iterate.
     """
     dom = spec.domain
     free = spec.free_mask
@@ -416,13 +410,10 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
 
     history = []
     e = energy(spec, GridFunction(dom, u))
-    grad_norm = prev_grad_norm = np.inf
-    step_norm = np.inf
-    message = "iteration cap reached"
+    grad_norm = step_norm = np.inf
     converged = False
     lu = None
     factorizations = linear_iterations = 0
-    it = 0
     for it in range(1, spec.max_iter + 1):
         g, comps, coeff, dcoeff = _energy_gradient(spec, u)
         grad_norm = float(np.max(np.abs(g[free])))
@@ -432,13 +423,6 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
         if grad_norm <= spec.grad_tol:
             converged, message = True, "gradient tolerance reached"
             break
-        # A small step alone does not stop the loop: for p < 2 the metric is
-        # large where the gradient of u vanishes, so steps there fall below
-        # step_tol while the energy gradient still drops geometrically.
-        if step_norm <= spec.step_tol and grad_norm >= prev_grad_norm:
-            converged, message = True, f"step tolerance reached (gradient {grad_norm:.2e})"
-            break
-        prev_grad_norm = grad_norm
 
         if lu is None:
             try:
@@ -447,33 +431,40 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
                 message = f"metric factorization failed: {exc}"
                 break
             factorizations += 1
-        x, its = _pcg(_hessian_operator(spec, comps, coeff, dcoeff, free_idx, shift), lu.solve, -g.ravel()[free_idx])
+        # Data near the double range overflow CG's inner products: the direction is then not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            apply = _hessian_operator(spec, comps, coeff, dcoeff, free_idx, shift)
+            x, its = _pcg(apply, lu.solve, -g.ravel()[free_idx])
+            direction = np.zeros(dom.shape)
+            direction.ravel()[free_idx] = x
+            slope = float(np.sum(g[free] * direction[free]))
         linear_iterations += its
         if its > _STALE_AFTER:
             lu = None
-        direction = np.zeros(dom.shape)
-        direction.ravel()[free_idx] = x
-
-        slope = float(np.sum(g[free] * direction[free]))
-        if slope >= 0.0:  # numerically stagnant direction; fall back to steepest descent
-            direction = np.where(free, -g, 0.0)
-            slope = -float(np.sum(g[free] ** 2))
+        if not np.isfinite(slope):
+            message = "Newton direction is not finite (the data overflow the double range)"
+            break
+        if not slope < 0.0:
+            message = "Newton direction is not a descent direction"
+            break
         alpha = 1.0
-        accepted = False
         for _ in range(60):
             trial = u + alpha * direction
             e_trial = energy(spec, GridFunction(dom, trial))
             if e_trial <= e + 1e-4 * alpha * slope:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             message = "line search failed"
             break
         step_norm = alpha * float(np.max(np.abs(direction[free])))
         u = trial
         e = e_trial
         history.append(e)
+    else:  # the cap: the gradient at the returned iterate decides
+        grad_norm = weak_residual(spec, GridFunction(dom, u))
+        converged = grad_norm <= spec.grad_tol
+        message = "gradient tolerance reached" if converged else "iteration cap reached"
 
     report = ConvergenceReport(converged, it, e, grad_norm, step_norm, message, history,
                                factorizations, linear_iterations)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import musielak
 from musielak import ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi, verify_conjugate_bounds
-from musielak import cli, degiorgi, embedding_lab, io
+from musielak import DomainError, cli, degiorgi, embedding_lab, io, solver
 
 
 def _run(tmp_path, command, payload, text=None):
@@ -563,6 +563,33 @@ def test_a_non_finite_gradient_stops_the_solve_and_says_so(tmp_path):
     assert conv["energy"] is None and conv["grad_norm"] is None
 
 
+@pytest.mark.parametrize("where,key,value,message", [
+    ("field", "p", 1e308, "Newton direction is not a descent direction"),
+    ("field", "q", 1e308, "Newton direction is not a descent direction"),
+    (None, "grad_tol", 1e-300, "iteration cap reached"),
+], ids=["p=1e308", "q=1e308", "grad_tol=1e-300"])
+def test_a_solve_converges_only_when_the_gradient_reaches_grad_tol(tmp_path, where, key, value, message):
+    # Each of these once ended on a small step with the gradient above grad_tol
+    # and reported convergence.
+    payload = _mutated("cli_solve", where, key, value, {})
+    code, out = _run(tmp_path, "solve", payload)
+    assert code == cli.EXIT_CHECK_FAILED
+    conv = _read_standard_json(out / "convergence.json")
+    assert conv["converged"] is False and conv["message"] == message
+    assert conv["grad_norm"] > payload.get("grad_tol", solver.ProblemSpec.grad_tol)
+
+
+def test_an_overflowing_newton_direction_stops_the_solve_and_says_so(tmp_path):
+    # source = 1e308: the load is finite, but CG's inner products overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = _run(tmp_path, "solve", _mutated("cli_solve", None, "source", 1e308, {}))
+    assert code == cli.EXIT_CHECK_FAILED
+    conv = _read_standard_json(out / "convergence.json")
+    assert conv["converged"] is False and conv["iterations"] == 1
+    assert conv["message"] == "Newton direction is not finite (the data overflow the double range)"
+
+
 @pytest.mark.parametrize("N", [2**24 + 1, 1e308])
 @pytest.mark.parametrize("command", sorted(PAYLOADS))
 def test_a_dimension_beyond_the_cap_is_an_input_error(tmp_path, capsys, command, N):
@@ -627,6 +654,22 @@ def test_phi_spec_matches_its_constructor(kind, mode):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("kind,key", [("subcritical", "r"), ("subcritical", "s"), ("subcritical_trace", "l"),
+                                      ("subcritical_trace", "h"), ("weighted", "alpha")])
+def test_a_json_bool_is_not_an_exponent(kind, key):
+    payload = {"kind": kind, **{k: np.asarray(v).tolist() for k, v in SPEC_ARGS.items()}, key: True}
+    with pytest.raises(DomainError, match=f"'{key}' must be a number"):
+        cli._phi_spec(payload, SPEC_FIELD)
+
+
+@pytest.mark.parametrize("key", ["p", "q", "mu"])
+def test_a_json_bool_in_the_field_is_an_input_error(tmp_path, capsys, key):
+    code, out = _run(tmp_path, "solve", _mutated("cli_solve", "field", key, True, {}))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"'{key}' must be a number" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # Every committed input of the subcommands, and the keys their decoding
 # reads: (subcommand, input stem, where the key sits, key).
 _FIELD_KEYS = ("N", "p", "q", "mu", "lipschitz_bound")
@@ -674,7 +717,9 @@ def test_a_bad_value_in_a_committed_input_never_escapes(site, value):
         if code == cli.EXIT_INPUT_ERROR:
             assert list(out.iterdir()) == []
         for path in out.glob("*.json"):
-            _read_standard_json(path)
+            result = _read_standard_json(path)
+            if path.name == "convergence.json" and result["converged"]:
+                assert result["grad_norm"] <= payload.get("grad_tol", solver.ProblemSpec.grad_tol)
 
 
 @pytest.mark.parametrize("flag,value", [("--tol", "5"), ("--seed", "7"), ("--max-iter", "3"), ("--level", "H1")])
@@ -751,7 +796,7 @@ def test_a_result_beyond_the_double_range_is_a_failed_check(tmp_path, capsys, co
 
 
 def test_a_singular_metric_stops_the_solve_and_says_why(tmp_path):
-    # p = q = 60: from u = 0 the diffusivity eps_reg^29 underflows to zero, so
+    # p = q = 60: from u = 0 the diffusivity eps^29 (eps = 1e-12) underflows to zero, so
     # the metric is zero while the gradient (the load) is finite
     payload = json.loads((DATA / "cli_solve.json").read_text())
     payload["field"].update(p=60.0, q=60.0)

@@ -153,7 +153,7 @@ def test_number_reader_rejects(value, integer):
         number_from_json(value, "x", integer)
 
 
-@pytest.mark.parametrize("value", [{}, [1.0, "x"], [[1.0], [1.0, 2.0]], 10**400])
+@pytest.mark.parametrize("value", [{}, [1.0, "x"], [[1.0], [1.0, 2.0]], 10**400, True, False])
 def test_array_reader_rejects_what_is_not_numbers(value):
     with pytest.raises(DomainError, match="'p' must be a number or nested lists of numbers"):
         array_from_json(value, "p")

@@ -311,3 +311,21 @@ class TestPhiSpecWindows:
         # mu = 0 with a fractional weight exponent must not produce NaN
         spec = PhiSpec.critical(const_field(4, 2.0, 3.0, 0.0))
         assert eval_phi(spec, None, 2.0) == pytest.approx(2.0**4)
+
+    @pytest.mark.parametrize("kind", ["critical", "critical_trace"])
+    def test_an_upper_weight_beyond_the_double_range_is_rejected(self, kind):
+        # mu^(q*/q) = (1e308)^4 and mu^(q_b*/q) = (1e308)^3 overflow for a finite mu
+        with pytest.raises(DomainError, match="overflows the double range"):
+            getattr(PhiSpec, kind)(const_field(4, 2.0, 3.0, 1e308))
+
+    def test_an_infinite_mu_keeps_an_infinite_upper_weight(self):
+        spec = PhiSpec.critical(const_field(4, 2.0, 3.0, np.inf))
+        assert spec.weight == np.inf
+
+
+def test_exponents_near_the_double_range_overflow_without_a_warning():
+    field = const_field(3, 1e308, 1e308, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not validate_hypotheses(field, "H3").passed
+        assert eval_phi(PhiSpec.double_phase(field), None, 2.0) == np.inf
