@@ -28,7 +28,10 @@ standard JSON, with null for a quantity that is not finite.
 
 ``run(command, input_path, output_dir)`` is a run without the argument
 parser.  It loads the payload once and hands it to the subcommand's handler,
-``handler(payload, output_dir) -> exit code``.  An input error is a
+``handler(payload) -> (outputs, passed)``, where ``outputs`` maps a file
+name to a JSON object, a ``GridFunction`` or CSV rows.  A handler writes
+nothing: ``run`` writes the outputs only after the handler returns, and maps
+``passed`` to exit 0 or 1.  An input error is a
 ``ValueError`` (a ``DomainError`` where this module raises it) or the
 ``KeyError`` of a missing payload key.
 """
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import fields
@@ -140,14 +144,6 @@ def _given(payload, *keys) -> dict:
     return {k: payload[k] for k in keys if k in payload}
 
 
-def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` as standard JSON; a NaN or infinity raises ValueError
-    before the file is opened, so no partial file is left."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
 def _finite_or_none(value):
     """``value``, or None where it is not finite (standard JSON has no NaN or infinity)."""
     return value if np.isfinite(value) else None
@@ -157,7 +153,7 @@ def _finite_or_none(value):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(payload: dict, outdir: Path) -> int:
+def _cmd_validate(payload: dict) -> tuple[dict, bool]:
     field, _ = _field_and_domain(payload)
     report = validate_hypotheses(field, **_given(payload, "level"))
     out = {
@@ -166,11 +162,10 @@ def _cmd_validate(payload: dict, outdir: Path) -> int:
         "violations": [{"node": list(np.atleast_1d(n).tolist()) if n != () else [],
                         "condition": c} for n, c in report.violations],
     }
-    _write_json(outdir / "report.json", out)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return {"report.json": out}, report.passed
 
 
-def _cmd_norm(payload: dict, outdir: Path) -> int:
+def _cmd_norm(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
     u = _function_from_payload(payload, domain)
     which = payload.get("norm", "luxemburg")
@@ -190,8 +185,7 @@ def _cmd_norm(payload: dict, outdir: Path) -> int:
     out = io.norm_result_to_json(result)
     if modular is not None:
         out["modular_of_u"] = modular
-    _write_json(outdir / "norm.json", out)
-    return EXIT_OK
+    return {"norm.json": out}, True
 
 
 def _node_list(payload, field):
@@ -216,7 +210,7 @@ def _node_list(payload, field):
     return out
 
 
-def _cmd_conjugate_table(payload: dict, outdir: Path) -> int:
+def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
     field, _ = _field_and_domain(payload)
     nodes = _node_list(payload, field)
     ts = payload.get("t_values")
@@ -239,18 +233,13 @@ def _cmd_conjugate_table(payload: dict, outdir: Path) -> int:
     columns = [report.conjugate.tolist(), critical] + [
         report.slacks[k].tolist() for k in ("power_p", "power_q", "critical_domination",
                                             "trace_domination")]
+    header = ["x_index", "t", "conjugate", "critical_value",
+              "slack_power_p", "slack_power_q", "slack_critical", "slack_trace"]
     rows = ([*sample, *values] for sample, *values in zip(report.samples, *columns))
-
-    with open(outdir / "conjugate_table.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_index", "t", "conjugate", "critical_value",
-                         "slack_power_p", "slack_power_q",
-                         "slack_critical", "slack_trace"])
-        writer.writerows(rows)
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    return {"conjugate_table.csv": itertools.chain([header], rows)}, report.all_pass
 
 
-def _cmd_embed_scan(payload: dict, outdir: Path) -> int:
+def _cmd_embed_scan(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
     if payload.get("function") is not None:
         u = _function_from_payload(payload, domain)
@@ -264,23 +253,17 @@ def _cmd_embed_scan(payload: dict, outdir: Path) -> int:
     )
     fits = embedding_lab.exponent_scan(exp)
     names = sorted(exp.quantities)
-    ok = True
-    with open(outdir / "embed_scan.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda"] + names)
-        for i, lam in enumerate(exp.lambdas):
-            writer.writerow([lam] + [exp.quantities[n][i] for n in names])
-        writer.writerow(["fitted_slope"] + [fits[n].slope for n in names])
-        writer.writerow(["predicted_slope"] + [fits[n].predicted for n in names])
-        writer.writerow(["residual"] + [fits[n].residual for n in names])
-    for n in names:
-        fit = fits[n]
-        tolerance = max(0.02, 0.02 * abs(fit.predicted))
-        ok = ok and fit.reliable and abs(fit.slope - fit.predicted) <= tolerance
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    rows = [["lambda"] + names]
+    rows += [[lam] + [exp.quantities[n][i] for n in names] for i, lam in enumerate(exp.lambdas)]
+    rows += [["fitted_slope"] + [fits[n].slope for n in names],
+             ["predicted_slope"] + [fits[n].predicted for n in names],
+             ["residual"] + [fits[n].residual for n in names]]
+    passed = all(fit.reliable and abs(fit.slope - fit.predicted) <= max(0.02, 0.02 * abs(fit.predicted))
+                 for fit in fits.values())
+    return {"embed_scan.csv": rows}, passed
 
 
-def _cmd_recursion(payload: dict, outdir: Path) -> int:
+def _cmd_recursion(payload: dict) -> tuple[dict, bool]:
     try:
         K, b, mu1, mu2, z0 = (io.number_from_json(payload[k], k) for k in ("K", "b", "mu1", "mu2", "Z0"))
     except KeyError as exc:
@@ -294,14 +277,11 @@ def _cmd_recursion(payload: dict, outdir: Path) -> int:
         "envelope_ok": trace.envelope_ok,
         "diverged": trace.diverged,
     }
-    _write_json(outdir / "recursion.json", out)
     seeded_below = z0 <= max(trace.thresholds)
-    if seeded_below and (trace.diverged or trace.envelope_ok is False):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return {"recursion.json": out}, not (seeded_below and (trace.diverged or trace.envelope_ok is False))
 
 
-def _cmd_solve(payload: dict, outdir: Path) -> int:
+def _cmd_solve(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
     f = (_function_from_payload(payload, domain) if "function" in payload
          else _grid_data(payload.get("source", 0.0), domain, "source"))
@@ -314,8 +294,7 @@ def _cmd_solve(payload: dict, outdir: Path) -> int:
     u, report = solver.solve(spec)
     # The gradient at the returned iterate is not finite when the diffusivity overflowed.
     residual = solver.weak_residual(spec, u) if np.isfinite(report.grad_norm) else None
-    io.function_to_csv(u, outdir / "solution.csv")
-    _write_json(outdir / "convergence.json", {
+    return {"solution.csv": u, "convergence.json": {
         "converged": report.converged,
         "iterations": report.iterations,
         "energy": _finite_or_none(report.energy),
@@ -325,8 +304,7 @@ def _cmd_solve(payload: dict, outdir: Path) -> int:
         "factorizations": report.factorizations,
         "linear_iterations": report.linear_iterations,
         "weak_residual": residual,
-    })
-    return EXIT_OK if report.converged else EXIT_CHECK_FAILED
+    }}, report.converged
 
 
 def _bound_constants(obj) -> degiorgi.BoundConstants:
@@ -341,7 +319,7 @@ def _bound_constants(obj) -> degiorgi.BoundConstants:
     return degiorgi.BoundConstants(**{k: io.number_from_json(v, k) for k, v in obj.items()})
 
 
-def _cmd_bound_check(payload: dict, outdir: Path) -> int:
+def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
     u = _function_from_payload(payload, domain)
     constants = _bound_constants(payload.get("constants", {}))
@@ -362,7 +340,7 @@ def _cmd_bound_check(payload: dict, outdir: Path) -> int:
         upsilon = None
         if regime.endswith("-N") and "l" in kw and "h" in kw:
             upsilon = boundary_norm(PhiSpec.subcritical_trace(field, kw["l"], kw["h"]), u).value
-        bound = degiorgi.bound_estimate(psi_norm, constants, regime, upsilon_norm=upsilon)
+        bound = _finite_or_none(degiorgi.bound_estimate(psi_norm, constants, regime, upsilon_norm=upsilon))
     out = {
         "regime": regime,
         "kappa_star": report.kappa_star,
@@ -372,8 +350,7 @@ def _cmd_bound_check(payload: dict, outdir: Path) -> int:
         "bound_estimate": bound,
         "pass": bool(report.found and report.bound_ok),
     }
-    _write_json(outdir / "bound_check.json", out)
-    return EXIT_OK if out["pass"] else EXIT_CHECK_FAILED
+    return {"bound_check.json": out}, out["pass"]
 
 
 _COMMANDS = {
@@ -387,16 +364,35 @@ _COMMANDS = {
 }
 
 
+def _write(outdir: Path, outputs: dict) -> None:
+    """Write each output under ``outdir``: a JSON object as standard JSON, a
+    grid function by ``io.function_to_csv``, anything else as CSV rows.  Every
+    JSON text is rendered first, so a NaN or infinity raises ValueError before
+    any file is opened."""
+    texts = {name: json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+             for name, obj in outputs.items() if isinstance(obj, dict)}
+    for name, content in outputs.items():
+        if name in texts:
+            (outdir / name).write_text(texts[name], encoding="utf-8")
+        elif isinstance(content, GridFunction):
+            io.function_to_csv(content, outdir / name)
+        else:
+            with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(content)
+
+
 def run(command: str, input_path: Path, output_dir: Path) -> int:
-    """Run one subcommand on the payload in ``input_path``, writing under
-    ``output_dir``; returns the process exit status."""
+    """Run one subcommand on the payload in ``input_path``, writing its
+    outputs under ``output_dir``; returns the process exit status."""
     handler = _COMMANDS.get(command)
     if handler is None:
         print(f"unknown subcommand: {command}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     output_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return handler(_load_json(input_path), output_dir)
+        outputs, passed = handler(_load_json(input_path))
+        _write(output_dir, outputs)
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     except (KeyError, ValueError) as exc:
         # ValueError covers every toolkit error about the input: DomainError,
         # GridMismatchError, HypothesisError, SingularityError, ContractError.

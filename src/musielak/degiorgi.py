@@ -406,9 +406,10 @@ def bound_estimate(
         warnings.warn("zero norm: degenerate bound 0", stacklevel=2)
         return 0.0
     c = constants
-    X = max(base**c.r_minus, base**c.s_plus)
     t1, t2 = c.exponents
-    return c.C * max(X**t1, X**t2)
+    with np.errstate(over="ignore", divide="ignore"):  # a bound beyond the double range reads inf
+        X = max(np.float64(base) ** c.r_minus, np.float64(base) ** c.s_plus)
+        return float(c.C * max(X**t1, X**t2))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ WEIGHT_MODES = ("unit", "radial")
 
 def bump_function(domain: GridDomain, radius: float = 1.0) -> GridFunction:
     """Smooth compactly supported profile exp(-1/(1 - |x|^2/R^2)) inside |x| < R."""
+    if not radius > 0:
+        raise DomainError(f"need a bump radius > 0, got {radius!r}")
     rr = domain.radius() / radius
     vals = np.zeros(domain.shape)
     inside = rr < 1.0
@@ -131,8 +133,8 @@ def embedding_sides(
     the Luxemburg norm of the two-term function: half their sum must lie below
     the norm, and 2^{1/r} times their sum above.
     """
-    if not (r > 0 and s > 0):
-        raise DomainError(f"need exponents r, s > 0, got r = {r!r}, s = {s!r}")
+    if not (r > 0 and s > 0 and alpha > 0):
+        raise DomainError(f"need exponents r, s, alpha > 0, got r = {r!r}, s = {s!r}, alpha = {alpha!r}")
     dom = u.domain
     w = dom.interior_weights
     weight = _weight_array(dom, weight_mode)
@@ -140,7 +142,7 @@ def embedding_sides(
     grad = u.gradient_magnitude()
     p, q = float(np.min(field.p)), float(np.min(field.q))
 
-    with np.errstate(over="ignore"):  # a norm beyond the double range reads inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, and inf * 0 NaN
         lhs_r = float(np.sum(w * absu**r) ** (1.0 / r))
         lhs_s = float(np.sum(w * weight**alpha * absu**s) ** (1.0 / s))
         rhs_p = float(np.sum(w * grad**p) ** (1.0 / p))

@@ -27,7 +27,6 @@ __all__ = [
     "number_from_json",
     "array_from_json",
     "load_function",
-    "save_function",
 ]
 
 
@@ -188,20 +187,18 @@ def function_from_csv(path) -> GridFunction:
 
 
 def load_function(path, domain: GridDomain | None = None) -> GridFunction:
+    """The grid function in a CSV or JSON file.  The file's own lattice (the
+    CSV metadata, or a JSON ``grid``) must be ``domain`` when both are given."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        return function_from_csv(path)
-    with open(path, encoding="utf-8") as fh:
-        return function_from_json(json.load(fh), domain)
-
-
-def save_function(u: GridFunction, path) -> None:
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        function_to_csv(u, path)
+        u = function_from_csv(path)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(function_to_json(u), fh)
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        u = function_from_json(obj, None if isinstance(obj, dict) and "grid" in obj else domain)
+    if domain is not None and u.domain != domain:
+        raise DomainError(f"{path}: the function's lattice {u.domain} is not the payload's {domain}")
+    return u
 
 
 def norm_result_to_json(result: NormResult) -> dict:

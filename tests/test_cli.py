@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import musielak
 from musielak import ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi, verify_conjugate_bounds
-from musielak import DomainError, cli, degiorgi, embedding_lab, io, solver
+from musielak import DomainError, GridFunction, cli, degiorgi, embedding_lab, io, solver
 
 
 def _run(tmp_path, command, payload, text=None):
@@ -56,7 +57,7 @@ class TestExitCodes:
         assert code == cli.EXIT_INPUT_ERROR
 
     def test_convergence_failure_is_a_failed_check(self, tmp_path, monkeypatch):
-        def stalled(payload, outdir):
+        def stalled(payload):
             raise ConvergenceError("stalled")
 
         monkeypatch.setitem(cli._COMMANDS, "validate", stalled)
@@ -808,3 +809,95 @@ def test_a_singular_metric_stops_the_solve_and_says_why(tmp_path):
     assert conv["converged"] is False
     assert conv["message"] == "metric factorization failed: Factor is exactly singular"
     assert conv["grad_norm"] == pytest.approx(7.7e-2, rel=0.01)
+
+
+# The files ``run`` writes for each subcommand.
+_OUTPUT_FILES = {
+    "validate": {"report.json"},
+    "recursion": {"recursion.json"},
+    "conjugate-table": {"conjugate_table.csv"},
+    "norm": {"norm.json"},
+    "embed-scan": {"embed_scan.csv"},
+    "bound-check": {"bound_check.json"},
+    "solve": {"solution.csv", "convergence.json"},
+}
+
+
+@pytest.mark.parametrize("command,stem", [(c, stem) for c, stems in _INPUTS.items() for stem in stems])
+def test_a_handler_returns_its_outputs_and_verdict_and_writes_nothing(monkeypatch, command, stem):
+    payload = json.loads((DATA / f"{stem}.json").read_text())
+    real_open = builtins.open
+
+    def read_only(file, mode="r", *args, **kwargs):
+        assert not set(mode) & set("wax+"), f"the handler opened {file} for writing"
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", read_only)
+    monkeypatch.setattr("io.open", read_only)  # what pathlib opens files with
+    outputs, passed = cli._COMMANDS[command](payload)
+    rows = [list(content) for content in outputs.values()
+            if not isinstance(content, (dict, GridFunction))]  # CSV rows may be a generator
+    assert type(passed) is bool
+    assert set(outputs) == _OUTPUT_FILES[command]
+    assert all(rows)
+
+
+def test_an_output_that_cannot_be_rendered_leaves_the_output_directory_empty(tmp_path, monkeypatch):
+    # solve once wrote solution.csv before it rendered convergence.json
+    u = GridFunction.constant(io.grid_from_json(GRID), 1.0)
+    outputs = {"solution.csv": u, "convergence.json": {"energy": float("nan")}}
+    monkeypatch.setitem(cli._COMMANDS, "solve", lambda payload: (outputs, True))
+    code, out = _run(tmp_path, "solve", PAYLOADS["solve"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("constant", ["s_plus", "tau1"])
+def test_an_overflowing_bound_estimate_is_written_as_null(tmp_path, constant):
+    # psi_norm is 1.04 here, so psi_norm ** 1e308 (and X ** 1e308) is beyond the double range
+    payload = _mutated("bound_check_subcritical-D", None, "constants", {constant: 1e308}, {})
+    code, out = _run(tmp_path, "bound-check", payload)
+    assert code == cli.EXIT_OK
+    assert _read_standard_json(out / "bound_check.json")["bound_estimate"] is None
+
+
+@pytest.mark.parametrize("change,exit_code,message", [
+    ({"radius": 0}, cli.EXIT_INPUT_ERROR, "bump radius > 0"),
+    ({"radius": -1}, cli.EXIT_INPUT_ERROR, "bump radius > 0"),
+    ({"weight_mode": "radial", "alpha": -1}, cli.EXIT_INPUT_ERROR, "alpha > 0"),
+    ({"weight_mode": "radial", "alpha": 1e308}, cli.EXIT_CHECK_FAILED, "is not positive and finite"),
+], ids=["radius=0", "radius=-1", "radial-alpha=-1", "radial-alpha=1e308"])
+def test_an_embed_scan_radius_or_weight_out_of_range_warns_nothing(tmp_path, capsys, change, exit_code, message):
+    # radius 0 divided by zero; alpha = -1 raised 0 to the power -1 at the origin,
+    # and alpha = 1e308 multiplied an infinite weight by the zero profile
+    payload = dict(json.loads((DATA / "cli_embed_scan.json").read_text()), **change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = _run(tmp_path, "embed-scan", payload)
+    assert code == exit_code
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid,exit_code", [
+    (dict(GRID, lengths=[1.0, 1.0]), cli.EXIT_OK),
+    (dict(GRID, lengths=[2.0, 2.0], origin=[-1.0, -1.0]), cli.EXIT_INPUT_ERROR),
+    ({"shape": [11, 11]}, cli.EXIT_INPUT_ERROR),
+], ids=["same-lattice", "other-box", "other-shape"])
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("command", ["norm", "bound-check"])
+def test_a_function_file_is_read_on_the_payloads_lattice_only(tmp_path, capsys, command, suffix, grid, exit_code):
+    # The file holds a profile on the 9 x 9 unit box.  A CSV file's lattice once
+    # replaced the payload's, and a JSON file's own grid was ignored.
+    u = GridFunction(io.grid_from_json(GRID), np.outer(*2 * [np.sin(np.pi * np.linspace(0.0, 1.0, 9))]))
+    path = tmp_path / f"u{suffix}"
+    if suffix == ".csv":
+        io.function_to_csv(u, path)
+    else:
+        path.write_text(json.dumps(io.function_to_json(u)))
+    code, out = _run(tmp_path, command, dict(PAYLOADS[command], grid=grid, function=str(path)))
+    assert code == exit_code
+    if exit_code == cli.EXIT_INPUT_ERROR:
+        err = capsys.readouterr().err
+        assert repr(u.domain) in err and repr(io.grid_from_json(grid)) in err
+        assert list(out.iterdir()) == []
