@@ -18,13 +18,12 @@ from .errors import (
     ToolkitError,
 )
 from .phi_core import (
-    CriticalExponents,
     ExponentField,
     PhiSpec,
     ValidationReport,
-    critical_exponents,
     eval_phi,
     phi_inverse,
+    sobolev_critical,
     validate_hypotheses,
 )
 from .modular import (

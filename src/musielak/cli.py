@@ -409,11 +409,9 @@ def main(argv=None) -> int:
         description="Double-phase Musielak-Orlicz toolkit: norms, conjugates, "
                     "embedding scans, truncation iteration and a desk-scale solver.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--input", type=Path, required=True, help="input JSON file")
-        sp.add_argument("--output", type=Path, default=Path("musielak-out"),
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND", help=", ".join(_COMMANDS))
+    parser.add_argument("--input", type=Path, required=True, help="input JSON file")
+    parser.add_argument("--output", type=Path, default=Path("musielak-out"),
                         help="output directory (created if missing)")
     args = parser.parse_args(argv)
     return run(args.command, args.input, args.output)

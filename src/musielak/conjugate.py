@@ -41,7 +41,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisError
-from .phi_core import ExponentField
+from .phi_core import ExponentField, _mu_power, _phi, sobolev_critical
 
 __all__ = [
     "BoundReport",
@@ -196,8 +196,8 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False):
     # normalized Newton rows have T > 1.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_mu, log_rhs = np.log(mu), np.log(rhs)
-        y = np.maximum(N / (N - p) * (log_rhs - np.log(N * p / (N - p))),
-                       N / (N - q) * (log_rhs + log_mu / N - np.log(N * q / (N - q))))
+        y = np.maximum(N / (N - p) * (log_rhs - np.log(sobolev_critical(N, p))),
+                       N / (N - q) * (log_rhs + log_mu / N - np.log(sobolev_critical(N, q))))
         if normalized:
             y = np.maximum(y, 0.0)
         a = rows  # the rows still iterating
@@ -253,19 +253,18 @@ def _sample_arrays(field: ExponentField, samples):
 
 def _slacks(N, p, q, mu, t, h_star, const):
     """The four slacks given the conjugate values ``h_star`` at the samples;
-    ``const`` is max over the nodes of q*(x)^q*(x)."""
-    p_star = N * p / (N - p)
-    q_star = N * q / (N - q)
-    mu_pow = mu ** (q_star / q)
+    ``const`` is max over the nodes of q*(x)^q*(x).  The critical and trace
+    critical functions are the ones ``PhiSpec.critical`` and
+    ``PhiSpec.critical_trace`` evaluate."""
+    p_star, q_star = sobolev_critical(N, p), sobolev_critical(N, q)
+    p_trace, q_trace = sobolev_critical(N, p, trace=True), sobolev_critical(N, q, trace=True)
+    mu_pow = _mu_power(mu, q_star / q)
     scale = np.maximum(1.0, h_star)
 
     bound_p = p_star**-p_star * t**p_star
     bound_q = q_star**-q_star * mu_pow * t**q_star
-    g_star = t**p_star + mu_pow * t**q_star
-
-    p_trace = (N - 1.0) * p / (N - p)
-    q_trace = (N - 1.0) * q / (N - q)
-    t_star = t**p_trace + mu ** (q_trace / q) * t**q_trace
+    g_star = _phi("critical", t, p_star, q_star, mu_pow)
+    t_star = _phi("critical_trace", t, p_trace, q_trace, _mu_power(mu, q_trace / q))
     rhs = 2.0 * const ** ((N - 1.0) / N) * h_star ** ((N - 1.0) / N)
     return {
         "power_p": (h_star - bound_p) / scale,

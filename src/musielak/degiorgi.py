@@ -42,6 +42,7 @@ __all__ = [
     "truncation_energy",
     "entry_condition",
     "kappa_star_dirichlet",
+    "kappa_star_admissible",
     "bound_estimate",
     "empirical_iteration",
     "two_sided_bound",
@@ -137,13 +138,11 @@ def iterate_recursion(Z0: float, params: RecursionParams, n_max: int = 200) -> R
     n0 = int(below[0]) if below.size else None
 
     T1, T2 = recursion_thresholds(params)
-    envelope_ok = None
+    trace = RecursionTrace(params, Z, n0, (T1, T2), None, diverged)
     if Z0 <= max(T1, T2) * (1.0 + 1e-12) and n0 is not None:
-        ns = np.arange(n0, len(Z))
-        trace = RecursionTrace(params, Z, n0, (T1, T2), None, diverged)
-        env = trace.envelope(ns)
-        envelope_ok = bool(np.all(Z[n0:] <= env * (1.0 + 1e-9)))
-    return RecursionTrace(params, Z, n0, (T1, T2), envelope_ok, diverged)
+        env = trace.envelope(np.arange(n0, len(Z)))
+        trace.envelope_ok = bool(np.all(Z[n0:] <= env * (1.0 + 1e-9)))
+    return trace
 
 
 # ---------------------------------------------------------------------------

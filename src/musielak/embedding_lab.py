@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisError
 from .modular import GridDomain, GridFunction, luxemburg_norm
-from .phi_core import ExponentField, PhiSpec
+from .phi_core import ExponentField, PhiSpec, sobolev_critical
 
 __all__ = [
     "ScalingExperiment",
@@ -107,14 +107,6 @@ class EmbeddingSides:
     rhs_terms: tuple  # gradient terms with exponents p and q
     sandwich: tuple | None  # (lower, norm, upper) for the two-term Luxemburg norm
 
-    @property
-    def sandwich_ok(self) -> bool:
-        if self.sandwich is None:
-            return True
-        lower, norm, upper = self.sandwich
-        slack = 1e-9 * max(1.0, norm)
-        return lower <= norm + slack and norm <= upper + slack
-
 
 def embedding_sides(
     u: GridFunction,
@@ -129,9 +121,9 @@ def embedding_sides(
 
     LHS: sum of the r-integral norm of u and the weighted s-integral norm;
     RHS: sum of the p- and weighted q-integral norms of the gradient.  When
-    ``check_sandwich`` is set and 1 <= r <= s, the LHS terms are compared with
-    the Luxemburg norm of the two-term function: half their sum must lie below
-    the norm, and 2^{1/r} times their sum above.
+    ``check_sandwich`` is set and 1 <= r <= s, ``sandwich`` holds half the sum
+    of the LHS terms, the Luxemburg norm of the two-term function and 2^{1/r}
+    times that sum; the norm lies between the two ends.
     """
     if not (r > 0 and s > 0 and alpha > 0):
         raise DomainError(f"need exponents r, s, alpha > 0, got r = {r!r}, s = {s!r}, alpha = {alpha!r}")
@@ -291,8 +283,7 @@ def optimality_check(N: int, p: float, q: float, r: float, s: float, alpha: floa
     """
     if not (1.0 < p < q < N):
         raise HypothesisError("need 1 < p < q < N")
-    p_star = N * p / (N - p)
-    q_star = N * q / (N - q)
+    p_star, q_star = sobolev_critical(N, p), sobolev_critical(N, q)
     alpha_floor = q_star / q
     eps_cmp = 1e-12  # float slack so that exact boundary equality passes
     epsilon = 1.0 + 1.0 / N - q / p

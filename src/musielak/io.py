@@ -134,9 +134,14 @@ def function_to_json(u: GridFunction) -> dict:
 
 
 def function_from_json(obj: dict, domain: GridDomain | None = None) -> GridFunction:
+    """The grid function ``{"grid": ..., "values": ...}``.  Its own ``grid``,
+    when it has one, must be ``domain`` when both are given."""
     _require_object(obj, "function")
-    if domain is None:
-        domain = grid_from_json(obj["grid"])
+    if domain is None or "grid" in obj:
+        own = grid_from_json(obj["grid"])
+        if domain is not None and own != domain:
+            raise DomainError(f"the function's lattice {own} is not the payload's {domain}")
+        domain = own
     values = array_from_json(obj["values"], "values")
     if values.shape not in (domain.shape, (int(np.prod(domain.shape)),)):
         raise DomainError(f"function values of shape {values.shape} on a grid of shape {domain.shape}: "
@@ -194,8 +199,7 @@ def load_function(path, domain: GridDomain | None = None) -> GridFunction:
         u = function_from_csv(path)
     else:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        u = function_from_json(obj, None if isinstance(obj, dict) and "grid" in obj else domain)
+            u = function_from_json(json.load(fh), domain)
     if domain is not None and u.domain != domain:
         raise DomainError(f"{path}: the function's lattice {u.domain} is not the payload's {domain}")
     return u

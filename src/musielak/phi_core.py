@@ -8,7 +8,8 @@ is derived:
 * the double-phase function  ``t^p(x) + mu(x) t^q(x)``,
 * its normalized variant (linear below t=1),
 * the interior/trace critical functions built from the Sobolev critical
-  exponents ``N r / (N - r)`` and ``(N-1) r / (N - r)``,
+  exponents ``N r / (N - r)`` and ``(N-1) r / (N - r)``, which
+  ``sobolev_critical`` alone computes,
 * subcritical two-exponent families, and
 * a free-weight family ``t^r + mu^alpha t^s`` used in optimality experiments.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +37,10 @@ __all__ = [
     "ExponentField",
     "PhiSpec",
     "ValidationReport",
-    "CriticalExponents",
     "validate_hypotheses",
     "eval_phi",
-    "critical_exponents",
     "phi_inverse",
+    "sobolev_critical",
 ]
 
 
@@ -52,6 +51,12 @@ def _as_field_array(value, shape):
     if shape and arr.shape != shape:
         raise GridMismatchError(f"field shape {arr.shape} != node shape {shape}")
     return arr
+
+
+def sobolev_critical(N, r, trace=False):
+    """The Sobolev critical exponent N r / (N - r) of ``r``, or with ``trace``
+    its trace exponent (N - 1) r / (N - r); arrays broadcast."""
+    return (N - 1 if trace else N) * r / (N - r)
 
 
 # The largest spatial dimension: far above any a run uses, and small enough
@@ -118,36 +123,17 @@ class ExponentField:
 
     def critical(self, which: str = "p") -> np.ndarray:
         """Nodewise critical exponent array: Nr/(N-r) for r = p or q."""
-        return self._critical(which, self.N)
+        return self._critical(which, trace=False)
 
     def critical_trace(self, which: str = "p") -> np.ndarray:
         """Nodewise trace critical exponent array: (N-1)r/(N-r) for r = p or q."""
-        return self._critical(which, self.N - 1)
+        return self._critical(which, trace=True)
 
-    def _critical(self, which, numerator):
+    def _critical(self, which, trace):
         r = self.p if which == "p" else self.q
         if np.any(r >= self.N):
             raise SingularityError(f"{which}(x) >= N={self.N} somewhere: critical exponent undefined")
-        return numerator * r / (self.N - r)
-
-
-class CriticalExponents(NamedTuple):
-    p_star: float
-    q_star: float
-    p_trace: float
-    q_trace: float
-
-
-def critical_exponents(field: ExponentField, x=None) -> CriticalExponents:
-    """Interior and trace critical exponents at a node.
-
-    Returns (Np/(N-p), Nq/(N-q), (N-1)p/(N-p), (N-1)q/(N-q)).  Raises
-    SingularityError when p(x) or q(x) reaches N.
-    """
-    node = ExponentField(field.N, *field.at(x))
-    return CriticalExponents(*(
-        float(fn(which)) for fn in (node.critical, node.critical_trace) for which in ("p", "q")
-    ))
+        return sobolev_critical(self.N, r, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +178,7 @@ def validate_hypotheses(field: ExponentField, level: str = "H3") -> ValidationRe
     ]
     if level in ("H2", "H3"):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p_star = np.where(p < N, N * p / np.maximum(N - p, 1e-300), np.inf)
+            p_star = np.where(p < N, sobolev_critical(N, p), np.inf)
         checks.append((q >= p_star, "q(x) < p*(x)"))
         checks.append((~np.isfinite(mu), "mu bounded"))
     if level == "H3":

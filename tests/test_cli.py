@@ -625,6 +625,19 @@ def test_a_top_level_grid_payload_decodes_its_field_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("lengths,exit_code", [([1.0, 1.0], cli.EXIT_OK), ([5.0, 5.0], cli.EXIT_INPUT_ERROR)],
+                         ids=["same-lattice", "other-box"])
+def test_an_inline_function_is_read_on_the_payloads_lattice_only(tmp_path, capsys, lengths, exit_code):
+    grid = dict(GRID, lengths=lengths)
+    function = {"grid": grid, "values": np.full((9, 9), 0.25).tolist()}
+    code, out = _run(tmp_path, "norm", dict(PAYLOADS["norm"], function=function))
+    assert code == exit_code
+    if exit_code == cli.EXIT_INPUT_ERROR:
+        err = capsys.readouterr().err
+        assert repr(io.grid_from_json(grid)) in err and repr(io.grid_from_json(GRID)) in err
+        assert list(out.iterdir()) == []
+
+
 def test_the_fields_own_grid_wins_over_the_payloads():
     payload = {"field": dict(FLAT, grid={"shape": [5, 7]}), "grid": GRID}
     field, domain = cli._field_and_domain(payload, need_domain=True)

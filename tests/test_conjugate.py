@@ -190,6 +190,22 @@ class TestBoundVerification:
         assert rep.all_pass
         assert np.all(rep.slacks["trace_domination"] >= -rep.tol)
 
+    def test_domination_slacks_use_the_phi_spec_critical_functions(self):
+        # a node with mu = 0 and samples at t = 0: the slacks hold exactly the
+        # values of PhiSpec.critical and PhiSpec.critical_trace
+        f = ExponentField(3, np.array([1.5, 1.8, 2.0]), np.array([2.0, 2.2, 2.5]), np.array([0.0, 0.5, 2.0]))
+        samples = [(x, t) for x in range(3) for t in (0.0, 0.3, 1.0, 4.0)]
+        rep = verify_conjugate_bounds(f, samples)
+        N, h = f.N, rep.conjugate
+        const = float(np.max(f.critical("q") ** f.critical("q")))
+        g_star = np.array([eval_phi(PhiSpec.critical(f), x, t) for x, t in samples])
+        t_star = np.array([eval_phi(PhiSpec.critical_trace(f), x, t) for x, t in samples])
+        rhs = 2.0 * const ** ((N - 1.0) / N) * h ** ((N - 1.0) / N)
+        assert np.array_equal(rep.slacks["critical_domination"],
+                              (2.0 * const * h - g_star) / np.maximum(1.0, g_star))
+        assert np.array_equal(rep.slacks["trace_domination"],
+                              (rhs - t_star) / np.maximum(1.0, np.maximum(rhs, t_star)))
+
     def test_critical_function_agreement(self):
         # the critical-function value used in the domination check matches eval_phi
         f = ExponentField(4, 2.0, 3.0, 16.0)

@@ -12,9 +12,9 @@ from musielak import (
     HypothesisError,
     PhiSpec,
     SingularityError,
-    critical_exponents,
     eval_phi,
     phi_inverse,
+    sobolev_critical,
     validate_hypotheses,
 )
 from conftest import random_field_h3
@@ -208,20 +208,27 @@ def test_ordered_power_inequality(a, b_shift, c_shift, t):
 
 class TestCriticalExponents:
     def test_interior_value(self):
-        ce = critical_exponents(const_field(3, 2.0, 2.5, 0.0))
-        assert ce.p_star == pytest.approx(6.0)
+        assert const_field(3, 2.0, 2.5, 0.0).critical("p") == pytest.approx(6.0)
 
     def test_trace_value(self):
-        ce = critical_exponents(const_field(3, 2.0, 2.5, 0.0))
-        assert ce.p_trace == pytest.approx(4.0)
+        assert const_field(3, 2.0, 2.5, 0.0).critical_trace("p") == pytest.approx(4.0)
+
+    def test_sobolev_critical_broadcasts(self):
+        r = np.array([1.5, 2.0])
+        assert np.array_equal(sobolev_critical(3, r), [3.0, 6.0])
+        assert np.array_equal(sobolev_critical(3, r, trace=True), [2.0, 4.0])
 
     def test_exponent_at_dimension_is_singular(self):
-        with pytest.raises(SingularityError):
-            critical_exponents(const_field(3, 3.0, 3.5, 0.0))
+        field = const_field(3, 3.0, 3.5, 0.0)
+        for critical in (field.critical, field.critical_trace):
+            with pytest.raises(SingularityError):
+                critical("p")
 
     def test_q_at_dimension_is_singular(self):
-        with pytest.raises(SingularityError):
-            critical_exponents(const_field(3, 2.0, 3.0, 0.0))
+        field = const_field(3, 2.0, 3.0, 0.0)
+        for critical in (field.critical, field.critical_trace):
+            with pytest.raises(SingularityError):
+                critical("q")
 
     @pytest.mark.parametrize("q", [0.0, -1.0])
     @pytest.mark.parametrize("kind", ["critical", "critical_trace"])
