@@ -22,7 +22,6 @@ from .phi_core import (
     PhiSpec,
     ValidationReport,
     eval_phi,
-    phi_inverse,
     sobolev_critical,
     validate_hypotheses,
 )

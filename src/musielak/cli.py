@@ -65,8 +65,8 @@ def _load_json(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except FileNotFoundError:
-        raise DomainError(f"input file not found: {path}")
+    except OSError as exc:  # missing, a directory, or no permission
+        raise DomainError(f"input file not found or not readable: {path} ({exc.strerror})")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     if not isinstance(payload, dict):
@@ -93,8 +93,8 @@ def _function_from_payload(payload, domain):
     if isinstance(obj, str):
         try:
             return io.load_function(obj, domain)
-        except FileNotFoundError:
-            raise DomainError(f"function file not found: {obj}")
+        except OSError as exc:  # missing, a directory, or no permission
+            raise DomainError(f"function file not found or not readable: {obj} ({exc.strerror})")
     return _grid_data(obj, domain, "function")
 
 
@@ -132,9 +132,11 @@ def _exponent(payload, key: str) -> np.ndarray:
 
 def _flat_numbers(values, what: str) -> np.ndarray:
     """A flat list of finite numbers, not bools (as io.number_from_json), as a float array."""
-    arr = io.array_from_json(values, what)
-    if (arr.ndim != 1 or not np.all(np.isfinite(arr))
-            or isinstance(values, list) and any(isinstance(v, bool) for v in values)):
+    try:
+        arr = io.array_from_json(values, what)
+    except DomainError:
+        arr = None
+    if arr is None or arr.ndim != 1 or not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be a flat list of finite numbers")
     return arr
 
@@ -388,8 +390,11 @@ def run(command: str, input_path: Path, output_dir: Path) -> int:
     if handler is None:
         print(f"unknown subcommand: {command}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    output_dir.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file of that name, or no permission
+            raise DomainError(f"cannot create the output directory {output_dir} ({exc.strerror})")
         outputs, passed = handler(_load_json(input_path))
         _write(output_dir, outputs)
         return EXIT_OK if passed else EXIT_CHECK_FAILED

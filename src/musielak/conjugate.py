@@ -233,9 +233,6 @@ class BoundReport:
     def all_pass(self) -> bool:
         return all(bool(np.all(v >= -self.tol)) for v in self.slacks.values())
 
-    def worst(self):
-        return {k: float(np.min(v)) for k, v in self.slacks.items()}
-
 
 def _sample_arrays(field: ExponentField, samples):
     """Nodes and (p, q, mu, t) arrays of the (node, t) samples, read in one

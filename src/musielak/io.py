@@ -1,4 +1,4 @@
-"""JSON/CSV serialization for grids, exponent fields and grid functions."""
+"""JSON/CSV reading of grids, exponent fields and grid functions; CSV writing of grid functions."""
 
 from __future__ import annotations
 
@@ -15,11 +15,8 @@ from .modular import GridDomain, GridFunction, NormResult
 from .phi_core import ExponentField
 
 __all__ = [
-    "grid_to_json",
     "grid_from_json",
-    "field_to_json",
     "field_from_json",
-    "function_to_json",
     "function_from_json",
     "function_to_csv",
     "function_from_csv",
@@ -56,30 +53,31 @@ def number_from_json(value, what: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _holds_bool(value) -> bool:
+    """Whether a number or regular nested lists hold a bool, by one set of types per innermost list."""
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        return any(map(_holds_bool, value))
+    return bool in set(map(type, value)) if isinstance(value, list) else isinstance(value, bool)
+
+
 def array_from_json(value, what: str) -> np.ndarray:
     """A JSON number or nested lists of numbers as one float array; null
-    reads as NaN, which the callers reject where it is not allowed.  A bare
-    bool is not a number; one nested in a list is not looked for."""
-    if not isinstance(value, bool):
-        try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise DomainError(f"'{what}' must be a number or nested lists of numbers, got {value!r:.40}")
+    reads as NaN, which the callers reject where it is not allowed.  A bool,
+    bare or nested in a list, is not a number; it reads as 0 or 1, so only an
+    array holding one of these is scanned for it."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or np.any((arr == 0.0) | (arr == 1.0)) and _holds_bool(value):
+        raise DomainError(f"'{what}' must be a number or nested lists of numbers, got {value!r:.40}")
+    return arr
 
 
 def _numbers(value, what: str, integer: bool = False) -> tuple:
     if not isinstance(value, list):
         raise DomainError(f"'{what}' must be a list of numbers, got {value!r:.40}")
     return tuple(number_from_json(v, what, integer) for v in value)
-
-
-def grid_to_json(domain: GridDomain) -> dict:
-    return {
-        "shape": list(domain.shape),
-        "spacing": list(domain.spacing),
-        "origin": list(domain.origin),
-    }
 
 
 def grid_from_json(obj: dict) -> GridDomain:
@@ -92,24 +90,6 @@ def grid_from_json(obj: dict) -> GridDomain:
     if "spacing" in obj:
         return GridDomain(shape, _numbers(obj["spacing"], "spacing"), origin)
     return GridDomain.box(shape, _numbers(obj.get("lengths", [1.0] * len(shape)), "lengths"), origin)
-
-
-def _field_entry(arr: np.ndarray):
-    return float(arr) if arr.shape == () else arr.tolist()
-
-
-def field_to_json(field: ExponentField, domain: GridDomain | None = None) -> dict:
-    out = {
-        "N": field.N,
-        "p": _field_entry(field.p),
-        "q": _field_entry(field.q),
-        "mu": _field_entry(field.mu),
-    }
-    if field.lipschitz_bound is not None:
-        out["lipschitz_bound"] = field.lipschitz_bound
-    if domain is not None:
-        out["grid"] = grid_to_json(domain)
-    return out
 
 
 def field_from_json(obj: dict, domain: GridDomain | None = None):
@@ -127,10 +107,6 @@ def field_from_json(obj: dict, domain: GridDomain | None = None):
     if domain is None:
         return ExponentField(N, p, q, mu, **kw), None
     return domain.constant_field(N, p, q, mu, **kw), domain
-
-
-def function_to_json(u: GridFunction) -> dict:
-    return {"grid": grid_to_json(u.domain), "values": u.values.tolist()}
 
 
 def function_from_json(obj: dict, domain: GridDomain | None = None) -> GridFunction:

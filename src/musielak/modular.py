@@ -11,19 +11,20 @@ For u != 0 the map ``lam -> modular(u / lam)`` is continuous and strictly
 decreasing, so each norm is the unique lam with unit modular.  All three
 norms share one routine: the quadrature weights and the nodal magnitudes
 (plus the gradient magnitude for the Sobolev norm) are built once, the
-modular of u seeds the power bracket, and ``phi_core._unit_root`` solves
-for lam by Illinois regula falsi in log lam.
+modular of u seeds the power bracket, and ``_unit_root``, this module's one
+root finder, solves for lam by Illinois regula falsi in log lam.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GridMismatchError
-from .phi_core import ExponentField, PhiSpec, _unit_root
+from .phi_core import ExponentField, PhiSpec
 
 __all__ = [
     "GridDomain",
@@ -183,10 +184,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_callable(cls, domain: GridDomain, fn) -> "GridFunction":
-        return cls(domain, fn(*domain.coordinates))
-
-    @classmethod
     def constant(cls, domain: GridDomain, value: float) -> "GridFunction":
         return cls(domain, np.full(domain.shape, float(value)))
 
@@ -252,6 +249,72 @@ def boundary_modular(spec: PhiSpec, u: GridFunction) -> float:
 def _terms_modular(spec: PhiSpec, terms, lam: float = 1.0) -> float:
     """Sum of w * phi(t / lam) over the (weights, magnitudes) ``terms``."""
     return float(sum(np.sum(w * spec.evaluate_nodes(t / lam)) for w, t in terms))
+
+
+_LN2 = math.log(2.0)
+# |log lam| <= _LOG_MAX keeps both lam and 1 / lam finite doubles.
+_LOG_MAX = math.log(sys.float_info.max)
+_MAX_EVALS = 100
+
+
+def _unit_root(rho, rho_one, lo_exp, hi_exp, tol):
+    """The lam > 0 with rho(lam) = 1 for a continuous decreasing ``rho``.
+
+    ``rho_one`` is rho(1).  When rho(lam) / rho(1) lies between lam^-hi_exp
+    and lam^-lo_exp, the root lies between rho(1)^(1/hi_exp) and
+    rho(1)^(1/lo_exp).  That bracket, widened by a factor 2 at each end (and
+    further while it does not hold) and cut at lam = 1, whose value is known,
+    is searched in y = log lam, where log rho is almost linear, by regula
+    falsi with the Illinois modification (Dowell and Jarratt, BIT 11, 1971).
+    Stops when |log rho| <= ``tol`` or the bracket has collapsed.  Returns
+    (lam, rho(lam), evaluations of rho) at the latest evaluation.  Raises
+    ConvergenceError when the root lies where lam or 1 / lam overflows.
+    """
+    evals = 0
+    g = math.log(rho_one)
+    last = (1.0, rho_one, g)  # (lam, rho, log rho) of the latest evaluation
+
+    def f(y):
+        nonlocal evals, last
+        evals += 1
+        if evals > _MAX_EVALS:
+            raise ConvergenceError(f"no unit root in {_MAX_EVALS} evaluations; last (lam, rho) {last[:2]}")
+        if not abs(y) <= _LOG_MAX:
+            raise ConvergenceError(f"no unit root in the double range |log lam| <= {_LOG_MAX:.6g}; "
+                                   f"last (lam, rho) {last[:2]}")
+        val = rho(math.exp(y))
+        last = (math.exp(y), val, math.log(val) if val > 0.0 else -math.inf)
+        return last[2]
+
+    a = max(min(g / lo_exp, g / hi_exp) - _LN2, -_LOG_MAX)
+    b = min(max(g / lo_exp, g / hi_exp) + _LN2, _LOG_MAX)
+    fa = fb = math.nan  # not yet evaluated
+    if a < 0.0 < g:
+        a, fa = 0.0, g
+    if b > 0.0 > g:
+        b, fb = 0.0, g
+    while abs(last[2]) > tol and not fa > 0.0:
+        if fa < 0.0:
+            a, b, fb = a - _LN2, a, fa
+        fa = f(a)
+    while abs(last[2]) > tol and not fb < 0.0:
+        if fb > 0.0:
+            a, fa, b = b, fb, b + _LN2
+        fb = f(b)
+    ends, side = [[a, fa], [b, fb]], None  # log rho > 0 at ends[0], < 0 at ends[1]
+    while abs(last[2]) > tol:
+        (a, fa), (b, fb) = ends
+        if b - a <= 4e-16 * max(1.0, abs(a), abs(b)):
+            break
+        y = (a * fb - b * fa) / (fb - fa)
+        if not a < y < b:
+            y = 0.5 * (a + b)
+        fy = f(y)
+        k = 0 if fy > 0.0 else 1
+        if k == side:  # Illinois: the other end was kept twice running
+            ends[1 - k][1] *= 0.5
+        ends[k], side = [y, fy], k
+    return last[0], last[1], evals
 
 
 def _norm(spec: PhiSpec, terms, rho_u: float, tol: float) -> NormResult:

@@ -14,19 +14,18 @@ is derived:
 * a free-weight family ``t^r + mu^alpha t^s`` used in optimality experiments.
 
 Fields are stored as numpy arrays over an arbitrary common node shape; scalars
-describe spatially constant data.
+describe spatially constant data.  This module only defines and evaluates
+Phi-functions: the root finder behind every norm, ``_unit_root``, lives in
+``modular``.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     GridMismatchError,
     HypothesisError,
@@ -39,7 +38,6 @@ __all__ = [
     "ValidationReport",
     "validate_hypotheses",
     "eval_phi",
-    "phi_inverse",
     "sobolev_critical",
 ]
 
@@ -102,18 +100,10 @@ class ExponentField:
     def shape(self):
         return self.p.shape
 
-    # Discrete surrogates for inf/sup over the closed domain.
-    @property
-    def p_minus(self) -> float:
-        return float(np.min(self.p))
-
     @property
     def q_minus(self) -> float:
+        """The smallest q over the nodes, the discrete inf of q."""
         return float(np.min(self.q))
-
-    @property
-    def q_plus(self) -> float:
-        return float(np.max(self.q))
 
     def at(self, x):
         """Pointwise (p, q, mu) at node index ``x`` (ignored for constant fields)."""
@@ -354,85 +344,3 @@ def eval_phi(spec: PhiSpec, x, t):
     node = () if x is None or np.shape(spec.lo) == () else x
     out = _phi(spec.kind, t, spec.lo[node], spec.hi[node], spec.weight[node])
     return float(out) if out.ndim == 0 else out
-
-
-_LN2 = math.log(2.0)
-# |log lam| <= _LOG_MAX keeps both lam and 1 / lam finite doubles.
-_LOG_MAX = math.log(sys.float_info.max)
-
-
-def _unit_root(rho, rho_one, lo_exp, hi_exp, tol, max_iter=100):
-    """The lam > 0 with rho(lam) = 1 for a continuous decreasing ``rho``.
-
-    ``rho_one`` is rho(1).  When rho(lam) / rho(1) lies between lam^-hi_exp
-    and lam^-lo_exp, the root lies between rho(1)^(1/hi_exp) and
-    rho(1)^(1/lo_exp).  That bracket, widened by a factor 2 at each end (and
-    further while it does not hold) and cut at lam = 1, whose value is known,
-    is searched in y = log lam, where log rho is almost linear, by regula
-    falsi with the Illinois modification (Dowell and Jarratt, BIT 11, 1971).
-    Stops when |log rho| <= ``tol`` or the bracket has collapsed.  Returns
-    (lam, rho(lam), evaluations of rho) at the latest evaluation.  Raises
-    ConvergenceError when the root lies where lam or 1 / lam overflows.
-    """
-    evals = 0
-    g = math.log(rho_one)
-    last = (1.0, rho_one, g)  # (lam, rho, log rho) of the latest evaluation
-
-    def f(y):
-        nonlocal evals, last
-        evals += 1
-        if evals > max_iter:
-            raise ConvergenceError(f"no unit root in {max_iter} evaluations; last (lam, rho) {last[:2]}")
-        if not abs(y) <= _LOG_MAX:
-            raise ConvergenceError(f"no unit root in the double range |log lam| <= {_LOG_MAX:.6g}; "
-                                   f"last (lam, rho) {last[:2]}")
-        val = rho(math.exp(y))
-        last = (math.exp(y), val, math.log(val) if val > 0.0 else -math.inf)
-        return last[2]
-
-    a = max(min(g / lo_exp, g / hi_exp) - _LN2, -_LOG_MAX)
-    b = min(max(g / lo_exp, g / hi_exp) + _LN2, _LOG_MAX)
-    fa = fb = math.nan  # not yet evaluated
-    if a < 0.0 < g:
-        a, fa = 0.0, g
-    if b > 0.0 > g:
-        b, fb = 0.0, g
-    while abs(last[2]) > tol and not fa > 0.0:
-        if fa < 0.0:
-            a, b, fb = a - _LN2, a, fa
-        fa = f(a)
-    while abs(last[2]) > tol and not fb < 0.0:
-        if fb > 0.0:
-            a, fa, b = b, fb, b + _LN2
-        fb = f(b)
-    ends, side = [[a, fa], [b, fb]], None  # log rho > 0 at ends[0], < 0 at ends[1]
-    while abs(last[2]) > tol:
-        (a, fa), (b, fb) = ends
-        if b - a <= 4e-16 * max(1.0, abs(a), abs(b)):
-            break
-        y = (a * fb - b * fa) / (fb - fa)
-        if not a < y < b:
-            y = 0.5 * (a + b)
-        fy = f(y)
-        k = 0 if fy > 0.0 else 1
-        if k == side:  # Illinois: the other end was kept twice running
-            ends[1 - k][1] *= 0.5
-        ends[k], side = [y, fy], k
-    return last[0], last[1], evals
-
-
-def phi_inverse(spec: PhiSpec, x, s: float, tol: float = 1e-12, max_iter: int = 400) -> float:
-    """Invert the strictly increasing map t -> phi(x, t) at the value ``s``.
-
-    Finds lam = 1/t with phi(x, 1/lam) / s = 1 by ``_unit_root``; the
-    returned t satisfies ``|phi(x, t) - s| <= tol * max(1, s)``.
-    """
-    if s < 0:
-        raise DomainError("phi values are nonnegative")
-    if s == 0.0:
-        return 0.0
-    lam, _, _ = _unit_root(
-        lambda lam: eval_phi(spec, x, 1.0 / lam) / s, eval_phi(spec, x, 1.0) / s,
-        *spec.exponent_bounds(), math.log1p(tol * max(1.0, s) / s), max_iter,
-    )
-    return 1.0 / lam

@@ -44,3 +44,13 @@ def random_grid_function(rng, domain, scale=1.0, zero_boundary=False):
     if zero_boundary:
         vals[domain.boundary_mask] = 0.0
     return GridFunction(domain, vals)
+
+
+def grid_json(domain):
+    """The JSON object of a lattice, as a payload's ``grid`` gives it."""
+    return {"shape": list(domain.shape), "spacing": list(domain.spacing), "origin": list(domain.origin)}
+
+
+def function_json(u):
+    """The JSON object of a grid function with its own lattice."""
+    return {"grid": grid_json(u.domain), "values": u.values.tolist()}

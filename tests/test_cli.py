@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import musielak
 from musielak import ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi, verify_conjugate_bounds
 from musielak import DomainError, GridFunction, cli, degiorgi, embedding_lab, io, solver
+from conftest import function_json
 
 
 def _run(tmp_path, command, payload, text=None):
@@ -676,6 +677,55 @@ def test_a_json_bool_is_not_an_exponent(kind, key):
         cli._phi_spec(payload, SPEC_FIELD)
 
 
+def _with_a_bool(value):
+    """``value`` over the 9 x 9 grid as nested lists, with True at one node."""
+    rows = np.broadcast_to(np.asarray(value, dtype=float), (9, 9)).tolist()
+    rows[4][4] = True
+    return rows
+
+
+# Each number list the norm payload reads: key -> (the object holding it, the Phi kind that reads it).
+_NUMBER_LISTS = {"p": ("field", "double_phase"), "q": ("field", "double_phase"), "mu": ("field", "double_phase"),
+                 "values": ("function", "double_phase"), "r": (None, "subcritical"), "s": (None, "subcritical"),
+                 "l": (None, "subcritical_trace"), "h": (None, "subcritical_trace"), "alpha": (None, "weighted")}
+
+
+@pytest.mark.parametrize("key", list(_NUMBER_LISTS))
+def test_a_json_bool_nested_in_a_number_list_is_an_input_error(tmp_path, capsys, key):
+    # [[true, 1.5]] once read as [[1.0, 1.5]].
+    where, kind = _NUMBER_LISTS[key]
+    payload = dict(PAYLOADS["norm"], field=dict(FLAT), function={"values": np.full((9, 9), 0.25).tolist()},
+                   kind=kind, **{k: np.asarray(SPEC_ARGS[k]).tolist() for k in cli._PHI_KINDS[kind]})
+    (tmp_path / "clean").mkdir()
+    assert _run(tmp_path / "clean", "norm", payload)[0] == cli.EXIT_OK
+    target = payload if where is None else payload[where]
+    target[key] = _with_a_bool(target[key])
+    code, out = _run(tmp_path, "norm", payload)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"'{key}' must be a number" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["input-directory", "function-directory", "output-file"])
+def test_a_path_that_cannot_be_used_is_an_input_error(tmp_path, capsys, case):
+    # A directory given where a file is read, or a file where the output
+    # directory goes, once escaped as IsADirectoryError or FileExistsError.
+    src, bad = tmp_path / "input.json", tmp_path / "bad"
+    if case == "output-file":
+        bad.write_text("kept")
+    else:
+        bad.mkdir()
+    function = str(bad) if case == "function-directory" else PAYLOADS["norm"]["function"]
+    src.write_text(json.dumps(dict(PAYLOADS["norm"], function=function)))
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    code = cli.main(["norm", "--input", str(bad if case == "input-directory" else src),
+                     "--output", str(bad if case == "output-file" else tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT_ERROR
+    assert err.startswith("input error: ") and str(bad) in err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
+
+
 @pytest.mark.parametrize("key", ["p", "q", "mu"])
 def test_a_json_bool_in_the_field_is_an_input_error(tmp_path, capsys, key):
     code, out = _run(tmp_path, "solve", _mutated("cli_solve", "field", key, True, {}))
@@ -719,7 +769,7 @@ _SITES = [
 
 @settings(max_examples=120, deadline=None)
 @given(site=st.sampled_from(_SITES),
-       value=st.sampled_from([None, "abc", True, [[1.0]], float("nan"), 1e308, 1e-300]))
+       value=st.sampled_from([None, "abc", True, [True, 1.0], [[1.0]], float("nan"), 1e308, 1e-300]))
 def test_a_bad_value_in_a_committed_input_never_escapes(site, value):
     command, stem, where, key = site
     payload = json.loads((DATA / f"{stem}.json").read_text())
@@ -907,7 +957,7 @@ def test_a_function_file_is_read_on_the_payloads_lattice_only(tmp_path, capsys, 
     if suffix == ".csv":
         io.function_to_csv(u, path)
     else:
-        path.write_text(json.dumps(io.function_to_json(u)))
+        path.write_text(json.dumps(function_json(u)))
     code, out = _run(tmp_path, command, dict(PAYLOADS[command], grid=grid, function=str(path)))
     assert code == exit_code
     if exit_code == cli.EXIT_INPUT_ERROR:

@@ -166,7 +166,7 @@ class TestBoundVerification:
     def test_double_phase_bounds_hold(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
         rep = verify_conjugate_bounds(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)], tol=1e-9)
-        assert rep.all_pass, rep.worst()
+        assert rep.all_pass, rep.slacks
 
     def test_trace_bound_pure_power(self):
         f = pure_power_field(N=4, p=2.0)

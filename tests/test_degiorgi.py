@@ -125,7 +125,7 @@ class TestIterateRecursion:
 class TestLevelSet:
     def test_linear_ramp_measure(self):
         dom = GridDomain.interval(201)
-        u = GridFunction.from_callable(dom, lambda x: x)
+        u = GridFunction(dom, dom.axes[0])
         ls = level_set(u, 0.5)
         assert ls.measure == pytest.approx(0.5, abs=dom.spacing[0] * 1.5)
 

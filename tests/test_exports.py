@@ -1,5 +1,6 @@
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import musielak
@@ -17,4 +18,14 @@ def test_every_package_name_is_exported_by_its_module():
     missing = [f"{node.module}.{alias.name}" for node in imports
                for alias in node.names
                if alias.name not in _exported(importlib.import_module(f"musielak.{node.module}"))]
+    assert missing == []
+
+
+def test_every_name_in_a_modules_all_is_defined():
+    # The benchmark tracer looks up each __all__ name of every module, so a
+    # name left behind by a deleted function would break every traced run.
+    modules = [importlib.import_module(f"musielak.{info.name}") for info in pkgutil.iter_modules(musielak.__path__)]
+    assert modules
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []

@@ -85,7 +85,7 @@ class TestModulars:
         for n in (65, 257):
             dom = GridDomain.interval(n)
             field = dom.constant_field(3, 2.0, 3.0, 0.0)
-            u = GridFunction.from_callable(dom, lambda x: x)
+            u = GridFunction(dom, dom.axes[0])
             errs.append(abs(modular_sobolev(field, u) - 4.0 / 3.0))
         assert errs[1] < errs[0] / 8.0
         assert errs[0] < 1e-3
@@ -122,6 +122,29 @@ class TestLuxemburgNorm:
         spec = PhiSpec("double_phase", field, np.full(field.shape, np.nan), good.hi, good.weight)
         with pytest.raises(ConvergenceError):
             luxemburg_norm(spec, GridFunction.constant(unit_interval, 2.0))
+
+    @staticmethod
+    def _constant_one(length, p, q, mu):
+        # The one interior node of three carries the whole length, so the
+        # modular of 1 / lam is length * phi(1 / lam).
+        dom = GridDomain.interval(3, length)
+        return PhiSpec.double_phase(dom.constant_field(3, p, q, mu)), GridFunction.constant(dom, 1.0)
+
+    @pytest.mark.parametrize("p,length", [(1e-3, 0.1), (1e-3, 10.0), (1e-300, 0.25), (1e-300, 1.0)])
+    def test_a_norm_beyond_the_double_range_is_a_convergence_error(self, p, length):
+        # 2 length lam^-p = 1: lam = (2 length)^(1/p) underflows (length < 1/2)
+        # or overflows (length > 1/2)
+        spec, u = self._constant_one(length, p, p, 1.0)
+        with pytest.raises(ConvergenceError, match="double range"):
+            luxemburg_norm(spec, u)
+
+    @pytest.mark.parametrize("length,q", [(1.0 / 0.492, 2.0), (0.492, 1e-3)], ids=["upper", "lower"])
+    def test_a_norm_near_the_end_of_the_double_range_is_found(self, length, q):
+        # lam = length^1000 with |log lam| = 709.3, 0.5 below log(max double):
+        # the bracket widened by a factor 2 crosses that end and is cut there.
+        # At the lower end, q = p keeps mu t^q = 0 t^q finite at t = 1 / lam.
+        spec, u = self._constant_one(length, 1e-3, q, 0.0)
+        assert luxemburg_norm(spec, u).value == pytest.approx(length**1000, rel=1e-8)
 
     def test_unit_modular_means_unit_norm(self, rng, unit_interval):
         field = random_field_h3(rng, unit_interval)
@@ -197,8 +220,7 @@ class TestSobolevNorm:
 
     def test_two_sided_power_bounds(self, rng, unit_interval):
         field = random_field_h3(rng, unit_interval)
-        lo = field.p_minus
-        hi = field.q_plus
+        lo, hi = float(np.min(field.p)), float(np.max(field.q))
         for scale in (0.05, 0.8, 4.0):
             u = random_grid_function(rng, unit_interval, scale=scale)
             rho = modular_sobolev(field, u)

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from musielak import (
-    ConvergenceError,
     DomainError,
     ExponentField,
     HypothesisError,
     PhiSpec,
     SingularityError,
     eval_phi,
-    phi_inverse,
     sobolev_critical,
     validate_hypotheses,
 )
@@ -237,57 +235,6 @@ class TestCriticalExponents:
             warnings.simplefilter("error")  # 0 / 0 in mu^(q*/q) would warn first
             with pytest.raises(DomainError, match="exponents q > 0"):
                 getattr(PhiSpec, kind)(const_field(3, 1.5, q, 1.0))
-
-
-class TestPhiInverse:
-    def test_square_root_case(self):
-        spec = PhiSpec.double_phase(const_field(3, 2.0, 2.5, 0.0))
-        assert phi_inverse(spec, None, 9.0) == pytest.approx(3.0, abs=1e-10)
-
-    def test_zero(self):
-        spec = PhiSpec.double_phase(const_field(3, 2.0, 2.5, 0.0))
-        assert phi_inverse(spec, None, 0.0) == 0.0
-
-    def test_double_phase_case(self):
-        spec = PhiSpec.double_phase(const_field(3, 2.0, 3.0, 1.0))
-        t = phi_inverse(spec, None, 12.0)
-        assert t == pytest.approx(2.0, abs=1e-10)
-
-    def test_round_trip_sampled(self, rng):
-        tol = 1e-12
-        for _ in range(60):
-            f = random_field_h3(rng)
-            spec = PhiSpec.double_phase(f)
-            t = rng.uniform(0.0, 8.0)
-            s = eval_phi(spec, None, t)
-            back = phi_inverse(spec, None, s, tol=tol)
-            assert eval_phi(spec, None, back) == pytest.approx(s, rel=0, abs=10 * tol * max(1, s))
-
-    def test_negative_value_rejected(self):
-        spec = PhiSpec.double_phase(const_field(3, 2.0, 2.5, 0.0))
-        with pytest.raises(DomainError):
-            phi_inverse(spec, None, -1.0)
-
-    @pytest.mark.parametrize("p,s", [(1e-3, 10.0), (1e-3, 0.1), (1e-300, 4.0), (1e-300, 1.0)])
-    def test_an_inverse_beyond_the_double_range_is_a_convergence_error(self, p, s):
-        # t^p + t^p: t = (s/2)^(1/p) overflows (s > 2) or underflows (s < 2)
-        spec = PhiSpec.double_phase(const_field(3, p, p, 1.0))
-        with pytest.raises(ConvergenceError, match="double range"):
-            phi_inverse(spec, None, s)
-
-    def test_an_inverse_near_the_end_of_the_double_range_is_found(self):
-        # t = s^1000 = 1 / lam with log lam = 709.3, 0.5 below log(max double):
-        # the bracket widened by a factor 2 crosses that end and is cut there
-        spec = PhiSpec.double_phase(const_field(3, 1e-3, 2.0, 0.0))
-        assert phi_inverse(spec, None, 0.492) == pytest.approx(0.492**1000, rel=1e-8)
-
-    @pytest.mark.parametrize("spec", nodewise_specs(), ids=lambda s: s.kind)
-    def test_round_trip_every_kind(self, spec):
-        tol = 1e-12
-        for x in range(3):
-            for s in (1e-6, 0.3, 1.0, 7.0, 1e4):
-                t = phi_inverse(spec, x, s, tol=tol)
-                assert abs(eval_phi(spec, x, t) - s) <= tol * max(1.0, s)
 
 
 class TestPhiSpecWindows:

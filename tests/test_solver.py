@@ -263,6 +263,58 @@ class TestSolutionsFeedTruncationMachinery:
         assert report.found and report.bound_ok
 
 
+def exact_1d_solution(p, q, mu, x):
+    """The solution of -(psi(s, u'))' = 1 on (0, 1) with u(0) = u(1) = 0 at
+    the increasing nodes ``x`` (from 0 to 1), where psi(s, t) = |t|^(p-2) t
+    + mu |t|^(q-2) t and p, q, mu are functions of s.  The flux is
+    psi(s, u') = c - s, so u' = psi(s, .)^-1(c - s), with c fixed by the
+    integral of u' over (0, 1) being 0, and u is the integral of u'."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    def du(s, c):
+        flux = c - s
+        if flux == 0.0:
+            return 0.0
+        a, b, m = p(s), q(s), mu(s)
+        # tau^(a-1) + m tau^(b-1) = |flux| has its root below |flux|^(1/(a-1))
+        tau = brentq(lambda t: t ** (a - 1) + m * t ** (b - 1) - abs(flux), 0.0, abs(flux) ** (1 / (a - 1)),
+                     xtol=1e-15)
+        return np.copysign(tau, flux)
+
+    def integral(lo, hi, c):
+        return quad(du, lo, hi, args=(c,), points=[c] if lo < c < hi else None, epsabs=1e-14)[0]
+
+    c = brentq(lambda c: integral(0.0, 1.0, c), 0.0, 1.0, xtol=1e-14)
+    return np.concatenate([[0.0], np.cumsum([integral(lo, hi, c) for lo, hi in zip(x[:-1], x[1:])])])
+
+
+# The exponent fields of the 1D oracle cases, as functions of s, and the node counts solved.
+ORACLE_CASES = {
+    "constant": ((lambda s: 1.6, lambda s: 2.9, lambda s: 0.7), (17, 33, 65, 129, 257)),
+    # n = 257 stops at the iteration cap at the default grad_tol
+    "variable": ((lambda s: 1.5 + 0.3 * s, lambda s: 2.2 + 0.5 * s * s, lambda s: 0.5 + np.sin(np.pi * s) ** 2),
+                 (17, 33, 65, 129)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_the_1d_solve_converges_to_the_exact_solution_at_second_order(case):
+    (p, q, mu), sizes = ORACLE_CASES[case]
+    fine = GridDomain.interval(sizes[-1]).axes[0]
+    exact = exact_1d_solution(p, q, mu, fine)
+    errors = []
+    for n in sizes:
+        dom = GridDomain.interval(n)
+        x = dom.axes[0]
+        field = dom.constant_field(3, p(x), q(x), mu(x))
+        u, rep = solve(ProblemSpec(dom, field, GridFunction.constant(dom, 1.0)))
+        assert rep.converged, (n, rep.message)
+        errors.append(np.max(np.abs(u.values - exact[::(sizes[-1] - 1) // (n - 1)])))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 1.9), (errors, orders)
+
+
 # ---------------------------------------------------------------------------
 # Cached metric factor reused as a CG preconditioner
 # ---------------------------------------------------------------------------
