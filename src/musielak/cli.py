@@ -16,11 +16,15 @@ subcommand reads these payload keys (default in brackets, none means required):
   ["unit"]
 - recursion: K, b, mu1, mu2, Z0, n_max [200]
 - solve: field, grid, function or source [0], bc ["dirichlet-zero"], flux
-  [none], grad_tol [1e-10], max_iter [200]; a solve fails (exit 1) unless
-  the energy gradient on the free nodes reaches grad_tol in the max-norm
+  [none], grad_tol [1e-10], max_iter [200, at most 10000]; a solve fails
+  (exit 1) unless the energy gradient on the free nodes reaches grad_tol in
+  the max-norm
 - bound-check: field, grid, function, regime ["subcritical-D"], r, s, l, h
   [none], constants [the BoundConstants defaults], kappa_grid [16 geometric
-  levels up to max |u| + 1]
+  levels up to max |u| + 1]; each candidate runs for at most 60 levels, and
+  a level has decayed when its energy is at most 1e-12
+
+norm, solve and bound-check need a bounded mu in the field.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
 All outputs land under the directory given by --output; a JSON output is
@@ -43,7 +47,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +188,7 @@ def _cmd_norm(payload: dict) -> tuple[dict, bool]:
             modular = modular_rho(spec, u)
         else:
             raise DomainError(f"unknown norm type {which!r}")
-    out = io.norm_result_to_json(result)
+    out = asdict(result)
     if modular is not None:
         out["modular_of_u"] = modular
     return {"norm.json": out}, True
@@ -266,10 +270,7 @@ def _cmd_embed_scan(payload: dict) -> tuple[dict, bool]:
 
 
 def _cmd_recursion(payload: dict) -> tuple[dict, bool]:
-    try:
-        K, b, mu1, mu2, z0 = (io.number_from_json(payload[k], k) for k in ("K", "b", "mu1", "mu2", "Z0"))
-    except KeyError as exc:
-        raise DomainError(f"recursion payload missing {exc}")
+    K, b, mu1, mu2, z0 = (io.number_from_json(payload[k], k) for k in ("K", "b", "mu1", "mu2", "Z0"))
     params = degiorgi.RecursionParams(K=K, b=b, mu1=mu1, mu2=mu2)
     trace = degiorgi.iterate_recursion(z0, params, **_given(payload, "n_max"))
     out = {
@@ -336,11 +337,12 @@ def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
 
     psi_norm = None
     bound = None
-    if regime.startswith("subcritical") and "r" in kw and "s" in kw:
+    # two_sided_bound has raised HypothesisError if a regime's exponents are missing.
+    if regime.startswith("subcritical"):
         spec = PhiSpec.subcritical(field, kw["r"], kw["s"])
         psi_norm = luxemburg_norm(spec, u).value
         upsilon = None
-        if regime.endswith("-N") and "l" in kw and "h" in kw:
+        if regime.endswith("-N"):
             upsilon = boundary_norm(PhiSpec.subcritical_trace(field, kw["l"], kw["h"]), u).value
         bound = _finite_or_none(degiorgi.bound_estimate(psi_norm, constants, regime, upsilon_norm=upsilon))
     out = {
@@ -398,7 +400,10 @@ def run(command: str, input_path: Path, output_dir: Path) -> int:
         outputs, passed = handler(_load_json(input_path))
         _write(output_dir, outputs)
         return EXIT_OK if passed else EXIT_CHECK_FAILED
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"input error: missing key {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except ValueError as exc:
         # ValueError covers every toolkit error about the input: DomainError,
         # GridMismatchError, HypothesisError, SingularityError, ContractError.
         print(f"input error: {exc}", file=sys.stderr)

@@ -57,10 +57,11 @@ _REL_ERR = 1e-10
 _DELTA_LOSS = 4.0
 # Above this b the Pfaff form of the hypergeometric function is used.
 _PFAFF_B = 20.0
-# Steps either Newton loop may take, and the tolerance the bound checks solve
-# the conjugate to.
+# Steps either Newton loop may take, the tolerance ``conjugate_batch`` solves
+# to, and the slack at which a bound passes.
 _MAX_ITER = 200
-_VERIFY_TOL = 1e-11
+_SOLVE_TOL = 1e-11
+_PASS_TOL = 1e-10
 
 
 def _require_admissible(N, p, q, mu):
@@ -165,23 +166,24 @@ def conjugate_inverse_batch(N, p, q, mu, s, normalized=False):
     return vals, np.maximum(_REL_ERR * np.abs(vals), _DELTA_LOSS * np.finfo(float).eps / delta * scale)
 
 
-def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False):
+def conjugate_batch(N, p, q, mu, t, normalized=False):
     """Sobolev conjugate values at arguments ``t``, batched.
 
     Solves ``inverse(W(T)) = t`` by Newton in log T and returns ``s = W(T)``:
     the inverse is convex and increasing in log s, and log W is convex in
     log T, so the inverse is convex and increasing in log T and Newton
-    converges.  Each row takes one step past ``|resid| <= tol max(1, t)`` and
-    stops, so a value does not depend on its batch.  One
-    ``conjugate_inverse_batch`` call then certifies the values (a conjugate
-    that overflows, or underflows to zero, fails with ConvergenceError).
+    converges.  Each row takes one step past
+    ``|resid| <= _SOLVE_TOL max(1, t)`` and stops, so a value does not
+    depend on its batch.  One ``conjugate_inverse_batch`` call then
+    certifies the values (a conjugate that overflows, or underflows to zero,
+    fails with ConvergenceError).
     Normalized rows with t up to the value at s = 1 + mu are closed form.
     """
     N, p, q, mu, t = _broadcast_inputs(N, p, q, mu, t)
     _require_admissible(N, p, q, mu)
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("the conjugate is defined for finite t >= 0")
-    target = tol * np.maximum(1.0, t)
+    target = _SOLVE_TOL * np.maximum(1.0, t)
     out = np.zeros_like(t)
     rhs = t.copy()
     rows = np.nonzero(t > 0)[0]
@@ -222,16 +224,15 @@ def conjugate_batch(N, p, q, mu, t, tol=1e-10, normalized=False):
 
 @dataclass
 class BoundReport:
-    """Per-sample slack of verified inequalities; slack >= -tol means pass."""
+    """Per-sample slack of verified inequalities; slack >= -_PASS_TOL means pass."""
 
     samples: list  # (x, t) pairs
     slacks: dict  # name -> normalized slack array
-    tol: float
     conjugate: np.ndarray  # conjugate values the slacks were computed from
 
     @property
     def all_pass(self) -> bool:
-        return all(bool(np.all(v >= -self.tol)) for v in self.slacks.values())
+        return all(bool(np.all(v >= -_PASS_TOL)) for v in self.slacks.values())
 
 
 def _sample_arrays(field: ExponentField, samples):
@@ -271,17 +272,16 @@ def _slacks(N, p, q, mu, t, h_star, const):
     }
 
 
-def verify_conjugate_bounds(field: ExponentField, samples, tol: float = 1e-9,
-                            normalized: bool = False) -> BoundReport:
+def verify_conjugate_bounds(field: ExponentField, samples, normalized: bool = False) -> BoundReport:
     """Slacks of the conjugate's four inequalities at the (node, t) samples.
 
     ``power_p`` and ``power_q`` are the two power lower bounds on the
     conjugate, ``critical_domination`` the domination of the critical
     function and ``trace_domination`` that of the trace-critical function by
     the (N-1)/N power of the conjugate.  The samples are read once and the
-    conjugate is solved to ``_VERIFY_TOL`` in one ``conjugate_batch`` call
-    over all of them.  Slacks are normalized by max(1, dominant side); the
-    bound holds when the slack is >= -tol.  Raises DomainError when the
+    conjugate is solved in one ``conjugate_batch`` call over all of them.
+    Slacks are normalized by max(1, dominant side); the bound holds when the
+    slack is >= -``_PASS_TOL``.  Raises DomainError when the
     domination constant max q*(x)^q*(x) overflows.
     """
     _require_admissible(field.N, field.p, field.q, field.mu)
@@ -292,14 +292,13 @@ def verify_conjugate_bounds(field: ExponentField, samples, tol: float = 1e-9,
         raise DomainError(f"domination constant max q*(x)^q*(x) overflows (q* up to {np.max(qq):.6g})")
     xs, p, q, mu, t = _sample_arrays(field, samples)
     N = float(field.N)
-    h_star = conjugate_batch(N, p, q, mu, t, tol=_VERIFY_TOL, normalized=normalized)
-    return BoundReport(list(zip(xs, t)), _slacks(N, p, q, mu, t, h_star, const), tol, h_star)
+    h_star = conjugate_batch(N, p, q, mu, t, normalized=normalized)
+    return BoundReport(list(zip(xs, t)), _slacks(N, p, q, mu, t, h_star, const), h_star)
 
 
-def tabulate_bounds(field: ExponentField, nodes, ts, tol: float = 1e-10,
-                    normalized: bool = False) -> BoundReport:
+def tabulate_bounds(field: ExponentField, nodes, ts, normalized: bool = False) -> BoundReport:
     """``verify_conjugate_bounds`` at every (node, t) of ``nodes`` x ``ts``,
-    in node-major order, with pass tolerance ``tol``."""
+    in node-major order."""
     ts = np.asarray(ts, dtype=float).tolist()
     samples = ((x, s) for x in nodes for s in ts)  # read once, so no list during the solve
-    return verify_conjugate_bounds(field, samples, tol, normalized=normalized)
+    return verify_conjugate_bounds(field, samples, normalized=normalized)

@@ -54,6 +54,10 @@ _SENTINEL = 1e150  # recursion values beyond this count as divergence
 # Most recursion steps one run may take: a cap far past any collapse the
 # thresholds certify, so an input cannot ask for minutes of work.
 _N_MAX_CAP = 100_000
+# The levels empirical_iteration walks per candidate, and the energy at or
+# below which a level has decayed.
+_N_LEVELS = 60
+_DECAY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +442,18 @@ def empirical_iteration(
     s=None,
     l=None,
     h=None,
-    n_max: int = 60,
-    decay_tol: float = 1e-12,
 ) -> IterationReport:
     """Grid search for the smallest admissible starting level.
 
     Candidates must be finite; nonpositive ones are skipped.  For each other
     candidate the entry condition must be < 1 and the energy sequence must
-    decay below ``decay_tol`` within ``n_max`` steps.  The energies do not
-    increase with the level, so a candidate whose level ``n_max`` is above
-    ``decay_tol`` is settled by that one evaluation, with the final energy the
-    full walk would end on; the others walk up from n = 0.  The report carries
-    the one-sided supremum of u over interior nodes and whether it is bounded
-    by twice the chosen level (plus one-cell slack).  ``n_max`` must be a
-    nonnegative integer and ``decay_tol`` a nonnegative number.
+    decay to at most ``_DECAY_TOL`` within ``_N_LEVELS`` steps.  The energies
+    do not increase with the level, so a candidate whose level ``_N_LEVELS``
+    is above ``_DECAY_TOL`` is settled by that one evaluation, with the final
+    energy the full walk would end on; the others walk up from n = 0.  The
+    report carries the one-sided supremum of u over interior nodes and whether
+    it is bounded by twice the chosen level (plus one-cell slack).
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    if not decay_tol >= 0.0:
-        raise DomainError(f"decay_tol must be nonnegative, got {decay_tol!r}")
     kappas = sorted(float(k) for k in kappa_star_grid)
     if not np.all(np.isfinite(kappas)):
         raise DomainError("kappa_star candidates must be finite")
@@ -471,16 +468,16 @@ def empirical_iteration(
         if kappa <= 0:
             continue
         entry = entry_condition(u, field, regime, kappa, _levels=levels)
-        ladder = kappa_sequence(kappa, np.arange(n_max + 1))
+        ladder = kappa_sequence(kappa, np.arange(_N_LEVELS + 1))
         # the energies never increase with n: an undecayed last level settles kappa
-        energies = [IterationEnergy(regime, n_max, float(ladder[-1]), *levels.energy(ladder[-1]))]
-        if energies[-1].total <= decay_tol:
+        energies = [IterationEnergy(regime, _N_LEVELS, float(ladder[-1]), *levels.energy(ladder[-1]))]
+        if energies[-1].total <= _DECAY_TOL:
             energies = []
             for n, kappa_n in enumerate(ladder):
                 energies.append(IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
-                if energies[-1].total <= decay_tol:
+                if energies[-1].total <= _DECAY_TOL:
                     break
-        decayed = energies[-1].total <= decay_tol
+        decayed = energies[-1].total <= _DECAY_TOL
         candidates.append((kappa, entry, decayed, energies[-1].total))
         if entry < 1.0 and decayed and chosen is None:
             chosen = kappa
@@ -496,7 +493,9 @@ def two_sided_bound(
     kappa_star_grid,
     **kw,
 ) -> IterationReport:
-    """Run the iteration for u and for -u and bound max |u| by twice the level."""
+    """Run the iteration for u and for -u and bound max |u| by twice the level.
+
+    ``kw`` holds the exponents r, s, l and h of ``empirical_iteration``."""
     up = empirical_iteration(u, field, regime, kappa_star_grid, **kw)
     down = empirical_iteration(-u, field, regime, kappa_star_grid, **kw)
     dom = u.domain

@@ -1,5 +1,8 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["ToolkitError", "DomainError", "GridMismatchError", "SingularityError",
+           "HypothesisError", "ConvergenceError", "ContractError"]
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .modular import GridDomain, GridFunction, NormResult
+from .modular import GridDomain, GridFunction
 from .phi_core import ExponentField
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "function_from_json",
     "function_to_csv",
     "function_from_csv",
-    "norm_result_to_json",
     "number_from_json",
     "array_from_json",
     "load_function",
@@ -179,11 +178,3 @@ def load_function(path, domain: GridDomain | None = None) -> GridFunction:
     if domain is not None and u.domain != domain:
         raise DomainError(f"{path}: the function's lattice {u.domain} is not the payload's {domain}")
     return u
-
-
-def norm_result_to_json(result: NormResult) -> dict:
-    return {
-        "value": result.value,
-        "modular_at_value": result.modular_at_value,
-        "iterations": result.iterations,
-    }

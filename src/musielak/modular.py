@@ -255,6 +255,8 @@ _LN2 = math.log(2.0)
 # |log lam| <= _LOG_MAX keeps both lam and 1 / lam finite doubles.
 _LOG_MAX = math.log(sys.float_info.max)
 _MAX_EVALS = 100
+# Every norm is solved until its modular is within this of 1.
+_NORM_TOL = 1e-10
 
 
 def _unit_root(rho, rho_one, lo_exp, hi_exp, tol):
@@ -317,14 +319,12 @@ def _unit_root(rho, rho_one, lo_exp, hi_exp, tol):
     return last[0], last[1], evals
 
 
-def _norm(spec: PhiSpec, terms, rho_u: float, tol: float) -> NormResult:
-    """The lam with sum of w * phi(t / lam) over ``terms`` = 1, to ``tol``.
+def _norm(spec: PhiSpec, terms, rho_u: float) -> NormResult:
+    """The lam with sum of w * phi(t / lam) over ``terms`` = 1, to ``_NORM_TOL``.
 
     ``terms`` are (weights, magnitudes) pairs over the nodes of ``spec``;
     ``rho_u`` is the modular at lam = 1.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
     # The spec's own exponents, not exponent_bounds(): the normalized kind's start at 1.
     smallest = float(min(np.min(spec.lo), np.min(spec.hi)))
     if smallest <= 0.0:  # a NaN exponent gives a NaN modular, which fails the tolerance test
@@ -332,32 +332,32 @@ def _norm(spec: PhiSpec, terms, rho_u: float, tol: float) -> NormResult:
     if rho_u == 0.0:
         return NormResult(0.0, 0.0, 0)
     lam, val, it = _unit_root(lambda lam: _terms_modular(spec, terms, lam), rho_u, *spec.exponent_bounds(),
-                              math.log1p(tol))
-    if not abs(val - 1.0) <= tol:
+                              math.log1p(_NORM_TOL))
+    if not abs(val - 1.0) <= _NORM_TOL:
         raise ConvergenceError(f"norm root-finder stalled at lam={lam} with modular {val}")
     return NormResult(lam, val, it)
 
 
-def luxemburg_norm(spec: PhiSpec, u: GridFunction, tol: float = 1e-10) -> NormResult:
+def luxemburg_norm(spec: PhiSpec, u: GridFunction) -> NormResult:
     """The Luxemburg norm of u for the selected Phi-function.
 
     Zero function maps to norm 0; otherwise the unique lam > 0 with
-    modular(u/lam) = 1 is found to within ``tol`` in the modular value.
+    modular(u/lam) = 1 is found to within ``_NORM_TOL`` in the modular value.
     """
     terms = [(u.domain.interior_weights, np.abs(u.values))]
-    return _norm(spec, terms, modular_rho(spec, u), tol)
+    return _norm(spec, terms, modular_rho(spec, u))
 
 
-def sobolev_norm(field: ExponentField, u: GridFunction, tol: float = 1e-10) -> NormResult:
+def sobolev_norm(field: ExponentField, u: GridFunction) -> NormResult:
     """Luxemburg-type norm driven by the gradient-plus-function modular."""
     spec = PhiSpec.double_phase(field)
     _require_same_nodes(spec, u)
     w = u.domain.interior_weights
     terms = [(w, np.abs(u.values)), (w, u.gradient_magnitude())]
-    return _norm(spec, terms, _terms_modular(spec, terms), tol)
+    return _norm(spec, terms, _terms_modular(spec, terms))
 
 
-def boundary_norm(spec: PhiSpec, u: GridFunction, tol: float = 1e-10) -> NormResult:
+def boundary_norm(spec: PhiSpec, u: GridFunction) -> NormResult:
     """Luxemburg norm over the boundary layer with facet weights."""
     terms = [(u.domain.boundary_weights, np.abs(u.values))]
-    return _norm(spec, terms, boundary_modular(spec, u), tol)
+    return _norm(spec, terms, boundary_modular(spec, u))

@@ -210,15 +210,20 @@ class PhiSpec:
 
     Every kind except the normalized one evaluates as
     ``t^lo(x) + weight(x) * t^hi(x)`` with kind-specific exponent and weight
-    arrays; the normalized kind is linear below t=1.
+    arrays; the normalized kind is linear below t=1.  The weight must be
+    finite: an infinite one makes ``weight * 0^hi`` NaN, so Phi(0) = 0 fails.
     """
 
     kind: str
     base: ExponentField
-    lo: np.ndarray = field(repr=False, default=None)
-    hi: np.ndarray = field(repr=False, default=None)
-    weight: np.ndarray = field(repr=False, default=None)
-    mode: str = "subcritical"
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.weight)):
+            cause = "mu is unbounded" if np.any(np.isinf(self.base.mu)) else "it overflows the double range"
+            raise DomainError(f"the {self.kind} Phi-function needs a finite weight, but {cause}")
 
     # -- constructors -------------------------------------------------------
 
@@ -252,7 +257,7 @@ class PhiSpec:
         r = _as_field_array(r, base.shape)
         s = _as_field_array(s, base.shape)
         _check_subcritical_window(base, r, s, base.critical("p"), base.critical("q"), mode)
-        return cls("subcritical", base, r, s, _upper_weight(base, s), mode=mode)
+        return cls("subcritical", base, r, s, _upper_weight(base, s))
 
     @classmethod
     def subcritical_trace(cls, base: ExponentField, l, h, mode: str = "subcritical") -> "PhiSpec":
@@ -260,7 +265,7 @@ class PhiSpec:
         l = _as_field_array(l, base.shape)
         h = _as_field_array(h, base.shape)
         _check_subcritical_window(base, l, h, base.critical_trace("p"), base.critical_trace("q"), mode)
-        return cls("subcritical_trace", base, l, h, _upper_weight(base, h), mode=mode)
+        return cls("subcritical_trace", base, l, h, _upper_weight(base, h))
 
     @classmethod
     def weighted(cls, base: ExponentField, r, s, alpha) -> "PhiSpec":
@@ -302,10 +307,7 @@ def _upper_weight(base, expo):
     """mu(x)^{expo(x)/q(x)}, the weight of an upper phase rescaled from q to ``expo``."""
     if not np.all(base.q > 0.0):
         raise DomainError(f"the weight mu^(s/q) needs exponents q > 0, got a smallest q of {base.q_minus:g}")
-    weight = _mu_power(base.mu, expo / base.q)
-    if np.any(np.isinf(weight) & np.isfinite(base.mu)):
-        raise DomainError("the weight mu^(s/q) overflows the double range for a finite mu")
-    return weight
+    return _mu_power(base.mu, expo / base.q)
 
 
 def _phi(kind, t, lo, hi, w):

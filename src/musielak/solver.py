@@ -86,6 +86,9 @@ __all__ = [
 
 # The regularization eps under the gradient powers (see the module docstring).
 _EPS_REG = 1e-12
+# The largest max_iter: 50 times the default, so an input cannot ask for hours
+# of work (each iteration also keeps one energy in the report's history).
+_MAX_ITER_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,8 @@ class ProblemSpec:
     boundary flux ``flux``).  Neumann data must be compatible: source and flux
     together integrate to zero and have no component along the sign patterns
     the cell gradient cannot see, or the energy is unbounded below along the
-    kernel and ``DomainError`` is raised.
+    kernel and ``DomainError`` is raised.  ``max_iter`` is at most
+    ``_MAX_ITER_CAP``.
     """
 
     domain: GridDomain
@@ -115,14 +119,15 @@ class ProblemSpec:
         if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 <= tol < np.inf:
             raise DomainError(f"grad_tol must be a finite number >= 0, got {tol!r}")
         cap = self.max_iter
-        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-            raise DomainError(f"max_iter must be a positive integer, got {cap!r}")
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or not 1 <= cap <= _MAX_ITER_CAP:
+            raise DomainError(f"max_iter must be an integer from 1 to {_MAX_ITER_CAP}, got {cap!r:.40}")
         if self.f.domain.shape != self.domain.shape:
             raise DomainError("source term lives on a different grid")
         if self.field.shape not in ((), self.domain.shape):
             raise DomainError("exponent field lives on a different grid")
-        if np.any(self.field.p < 1.0) or np.any(self.field.q < 1.0) or np.any(self.field.mu < 0.0):
-            raise HypothesisError("need p, q >= 1 and mu >= 0 for a convex energy")
+        mu = self.field.mu
+        if np.any(self.field.p < 1.0) or np.any(self.field.q < 1.0) or not np.all((0.0 <= mu) & (mu < np.inf)):
+            raise HypothesisError("need p, q >= 1 and a bounded mu >= 0 for a convex energy")
         if self.bc == "neumann" and self.flux is not None:
             if self.flux.domain.shape != self.domain.shape:
                 raise DomainError("flux term lives on a different grid")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import musielak
 from musielak import ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi, verify_conjugate_bounds
-from musielak import DomainError, GridFunction, cli, degiorgi, embedding_lab, io, solver
+from musielak import DomainError, GridFunction, HypothesisError, cli, degiorgi, embedding_lab, io, solver
 from conftest import function_json
 
 
@@ -53,9 +53,10 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "norm", payload)
         assert code == cli.EXIT_INPUT_ERROR
 
-    def test_missing_key_is_an_input_error(self, tmp_path):
+    def test_missing_key_is_an_input_error(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "recursion", {"K": 1.0})
         assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "input error: missing key 'b'\n"
 
     def test_convergence_failure_is_a_failed_check(self, tmp_path, monkeypatch):
         def stalled(payload):
@@ -117,7 +118,7 @@ SLACK_COLUMNS = {"slack_power_p": "power_p", "slack_power_q": "power_q",
 
 
 def _conjugate_rtol(t):
-    # conjugate_batch stops when |t - H*^{-1}(h)| <= tol * max(1, t): absolute
+    # conjugate_batch stops when |t - H*^{-1}(h)| <= _SOLVE_TOL * max(1, t): absolute
     # below t = 1, so two solves agree only to about tol / t there.
     return 1e-9 * max(1.0, 1.0 / t) if t > 0 else 0.0
 
@@ -143,7 +144,7 @@ def test_one_pass_table_matches_separate_solves(tmp_path, normalized):
     ts = np.array(MIXED_TS)
     for x in range(4):
         node_rows = rows[x * ts.size:(x + 1) * ts.size]
-        h_ref = conjugate_batch(3, *field.at(x), ts, tol=1e-10, normalized=normalized)
+        h_ref = conjugate_batch(3, *field.at(x), ts, normalized=normalized)
         samples = [(x, t) for t in ts]
         slacks = verify_conjugate_bounds(field, samples, normalized=normalized).slacks
         for i, (row, t) in enumerate(zip(node_rows, ts)):
@@ -412,6 +413,20 @@ def test_bad_solve_tolerance_or_cap_is_an_input_error(tmp_path, capsys, bad):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("max_iter", [solver._MAX_ITER_CAP + 1, 10**400], ids=["cap+1", "10**400"])
+def test_solve_cap_above_the_limit_is_an_input_error(tmp_path, capsys, max_iter):
+    code, out = _run(tmp_path, "solve", dict(BOX9, max_iter=max_iter))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "max_iter" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_solve_cap_at_the_limit_is_accepted():
+    field, domain = cli._field_and_domain(BOX9, need_domain=True)
+    spec = solver.ProblemSpec(domain, field, GridFunction.constant(domain, 1.0), max_iter=solver._MAX_ITER_CAP)
+    assert spec.max_iter == solver._MAX_ITER_CAP
+
+
 @pytest.mark.parametrize("n_max", [2.7, True, 0, 10**400, degiorgi._N_MAX_CAP + 1])
 def test_bad_recursion_cap_is_an_input_error(tmp_path, capsys, n_max):
     payload = json.loads((DATA / "cli_recursion.json").read_text())
@@ -664,9 +679,19 @@ def test_phi_spec_matches_its_constructor(kind, mode):
     if mode is not None and kind.startswith("subcritical"):
         args.append(mode)
     want = constructor(SPEC_FIELD, *args)
-    assert got.kind == want.kind == kind and got.mode == want.mode
+    assert got.kind == want.kind == kind
     for name in ("lo", "hi", "weight"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    if kind.startswith("subcritical"):
+        # The mode chooses the window check: a lower exponent at its critical
+        # cap passes in critical mode only.
+        key, cap = ("l", SPEC_FIELD.critical_trace("p")) if kind.endswith("trace") else ("r", SPEC_FIELD.critical("p"))
+        at_cap = dict(payload, **{key: cap.tolist()})
+        if mode == "critical":
+            cli._phi_spec(at_cap, SPEC_FIELD)
+        else:
+            with pytest.raises(HypothesisError, match="subcritical mode"):
+                cli._phi_spec(at_cap, SPEC_FIELD)
 
 
 @pytest.mark.parametrize("kind,key", [("subcritical", "r"), ("subcritical", "s"), ("subcritical_trace", "l"),
@@ -964,3 +989,39 @@ def test_a_function_file_is_read_on_the_payloads_lattice_only(tmp_path, capsys, 
         err = capsys.readouterr().err
         assert repr(u.domain) in err and repr(io.grid_from_json(grid)) in err
         assert list(out.iterdir()) == []
+
+
+def _with_mu(name, mu, **change):
+    """The committed input ``name`` with ``mu`` at node 0 (everywhere when its mu is a number)."""
+    payload = dict(json.loads((DATA / f"{name}.json").read_text()), **change)
+    field = payload["field"]
+    if isinstance(field["mu"], list):
+        field["mu"][0][0] = mu
+    else:
+        field["mu"] = mu
+    return payload
+
+
+@pytest.mark.parametrize("command,name,mu,change", [
+    ("norm", "cli_norm_luxemburg", np.inf, {}),
+    ("norm", "cli_norm_sobolev", np.inf, {}),
+    ("norm", "cli_norm_boundary", np.inf, {}),
+    ("norm", "cli_norm_luxemburg", 1e10, {"kind": "weighted", "r": 1.5, "s": 2.5, "alpha": 40.0}),
+    ("solve", "cli_solve", np.inf, {}),
+    ("bound-check", "bound_check_subcritical-D", np.inf, {}),
+    ("bound-check", "bound_check_critical-N", np.inf, {}),
+], ids=["luxemburg", "sobolev", "boundary", "weighted-overflow", "solve", "subcritical-D", "critical-N"])
+def test_an_infinite_phi_weight_is_an_input_error(tmp_path, capsys, command, name, mu, change):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(tmp_path, command, _with_mu(name, mu, **change))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "input error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert caught == []
+
+
+def test_embed_scan_does_not_read_the_fields_mu(tmp_path):
+    code, out = _run(tmp_path, "embed-scan", _with_mu("cli_embed_scan", np.inf))
+    assert code == cli.EXIT_OK
+    assert (out / "embed_scan.csv").read_bytes() == (DATA / "cli_embed_scan.golden.csv").read_bytes()

@@ -101,22 +101,22 @@ class TestConjugate:
     def test_pure_power_closed_form(self):
         # H*(t) = (t/p*)^{p*}; N=4, p=2: (8/4)^4 = 16
         f = pure_power_field()
-        assert conjugate_batch(f.N, *f.at(None), 8.0, tol=1e-11)[0] == pytest.approx(16.0, rel=1e-9)
+        assert conjugate_batch(f.N, *f.at(None), 8.0)[0] == pytest.approx(16.0, rel=1e-9)
 
     def test_zero(self):
         f = pure_power_field()
         assert conjugate_batch(f.N, *f.at(None), 0.0)[0] == 0.0
 
     def test_round_trip(self, rng):
-        tol = 1e-11
+        tol = importlib.import_module("musielak.conjugate")._SOLVE_TOL
         ts = rng.uniform(0.01, 20.0, 12)
-        back, _ = conjugate_inverse_batch(4, 2.0, 3.0, 1.0, conjugate_batch(4, 2.0, 3.0, 1.0, ts, tol=tol))
+        back, _ = conjugate_inverse_batch(4, 2.0, 3.0, 1.0, conjugate_batch(4, 2.0, 3.0, 1.0, ts))
         assert np.all(np.abs(back - ts) <= 10 * tol * np.maximum(1.0, ts))
 
     def test_increasing_and_convex_sampled(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
         ts = np.linspace(0.0, 6.0, 25)
-        vals = conjugate_batch(4.0, 2.0, 3.0, 1.0, ts, tol=1e-11)
+        vals = conjugate_batch(4.0, 2.0, 3.0, 1.0, ts)
         assert np.all(np.diff(vals) > 0)
         assert np.all(np.diff(vals, 2) >= -1e-8)
 
@@ -143,9 +143,9 @@ class TestConjugate:
 
     def test_batch_matches_scalar(self, rng):
         ts = rng.uniform(0.0, 10.0, 6)
-        batch = conjugate_batch(5.0, 1.8, 2.7, 0.6, ts, tol=1e-11)
+        batch = conjugate_batch(5.0, 1.8, 2.7, 0.6, ts)
         for t, v in zip(ts, batch):
-            assert conjugate_batch(5.0, 1.8, 2.7, 0.6, float(t), tol=1e-11)[0] == pytest.approx(v, rel=1e-9)
+            assert conjugate_batch(5.0, 1.8, 2.7, 0.6, float(t))[0] == pytest.approx(v, rel=1e-9)
 
 
 class TestBoundVerification:
@@ -153,31 +153,29 @@ class TestBoundVerification:
         # with mu = 0 the p-power bound is an equality everywhere
         f = pure_power_field(N=4, p=2.0)
         ts = [0.5, 1.0, 3.0, 10.0]
-        rep = verify_conjugate_bounds(f, [(None, t) for t in ts], tol=1e-9)
+        rep = verify_conjugate_bounds(f, [(None, t) for t in ts])
         assert rep.all_pass
         assert np.max(np.abs(rep.slacks["power_p"])) <= 1e-8
 
     def test_zero_argument_all_slack_zero(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
-        rep = verify_conjugate_bounds(f, [(None, 0.0)], tol=1e-9)
+        rep = verify_conjugate_bounds(f, [(None, 0.0)])
         assert rep.all_pass
         assert rep.slacks["power_p"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_double_phase_bounds_hold(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
-        rep = verify_conjugate_bounds(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)], tol=1e-9)
+        rep = verify_conjugate_bounds(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)])
         assert rep.all_pass, rep.slacks
 
     def test_trace_bound_pure_power(self):
         f = pure_power_field(N=4, p=2.0)
-        trace = verify_conjugate_bounds(f, [(None, t) for t in np.linspace(0.0, 10.0, 21)],
-                                        tol=1e-9).slacks["trace_domination"]
+        trace = verify_conjugate_bounds(f, [(None, t) for t in np.linspace(0.0, 10.0, 21)]).slacks["trace_domination"]
         assert np.all(trace >= -1e-9), np.min(trace)
 
     def test_trace_bound_double_phase(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
-        trace = verify_conjugate_bounds(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)],
-                                        tol=1e-9).slacks["trace_domination"]
+        trace = verify_conjugate_bounds(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)]).slacks["trace_domination"]
         assert np.all(trace >= -1e-9), np.min(trace)
 
     def test_nodewise_fields(self, rng):
@@ -188,7 +186,7 @@ class TestBoundVerification:
         samples = [(i, float(t)) for i, t in enumerate(rng.uniform(0.0, 8.0, 7))]
         rep = verify_conjugate_bounds(f, samples)
         assert rep.all_pass
-        assert np.all(rep.slacks["trace_domination"] >= -rep.tol)
+        assert np.all(rep.slacks["trace_domination"] >= -importlib.import_module("musielak.conjugate")._PASS_TOL)
 
     def test_domination_slacks_use_the_phi_spec_critical_functions(self):
         # a node with mu = 0 and samples at t = 0: the slacks hold exactly the
@@ -252,7 +250,7 @@ class TestTabulateBounds:
             for x in nodes:
                 rows = slice(x * self.TS.size, (x + 1) * self.TS.size)
                 rep_node = tabulate_bounds(self.FIELD, [x], self.TS, normalized=normalized)
-                h_node = conjugate_batch(3, *self.FIELD.at(x), self.TS, tol=1e-11, normalized=normalized)
+                h_node = conjugate_batch(3, *self.FIELD.at(x), self.TS, normalized=normalized)
                 assert np.all(report.conjugate[rows] == rep_node.conjugate)
                 assert np.all(report.conjugate[rows] == h_node)
                 for name, vals in rep_node.slacks.items():
@@ -303,9 +301,9 @@ class TestTabulateBounds:
     def test_slacks_match_the_verify_functions(self):
         nodes = [0, 1, 2]
         samples = [(x, t) for x in nodes for t in self.TS]
-        report = tabulate_bounds(self.FIELD, nodes, self.TS, tol=1e-9)
+        report = tabulate_bounds(self.FIELD, nodes, self.TS)
         ref = verify_conjugate_bounds(self.FIELD, samples).slacks
-        assert report.samples == samples and report.tol == 1e-9
+        assert report.samples == samples
         assert set(report.slacks) == set(ref)
         for name, vals in ref.items():
             assert np.all(np.abs(report.slacks[name] - vals) <= 1e-12 * np.maximum(1.0, np.abs(vals)))

@@ -374,7 +374,7 @@ class TestEmpiricalIteration:
         u = GridFunction(dom, vals)
         report = empirical_iteration(u, field, "subcritical-D",
                                      kappa_star_grid=[1e-4],
-                                     r=3.0, s=3.5, n_max=30)
+                                     r=3.0, s=3.5)
         # tiny level never empties the set: energies stall above the decay tol
         assert not report.found
         assert report.candidates
@@ -470,7 +470,7 @@ def _rel_close(a, b):
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("varying", [False, True])
-def test_levels_match_per_level_reference(regime, dim, varying):
+def test_levels_match_per_level_reference(monkeypatch, regime, dim, varying):
     u, field = _case(dim, varying)
     kappas = [0.02, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7]
     for kappa in kappas:
@@ -480,7 +480,8 @@ def test_levels_match_per_level_reference(regime, dim, varying):
             e = truncation_energy(u, field, regime, kappa, n, **EXPONENTS)
             ref = _reference_energy(u, field, regime, kappa * (2.0 - 0.5**n))
             assert _rel_close((e.interior, e.boundary), ref)
-    report = empirical_iteration(u, field, regime, kappas, n_max=25, **EXPONENTS)
+    monkeypatch.setattr(degiorgi, "_N_LEVELS", 25)
+    report = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
     chosen, candidates, energies = _reference_iteration(u, field, regime, kappas, n_max=25)
     assert report.kappa_star == chosen
     assert len(report.candidates) == len(candidates)
@@ -518,7 +519,8 @@ def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
     seen = []
     for n_max in (2, 40):
         counts.update(specs=0, gradients=0)
-        report = empirical_iteration(u, field, regime, [1e-3, 1e-2], n_max=n_max, **EXPONENTS)
+        monkeypatch.setattr(degiorgi, "_N_LEVELS", n_max)
+        report = empirical_iteration(u, field, regime, [1e-3, 1e-2], **EXPONENTS)
         assert not any(c[2] for c in report.candidates)  # every level up to n_max ran
         seen.append(dict(counts))
     assert seen[0] == seen[1]
@@ -541,7 +543,8 @@ def test_undecayed_candidate_costs_one_level(monkeypatch, regime):
     monkeypatch.setattr(degiorgi, "entry_condition", lambda *args, **kwargs: 2.0)
     for n_max in (2, 40):
         levels.clear()
-        report = empirical_iteration(u, field, regime, kappas, n_max=n_max, **EXPONENTS)
+        monkeypatch.setattr(degiorgi, "_N_LEVELS", n_max)
+        report = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
         assert not any(c[2] for c in report.candidates)
         assert levels == [kappa_sequence(k, np.arange(n_max + 1))[-1] for k in kappas]
 
@@ -555,7 +558,8 @@ def test_one_levels_object_per_iteration(monkeypatch, regime):
     init = degiorgi._Levels.__init__
     monkeypatch.setattr(degiorgi._Levels, "__init__",
                         lambda obj, *args: builds.append(1) or init(obj, *args))
-    report = empirical_iteration(u, field, regime, kappas, n_max=4, **EXPONENTS)
+    monkeypatch.setattr(degiorgi, "_N_LEVELS", 4)
+    report = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
     assert len(builds) == 1  # the entry conditions share it
     assert [c[1] for c in report.candidates] == entries
 
@@ -583,11 +587,12 @@ def _walk_all_levels(u, field, regime, kappas, n_max=60, decay_tol=1e-12):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("varying", [False, True])
 @pytest.mark.parametrize("n_max", [25, 60])
-def test_settled_candidates_equal_full_walk(regime, dim, varying, n_max):
+def test_settled_candidates_equal_full_walk(monkeypatch, regime, dim, varying, n_max):
     u, field = _case(dim, varying)
     kappas = [0.02, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7]
+    monkeypatch.setattr(degiorgi, "_N_LEVELS", n_max)
     for v in (u, -u):
-        report = empirical_iteration(v, field, regime, kappas, n_max=n_max, **EXPONENTS)
+        report = empirical_iteration(v, field, regime, kappas, **EXPONENTS)
         chosen, candidates, energies = _walk_all_levels(v, field, regime, kappas, n_max)
         assert report.kappa_star == chosen
         assert report.candidates == candidates
@@ -645,19 +650,6 @@ def test_energies_never_increase_along_the_levels(regime, case):
     pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5, float("inf")]), id="inf-candidate"),
     pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [float("-inf"), 0.5]),
                  id="minus-inf-candidate"),
-    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5], n_max=-1), id="negative-n-max"),
-    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5], n_max=2.5), id="fractional-n-max"),
-    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5], decay_tol=float("nan")),
-                 id="nan-decay-tol"),
-    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5], decay_tol=-1.0),
-                 id="negative-decay-tol"),
-    pytest.param(lambda u, f: two_sided_bound(u, f, "critical-D", [0.5], n_max=-1), id="two-sided-negative-n-max"),
-    pytest.param(lambda u, f: two_sided_bound(u, f, "critical-D", [0.5], n_max=2.5),
-                 id="two-sided-fractional-n-max"),
-    pytest.param(lambda u, f: two_sided_bound(u, f, "critical-D", [0.5], decay_tol=float("nan")),
-                 id="two-sided-nan-decay-tol"),
-    pytest.param(lambda u, f: two_sided_bound(u, f, "critical-D", [0.5], decay_tol=-1.0),
-                 id="two-sided-negative-decay-tol"),
 ])
 def test_out_of_contract_inputs_are_domain_errors(call):
     u, field = _case(1, False)

@@ -150,10 +150,10 @@ class TestLuxemburgNorm:
         field = random_field_h3(rng, unit_interval)
         spec = PhiSpec.double_phase(field)
         u = random_grid_function(rng, unit_interval)
-        lam = luxemburg_norm(spec, u, tol=1e-12).value
+        lam = luxemburg_norm(spec, u).value
         scaled = GridFunction(unit_interval, u.values / lam)
         assert modular_rho(spec, scaled) == pytest.approx(1.0, abs=1e-10)
-        assert luxemburg_norm(spec, scaled, tol=1e-12).value == pytest.approx(1.0, abs=1e-9)
+        assert luxemburg_norm(spec, scaled).value == pytest.approx(1.0, abs=1e-9)
 
     def test_sign_relation_modular_vs_norm(self, rng, unit_interval):
         # norm below/above 1 iff modular below/above 1
@@ -162,7 +162,7 @@ class TestLuxemburgNorm:
         for scale in (0.05, 0.4, 2.5, 8.0):
             u = random_grid_function(rng, unit_interval, scale=scale)
             rho = modular_rho(spec, u)
-            norm = luxemburg_norm(spec, u, tol=1e-12).value
+            norm = luxemburg_norm(spec, u).value
             if abs(rho - 1.0) > 1e-8:
                 assert (rho < 1.0) == (norm < 1.0)
 
@@ -173,7 +173,7 @@ class TestLuxemburgNorm:
         for scale in (0.1, 0.7, 1.5, 6.0):
             u = random_grid_function(rng, unit_interval, scale=scale)
             rho = modular_rho(spec, u)
-            norm = luxemburg_norm(spec, u, tol=1e-12).value
+            norm = luxemburg_norm(spec, u).value
             slack = 1e-9 * max(1.0, rho)
             if norm < 1.0:
                 assert norm**hi <= rho + slack and rho <= norm**lo + slack
@@ -184,9 +184,9 @@ class TestLuxemburgNorm:
         field = random_field_h3(rng, unit_interval)
         spec = PhiSpec.double_phase(field)
         u = random_grid_function(rng, unit_interval)
-        base = luxemburg_norm(spec, u, tol=1e-12).value
+        base = luxemburg_norm(spec, u).value
         for c in (0.3, 2.0, -1.7):
-            scaled = luxemburg_norm(spec, c * u, tol=1e-12).value
+            scaled = luxemburg_norm(spec, c * u).value
             assert scaled == pytest.approx(abs(c) * base, rel=1e-8)
 
     def test_classical_lp_agreement(self, rng, unit_interval):
@@ -197,7 +197,7 @@ class TestLuxemburgNorm:
         u = random_grid_function(rng, unit_interval)
         w = unit_interval.interior_weights
         classical = float(np.sum(w * np.abs(u.values) ** p)) ** (1.0 / p)
-        assert luxemburg_norm(spec, u, tol=1e-13).value == pytest.approx(classical, rel=1e-9)
+        assert luxemburg_norm(spec, u).value == pytest.approx(classical, rel=1e-9)
 
 
 class TestSobolevNorm:
@@ -213,10 +213,10 @@ class TestSobolevNorm:
     def test_unit_modular_gives_unit_norm(self, rng, unit_interval):
         field = random_field_h3(rng, unit_interval)
         u = random_grid_function(rng, unit_interval)
-        lam = sobolev_norm(field, u, tol=1e-12).value
+        lam = sobolev_norm(field, u).value
         scaled = GridFunction(unit_interval, u.values / lam)
         assert modular_sobolev(field, scaled) == pytest.approx(1.0, abs=1e-10)
-        assert sobolev_norm(field, scaled, tol=1e-12).value == pytest.approx(1.0, abs=1e-9)
+        assert sobolev_norm(field, scaled).value == pytest.approx(1.0, abs=1e-9)
 
     def test_two_sided_power_bounds(self, rng, unit_interval):
         field = random_field_h3(rng, unit_interval)
@@ -224,7 +224,7 @@ class TestSobolevNorm:
         for scale in (0.05, 0.8, 4.0):
             u = random_grid_function(rng, unit_interval, scale=scale)
             rho = modular_sobolev(field, u)
-            norm = sobolev_norm(field, u, tol=1e-12).value
+            norm = sobolev_norm(field, u).value
             slack = 1e-9 * max(1.0, rho)
             if norm < 1.0:
                 assert norm**hi <= rho + slack and rho <= norm**lo + slack
@@ -280,9 +280,9 @@ def _norm_cases():
             field, mid(p, field.critical_trace("p")), mid(q, field.critical_trace("q"))),
         "weighted": PhiSpec.weighted(field, 1.3, 2.6, 1.5),
     }
-    cases = {f"luxemburg-{k}": (lambda v, t, s=s: luxemburg_norm(s, v, tol=t)) for k, s in luxemburg.items()}
-    cases["sobolev"] = lambda v, t: sobolev_norm(field, v, tol=t)
-    cases["boundary"] = lambda v, t: boundary_norm(luxemburg["critical_trace"], v, tol=t)
+    cases = {f"luxemburg-{k}": (lambda v, s=s: luxemburg_norm(s, v)) for k, s in luxemburg.items()}
+    cases["sobolev"] = lambda v: sobolev_norm(field, v)
+    cases["boundary"] = lambda v: boundary_norm(luxemburg["critical_trace"], v)
     return dom, u, cases
 
 
@@ -291,11 +291,10 @@ _DOMAIN, _PROFILE, _NORMS = _norm_cases()
 
 @pytest.mark.parametrize("which", sorted(_NORMS))
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
-@pytest.mark.parametrize("tol", [1e-10, 1e-13])
-def test_every_norm_converges_in_few_modular_evaluations(which, scale, tol):
-    res = _NORMS[which](GridFunction(_DOMAIN, scale * _PROFILE), tol)
+def test_every_norm_converges_in_few_modular_evaluations(which, scale):
+    res = _NORMS[which](GridFunction(_DOMAIN, scale * _PROFILE))
     assert res.iterations <= 10
-    assert abs(res.modular_at_value - 1.0) <= tol
+    assert abs(res.modular_at_value - 1.0) <= 1e-10
 
 
 def test_sobolev_norm_seeds_with_the_sobolev_modular(monkeypatch, rng, unit_square):
@@ -305,9 +304,9 @@ def test_sobolev_norm_seeds_with_the_sobolev_modular(monkeypatch, rng, unit_squa
     module = importlib.import_module("musielak.modular")
     norm, seeds = module._norm, []
 
-    def spy(spec, terms, rho_u, tol):
+    def spy(spec, terms, rho_u):
         seeds.append(rho_u)
-        return norm(spec, terms, rho_u, tol)
+        return norm(spec, terms, rho_u)
 
     monkeypatch.setattr(module, "_norm", spy)
     sobolev_norm(field, u)

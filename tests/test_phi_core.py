@@ -22,6 +22,19 @@ def const_field(N, p, q, mu, **kw):
     return ExponentField(N, float(p), float(q), float(mu), **kw)
 
 
+# One constructor per PhiSpec kind over a constant field with p = 2, q = 3, N = 4
+# (p* = 4, q* = 12, trace 3 and 9), each exponent window met.
+SEVEN_KINDS = {
+    "double_phase": PhiSpec.double_phase,
+    "double_phase_normalized": PhiSpec.double_phase_normalized,
+    "critical": PhiSpec.critical,
+    "critical_trace": PhiSpec.critical_trace,
+    "subcritical": lambda f: PhiSpec.subcritical(f, 3.0, 6.0),
+    "subcritical_trace": lambda f: PhiSpec.subcritical_trace(f, 2.5, 5.0),
+    "weighted": lambda f: PhiSpec.weighted(f, 1.5, 2.5, 1.0),
+}
+
+
 def nodewise_specs():
     """One spec of every kind over a three-node field."""
     p = np.array([1.4, 1.7, 2.0])
@@ -272,9 +285,22 @@ class TestPhiSpecWindows:
         with pytest.raises(DomainError, match="overflows the double range"):
             getattr(PhiSpec, kind)(const_field(4, 2.0, 3.0, 1e308))
 
-    def test_an_infinite_mu_keeps_an_infinite_upper_weight(self):
-        spec = PhiSpec.critical(const_field(4, 2.0, 3.0, np.inf))
-        assert spec.weight == np.inf
+    def test_a_weighted_weight_beyond_the_double_range_is_rejected(self):
+        # mu^alpha = (1e10)^40 overflows although mu is finite
+        with pytest.raises(DomainError, match="overflows the double range"):
+            PhiSpec.weighted(const_field(4, 2.0, 3.0, 1e10), 1.5, 2.5, 40.0)
+
+    @pytest.mark.parametrize("kind", sorted(SEVEN_KINDS))
+    def test_an_infinite_mu_is_rejected(self, kind):
+        # weight * 0^hi would be NaN, so Phi(0) = 0 would fail
+        with pytest.raises(DomainError, match="mu is unbounded"):
+            SEVEN_KINDS[kind](const_field(4, 2.0, 3.0, np.inf))
+
+    @pytest.mark.parametrize("kind", sorted(SEVEN_KINDS))
+    @pytest.mark.parametrize("mu", [0.0, 0.7, 1e5])
+    def test_phi_of_zero_is_exactly_positive_zero(self, kind, mu):
+        out = SEVEN_KINDS[kind](const_field(4, 2.0, 3.0, mu)).evaluate_nodes(np.zeros(3))
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))
 
 
 def test_exponents_near_the_double_range_overflow_without_a_warning():

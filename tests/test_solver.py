@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -313,6 +315,63 @@ def test_the_1d_solve_converges_to_the_exact_solution_at_second_order(case):
         errors.append(np.max(np.abs(u.values - exact[::(sizes[-1] - 1) // (n - 1)])))
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all(orders >= 1.9), (errors, orders)
+
+
+def test_the_bound_check_of_the_1d_solve_meets_the_exact_supremum():
+    # The constant case is symmetric, so max u = u(1/2), a node of every lattice.
+    (p, q, mu), _ = ORACLE_CASES["constant"]
+    sizes = (65, 129, 257)
+    top = float(np.max(exact_1d_solution(p, q, mu, GridDomain.interval(sizes[-1]).axes[0])))
+    errors = []
+    for n in sizes:
+        dom = GridDomain.interval(n)
+        x = dom.axes[0]
+        field = dom.constant_field(3, p(x), q(x), mu(x))
+        u, rep = solve(ProblemSpec(dom, field, GridFunction.constant(dom, 1.0)))
+        assert rep.converged, (n, rep.message)
+        # r and s at the middle of their windows, and the CLI's default kappa grid
+        r, s = 0.5 * (field.p + field.critical("p")), 0.5 * (field.q + field.critical("q"))
+        high = float(np.max(np.abs(u.values))) + 1.0
+        report = two_sided_bound(u, field, "subcritical-D", np.geomspace(high / 64.0, high, 16), r=r, s=s)
+        assert report.found and report.bound_ok, n
+        assert 2.0 * report.kappa_star >= top, n
+        errors.append(abs(report.esssup - top))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 1.9), (errors, orders)
+
+
+# p > 2: u' is only Holder continuous, with exponent 1 / (p - 1), where it vanishes.
+HOLDER_P = 2.5
+HOLDER_SIZES = (17, 33, 65, 129, 257)
+
+
+@functools.lru_cache(maxsize=None)
+def _holder_case_solve(n):
+    """The 1D solve with p = 2.5, q = 4, mu = 1, f = 1 on n nodes, and its
+    maximum nodal error against the exact solution."""
+    p, q, mu = (lambda s: HOLDER_P), (lambda s: 4.0), (lambda s: 1.0)
+    exact = exact_1d_solution(p, q, mu, GridDomain.interval(HOLDER_SIZES[-1]).axes[0])
+    dom = GridDomain.interval(n)
+    x = dom.axes[0]
+    u, rep = solve(ProblemSpec(dom, dom.constant_field(3, p(x), q(x), mu(x)), GridFunction.constant(dom, 1.0)))
+    return rep, float(np.max(np.abs(u.values - exact[::(HOLDER_SIZES[-1] - 1) // (n - 1)])))
+
+
+@pytest.mark.parametrize("n", HOLDER_SIZES)
+def test_the_1d_solve_above_p_2_errs_within_the_holder_rate(n):
+    # Measured: error / h^(1 + 1/(p-1)) falls from 0.157 (n = 17) to 0.096 (n = 257).
+    h = 1.0 / (n - 1)
+    assert _holder_case_solve(n)[1] <= 0.2 * h ** (1.0 + 1.0 / (HOLDER_P - 1.0))
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(n, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: Armijo backtracking below the energy's rounding floor stalls at "
+        "gradient 1.78e-10 > grad_tol 1e-10 until the iteration cap")))
+    if n == 33 else n for n in HOLDER_SIZES])
+def test_the_1d_solve_above_p_2_converges(n):
+    rep, _ = _holder_case_solve(n)
+    assert rep.converged, rep.message
 
 
 # ---------------------------------------------------------------------------
