@@ -8,12 +8,13 @@ subcommand reads these payload keys (default in brackets, none means required):
 - norm: field, grid or a field with one, function, norm ["luxemburg"; or
   "sobolev", "boundary"], kind ["double_phase"] with its exponents r, s, l, h,
   alpha and mode ["subcritical"]; the modular is solved to 1e-10
-- conjugate-table: field, nodes [required when the field varies], t_values
-  [n_samples (32) uniform draws on [0, t_max (10)] from seed 0, sorted],
-  normalized [false]; slacks pass at -1e-10
+- conjugate-table: field, grid [none], nodes [required when the field
+  varies], t_values [n_samples (32) uniform draws on [0, t_max (10)] from
+  seed 0, sorted], normalized [false]; slacks pass at -1e-10
 - embed-scan: field, grid, r, s, alpha, function [a bump of radius ``radius``
-  (1)], lambdas [1, 2, 4, 8, 16: at least 4, spanning a decade], weight_mode
-  ["unit"]
+  (1)], lambdas [1, 2, 4, 8, 16: at least 4, each >= 1, spanning a decade],
+  weight_mode ["unit"]; passes when every fit has residual <= 0.05 and a slope
+  within max(0.02, 2 % of the prediction) of the predicted one
 - recursion: K, b, mu1, mu2, Z0, n_max [200]
 - solve: field, grid, function or source [0], bc ["dirichlet-zero"], flux
   [none], grad_tol [1e-10], max_iter [200, at most 10000]; a solve fails
@@ -24,18 +25,20 @@ subcommand reads these payload keys (default in brackets, none means required):
   levels up to max |u| + 1]; each candidate runs for at most 60 levels, and
   a level has decayed when its energy is at most 1e-12
 
-norm, solve and bound-check need a bounded mu in the field.
+A key that its subcommand, or its grid, field or grid-function object, does
+not read is an input error.  norm, solve and bound-check need a bounded mu in
+the field.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
 All outputs land under the directory given by --output; a JSON output is
 standard JSON, with null for a quantity that is not finite.
 
 ``run(command, input_path, output_dir)`` is a run without the argument
-parser.  It loads the payload once and hands it to the subcommand's handler,
-``handler(payload) -> (outputs, passed)``, where ``outputs`` maps a file
-name to a JSON object, a ``GridFunction`` or CSV rows.  A handler writes
-nothing: ``run`` writes the outputs only after the handler returns, and maps
-``passed`` to exit 0 or 1.  An input error is a
+parser.  It loads the payload once, checks its keys and hands it to the
+subcommand's handler, ``handler(payload) -> (outputs, passed)``, where
+``outputs`` maps a file name to a JSON object, a ``GridFunction`` or CSV
+rows.  A handler writes nothing: ``run`` writes the outputs only after the
+handler returns, and maps ``passed`` to exit 0 or 1.  An input error is a
 ``ValueError`` (a ``DomainError`` where this module raises it) or the
 ``KeyError`` of a missing payload key.
 """
@@ -65,17 +68,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path):
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except OSError as exc:  # missing, a directory, or no permission
         raise DomainError(f"input file not found or not readable: {path} ({exc.strerror})")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
-    if not isinstance(payload, dict):
-        raise DomainError(f"{path}: the payload must be a JSON object")
-    return payload
 
 
 def _field_and_domain(payload, need_domain=False):
@@ -252,15 +252,11 @@ def _cmd_embed_scan(payload: dict) -> tuple[dict, bool]:
     else:
         u = embedding_lab.bump_function(domain, io.number_from_json(payload.get("radius", 1.0), "radius"))
     lambdas = _flat_numbers(payload.get("lambdas", [1.0, 2.0, 4.0, 8.0, 16.0]), "lambdas")
-    embedding_lab._require_ladder(lambdas)
     r, s, alpha = (io.number_from_json(payload[k], k) for k in ("r", "s", "alpha"))
-    exp = embedding_lab.run_scaling_experiment(
-        u, field, r=r, s=s, alpha=alpha, lambdas=lambdas, weight_mode=payload.get("weight_mode", "unit"),
-    )
-    fits = embedding_lab.exponent_scan(exp)
-    names = sorted(exp.quantities)
+    fits = embedding_lab.exponent_scan(u, field, r, s, alpha, lambdas, payload.get("weight_mode", "unit"))
+    names = sorted(fits)
     rows = [["lambda"] + names]
-    rows += [[lam] + [exp.quantities[n][i] for n in names] for i, lam in enumerate(exp.lambdas)]
+    rows += [[lam] + [fits[n].values[i] for n in names] for i, lam in enumerate(np.sort(lambdas))]
     rows += [["fitted_slope"] + [fits[n].slope for n in names],
              ["predicted_slope"] + [fits[n].predicted for n in names],
              ["residual"] + [fits[n].residual for n in names]]
@@ -367,6 +363,17 @@ _COMMANDS = {
     "bound-check": _cmd_bound_check,
 }
 
+# The payload keys each subcommand reads; any other key is an input error.
+_KEYS = {
+    "validate": ("field", "grid", "level"),
+    "norm": ("field", "grid", "function", "norm", "kind", "r", "s", "l", "h", "alpha", "mode"),
+    "conjugate-table": ("field", "grid", "nodes", "t_values", "t_max", "n_samples", "normalized"),
+    "embed-scan": ("field", "grid", "function", "radius", "lambdas", "r", "s", "alpha", "weight_mode"),
+    "recursion": ("K", "b", "mu1", "mu2", "Z0", "n_max"),
+    "solve": ("field", "grid", "function", "source", "bc", "flux", "grad_tol", "max_iter"),
+    "bound-check": ("field", "grid", "function", "constants", "regime", "r", "s", "l", "h", "kappa_grid"),
+}
+
 
 def _write(outdir: Path, outputs: dict) -> None:
     """Write each output under ``outdir``: a JSON object as standard JSON, a
@@ -397,7 +404,9 @@ def run(command: str, input_path: Path, output_dir: Path) -> int:
             output_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file of that name, or no permission
             raise DomainError(f"cannot create the output directory {output_dir} ({exc.strerror})")
-        outputs, passed = handler(_load_json(input_path))
+        payload = _load_json(input_path)
+        io._require_object(payload, f"{command} payload", _KEYS[command])
+        outputs, passed = handler(payload)
         _write(output_dir, outputs)
         return EXIT_OK if passed else EXIT_CHECK_FAILED
     except KeyError as exc:

@@ -3,31 +3,31 @@
 The necessity of the critical exponents is visible numerically: dilating a
 fixed compactly supported profile by ``v(x) = u(lam x)`` rescales every
 integral quantity by an explicit power of ``lam``, so log-log regression of
-measured quantities against ``lam`` recovers those powers.  Comparing the
+measured quantities against ``lam`` recovers those powers.  The scan is one
+call: ``exponent_scan`` dilates the profile along a ladder of factors and
+fits the slopes of the four terms of ``embedding_sides``.  Comparing the
 left- and right-hand-side decay rates of the inequality certifies which
 exponent triples (r, s, alpha) are admissible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisError
-from .modular import GridDomain, GridFunction, luxemburg_norm
-from .phi_core import ExponentField, PhiSpec, sobolev_critical
+from .modular import GridDomain, GridFunction
+from .phi_core import ExponentField, sobolev_critical
 
 __all__ = [
-    "ScalingExperiment",
     "SlopeFit",
     "EmbeddingSides",
     "OptimalityResult",
     "bump_function",
     "scale_function",
     "embedding_sides",
-    "run_scaling_experiment",
     "exponent_scan",
     "optimality_check",
 ]
@@ -105,7 +105,6 @@ class EmbeddingSides:
     rhs: float
     lhs_terms: tuple  # plain and weighted integral terms
     rhs_terms: tuple  # gradient terms with exponents p and q
-    sandwich: tuple | None  # (lower, norm, upper) for the two-term Luxemburg norm
 
 
 def embedding_sides(
@@ -115,15 +114,11 @@ def embedding_sides(
     s: float,
     alpha: float,
     weight_mode: str = "unit",
-    check_sandwich: bool = True,
 ) -> EmbeddingSides:
     """Both sides of the two-term embedding inequality for the given profile.
 
     LHS: sum of the r-integral norm of u and the weighted s-integral norm;
-    RHS: sum of the p- and weighted q-integral norms of the gradient.  When
-    ``check_sandwich`` is set and 1 <= r <= s, ``sandwich`` holds half the sum
-    of the LHS terms, the Luxemburg norm of the two-term function and 2^{1/r}
-    times that sum; the norm lies between the two ends.
+    RHS: sum of the p- and weighted q-integral norms of the gradient.
     """
     if not (r > 0 and s > 0 and alpha > 0):
         raise DomainError(f"need exponents r, s, alpha > 0, got r = {r!r}, s = {s!r}, alpha = {alpha!r}")
@@ -139,45 +134,22 @@ def embedding_sides(
         lhs_s = float(np.sum(w * weight**alpha * absu**s) ** (1.0 / s))
         rhs_p = float(np.sum(w * grad**p) ** (1.0 / p))
         rhs_q = float(np.sum(w * weight * grad**q) ** (1.0 / q))
-
-    sandwich = None
-    if check_sandwich and r >= 1.0 and r <= s and np.any(absu > 0):
-        wfield = ExponentField(field.N, field.p, field.q, weight)
-        spec = PhiSpec.weighted(wfield, r, s, alpha)
-        norm = luxemburg_norm(spec, u).value
-        total = lhs_r + lhs_s
-        sandwich = (0.5 * total, norm, 2.0 ** (1.0 / r) * total)
-
-    return EmbeddingSides(lhs_r + lhs_s, rhs_p + rhs_q, (lhs_r, lhs_s), (rhs_p, rhs_q), sandwich)
+    return EmbeddingSides(lhs_r + lhs_s, rhs_p + rhs_q, (lhs_r, lhs_s), (rhs_p, rhs_q))
 
 
-@dataclass
-class ScalingExperiment:
-    """Measured dilation sweep of the embedding-inequality quantities."""
+@dataclass(frozen=True)
+class SlopeFit:
+    slope: float
+    residual: float
+    predicted: float
+    values: np.ndarray  # the fitted term at each dilation factor, ascending
 
-    base: GridFunction
-    field: ExponentField
-    r: float
-    s: float
-    alpha: float
-    weight_mode: str
-    lambdas: np.ndarray
-    quantities: dict = dc_field(default_factory=dict)  # name -> values per lambda
-
-    def predicted_slopes(self) -> dict:
-        N = self.field.N
-        p, q = float(np.min(self.field.p)), float(np.min(self.field.q))
-        lhs_s = -(self.alpha + N) / self.s if self.weight_mode == "radial" else -N / self.s
-        rhs_q = (q - N - 1.0) / q if self.weight_mode == "radial" else (q - N) / q
-        return {
-            "lhs_r": -N / self.r,
-            "lhs_s": lhs_s,
-            "rhs_p": (p - N) / p,
-            "rhs_q": rhs_q,
-        }
+    @property
+    def reliable(self) -> bool:
+        return self.residual <= 0.05
 
 
-def run_scaling_experiment(
+def exponent_scan(
     u: GridFunction,
     field: ExponentField,
     r: float,
@@ -185,75 +157,45 @@ def run_scaling_experiment(
     alpha: float,
     lambdas=(1.0, 2.0, 4.0, 8.0, 16.0),
     weight_mode: str = "unit",
-) -> ScalingExperiment:
-    """Measure all four tracked quantities along a geometric dilation ladder.
+) -> dict:
+    """Dilate ``u`` by each factor and fit the log-log slope of every term of
+    ``embedding_sides``: name -> ``SlopeFit`` for lhs_r, lhs_s, rhs_p, rhs_q.
 
-    The largest dilation must leave the support at least 8 cells wide,
-    otherwise interpolation error dominates the fitted slopes.
+    The ladder needs at least 4 factors, each >= 1, spanning at least one
+    decade, and the largest dilation must leave the support at least 8 cells
+    wide, otherwise interpolation error dominates the fitted slopes.  The
+    residual is the rms misfit in log coordinates; fits with residual above
+    0.05 are flagged unreliable.
     """
     lambdas = np.asarray(sorted(float(l) for l in lambdas))
-    if not lambdas.size or lambdas[0] < 1.0:
-        raise DomainError("dilation factors must be given, each >= 1")
+    if lambdas.size < 4 or lambdas[0] < 1.0 or lambdas[-1] / lambdas[0] < 10.0:
+        raise DomainError("need >= 4 dilation factors, each >= 1, spanning at least one decade")
     dom = u.domain
-    support = float(np.max(dom.radius()[np.abs(u.values) > 0])) if np.any(u.values != 0) else 0.0
-    if support <= 0:
+    support = np.abs(u.values) > 0
+    if not np.any(support):
         raise DomainError("base profile vanishes identically")
-    if support / lambdas[-1] < 8.0 * max(dom.spacing):
+    if np.max(dom.radius()[support]) / lambdas[-1] < 8.0 * max(dom.spacing):
         raise DomainError("largest dilation leaves fewer than 8 cells of support")
 
-    names = ("lhs_r", "lhs_s", "rhs_p", "rhs_q")
-    quantities = {name: [] for name in names}
-    for lam in lambdas:
-        v = scale_function(u, lam)
-        sides = embedding_sides(v, field, r, s, alpha, weight_mode, check_sandwich=False)
-        quantities["lhs_r"].append(sides.lhs_terms[0])
-        quantities["lhs_s"].append(sides.lhs_terms[1])
-        quantities["rhs_p"].append(sides.rhs_terms[0])
-        quantities["rhs_q"].append(sides.rhs_terms[1])
-    quantities = {k: np.asarray(v) for k, v in quantities.items()}
-    return ScalingExperiment(u, field, r, s, alpha, weight_mode, lambdas, quantities)
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    intercept: float
-    residual: float
-    predicted: float
-
-    @property
-    def reliable(self) -> bool:
-        return self.residual <= 0.05
-
-
-def _require_ladder(lambdas):
-    """Raise DomainError unless the dilation factors can carry a slope fit:
-    at least 4 of them, each >= 1, spanning at least one decade."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size < 4 or lambdas.min() < 1.0 or lambdas.max() / lambdas.min() < 10.0:
-        raise DomainError("need >= 4 dilation factors, each >= 1, spanning at least one decade")
-
-
-def exponent_scan(experiment: ScalingExperiment) -> dict:
-    """Least-squares log-log slope of every tracked quantity.
-
-    Needs a ladder that ``_require_ladder`` accepts.  The residual is the
-    rms misfit in log coordinates; fits with residual above 0.05 are flagged
-    unreliable.
-    """
-    lambdas = experiment.lambdas
-    _require_ladder(lambdas)
-    predicted = experiment.predicted_slopes()
+    sides = [embedding_sides(scale_function(u, lam), field, r, s, alpha, weight_mode) for lam in lambdas]
+    terms = np.array([side.lhs_terms + side.rhs_terms for side in sides]).T
+    N, p, q = field.N, float(np.min(field.p)), float(np.min(field.q))
+    radial = weight_mode == "radial"
+    predicted = {
+        "lhs_r": -N / r,
+        "lhs_s": -(alpha + N) / s if radial else -N / s,
+        "rhs_p": (p - N) / p,
+        "rhs_q": (q - N - 1.0) / q if radial else (q - N) / q,
+    }
+    x = np.log(lambdas)
     out = {}
-    for name, vals in experiment.quantities.items():
-        vals = np.asarray(vals)
+    for name, vals in zip(predicted, terms):
         if not np.all((vals > 0) & np.isfinite(vals)):
             raise ConvergenceError(f"quantity {name} is not positive and finite; cannot fit log-log slope")
-        x = np.log(lambdas)
         y = np.log(vals)
         slope, intercept = np.polyfit(x, y, 1)
         resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-        out[name] = SlopeFit(float(slope), float(intercept), resid, predicted[name])
+        out[name] = SlopeFit(float(slope), resid, predicted[name], vals)
     return out
 
 

@@ -38,9 +38,13 @@ def _require_size(count: float, what: str) -> None:
         raise DomainError(f"{what} is {count:.0f}, more than the {_MAX_NODES} allowed")
 
 
-def _require_object(obj, what: str) -> None:
+def _require_object(obj, what: str, keys) -> None:
+    """Raise DomainError unless ``obj`` is a JSON object whose keys are among ``keys``."""
     if not isinstance(obj, dict):
         raise DomainError(f"{what} must be a JSON object, got {obj!r:.40}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise DomainError(f"unknown {what} keys {unknown}; the {what} keys are {sorted(keys)}")
 
 
 def number_from_json(value, what: str, integer: bool = False):
@@ -80,7 +84,7 @@ def _numbers(value, what: str, integer: bool = False) -> tuple:
 
 
 def grid_from_json(obj: dict) -> GridDomain:
-    _require_object(obj, "grid")
+    _require_object(obj, "grid", ("shape", "spacing", "lengths", "origin"))
     if "shape" not in obj:
         raise DomainError("grid needs a 'shape' entry")
     shape = _numbers(obj["shape"], "shape", integer=True)
@@ -95,7 +99,7 @@ def field_from_json(obj: dict, domain: GridDomain | None = None):
     """Returns (field, domain).  The field's own ``grid`` entry, when it has
     one, takes the place of ``domain``; with a domain, p, q and mu are
     broadcast over its lattice."""
-    _require_object(obj, "field")
+    _require_object(obj, "field", ("N", "p", "q", "mu", "lipschitz_bound", "grid"))
     if "grid" in obj:
         domain = grid_from_json(obj["grid"])
     N = number_from_json(obj["N"], "N", integer=True)
@@ -111,7 +115,7 @@ def field_from_json(obj: dict, domain: GridDomain | None = None):
 def function_from_json(obj: dict, domain: GridDomain | None = None) -> GridFunction:
     """The grid function ``{"grid": ..., "values": ...}``.  Its own ``grid``,
     when it has one, must be ``domain`` when both are given."""
-    _require_object(obj, "function")
+    _require_object(obj, "function", ("grid", "values"))
     if domain is None or "grid" in obj:
         own = grid_from_json(obj["grid"])
         if domain is not None and own != domain:

@@ -396,7 +396,11 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
 
     Inexact Newton-CG with Armijo backtracking: each direction solves the
     exact Hessian by CG, preconditioned by a cached factor of the metric (see
-    the module docstring).  Accepted steps never increase the energy.  The
+    the module docstring).  An accepted step passes the Armijo test, or it
+    raises the energy by at most its rounding level 1e-12 max(1, |E|) and
+    passes the approximate Wolfe test of Hager and Zhang (SIAM J. Optim. 16,
+    2005) on the directional derivative, which stays accurate where energy
+    differences do not.  The
     solve converges when the gradient at an iterate drops to ``grad_tol``;
     a gradient or direction that is not finite, a direction that does not
     descend, a metric that cannot be factored, a failed line search and the
@@ -458,6 +462,11 @@ def solve(spec: ProblemSpec, u0: GridFunction | None = None):
             e_trial = energy(spec, GridFunction(dom, trial))
             if e_trial <= e + 1e-4 * alpha * slope:
                 break
+            # Near the solution the Armijo test fails on the energy's rounding noise.
+            if e_trial <= e + 1e-12 * max(1.0, abs(e)):
+                d_trial = float(np.sum(_energy_gradient(spec, trial)[0][free] * direction[free]))
+                if 0.9 * slope <= d_trial <= -0.8 * slope:
+                    break
             alpha *= 0.5
         else:
             message = "line search failed"

@@ -2,6 +2,7 @@ import builtins
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -324,9 +325,9 @@ def _csv_cells(path):
         return [[_cell(v) for v in row] for row in csv.reader(fh)]
 
 
-# (input stem, subcommand, output file, exit code).  The golden outputs were
-# written by the code that evaluated the conjugate by quadrature; none of
-# these subcommands uses the conjugate.
+# (input stem, subcommand, output file, exit code).  None of these
+# subcommands uses the conjugate, so the goldens written by the code that
+# evaluated it by quadrature still hold.
 CLI_GOLDEN = [
     ("validate_h1", "validate", "report.json", cli.EXIT_OK),
     ("validate_h3", "validate", "report.json", cli.EXIT_CHECK_FAILED),
@@ -335,6 +336,7 @@ CLI_GOLDEN = [
     ("norm_boundary", "norm", "norm.json", cli.EXIT_OK),
     ("recursion", "recursion", "recursion.json", cli.EXIT_OK),
     ("embed_scan", "embed-scan", "embed_scan.csv", cli.EXIT_OK),
+    ("embed_scan_radial", "embed-scan", "embed_scan.csv", cli.EXIT_OK),
 ]
 
 
@@ -1025,3 +1027,57 @@ def test_embed_scan_does_not_read_the_fields_mu(tmp_path):
     code, out = _run(tmp_path, "embed-scan", _with_mu("cli_embed_scan", np.inf))
     assert code == cli.EXIT_OK
     assert (out / "embed_scan.csv").read_bytes() == (DATA / "cli_embed_scan.golden.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,stem,change,key", [
+    ("solve", "cli_solve", {"grad_tl": 1e-3, "max_iter": 3}, "grad_tl"),
+    ("bound-check", "bound_check_subcritical-D", {"regim": "critical-D"}, "regim"),
+    ("norm", "cli_norm_luxemburg", {"knd": "critical"}, "knd"),
+    ("validate", "cli_validate_h3", {"levl": "H1"}, "levl"),
+], ids=["solve-grad_tl", "bound-check-regim", "norm-knd", "validate-levl"])
+def test_a_misspelled_payload_key_is_an_input_error(tmp_path, capsys, command, stem, change, key):
+    # Each of these ran the default of the key it misspells and exited 0 or 1.
+    code, out = _run(tmp_path, command, dict(json.loads((DATA / f"{stem}.json").read_text()), **change))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"unknown {command} payload keys ['{key}']" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("where,key", [("field", "lipshitz_bound"), ("grid", "length"), ("function", "value")])
+def test_a_misspelled_key_in_a_field_grid_or_function_is_an_input_error(tmp_path, capsys, where, key):
+    payload = _mutated("cli_norm_luxemburg", where, key, 1.0, {})
+    code, out = _run(tmp_path, "norm", payload)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"unknown {where} keys ['{key}']" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_a_misspelled_key_in_a_function_file_is_an_input_error(tmp_path, capsys):
+    payload = json.loads((DATA / "cli_norm_luxemburg.json").read_text())
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(dict(payload["function"], grd=payload["grid"])))
+    code, out = _run(tmp_path, "norm", dict(payload, function=str(path)))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "unknown function keys ['grd']" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def _docstring_bullets():
+    """Subcommand -> the text of its bullet in the cli module docstring."""
+    bullets, name = {}, None
+    for line in cli.__doc__.splitlines():
+        head = line[2:].partition(":")[0] if line.startswith("- ") else None
+        if head in cli._COMMANDS:
+            name = head
+            bullets[name] = line
+        elif name and line.startswith("  "):
+            bullets[name] += " " + line.strip()
+        else:
+            name = None
+    return bullets
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_the_docstring_names_every_key_a_subcommand_reads(command):
+    words = set(re.findall(r"\w+", _docstring_bullets()[command]))
+    assert sorted(set(cli._KEYS[command]) - words) == []

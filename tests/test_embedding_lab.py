@@ -13,8 +13,8 @@ from musielak import (
     embedding_sides,
     eval_phi,
     exponent_scan,
+    luxemburg_norm,
     optimality_check,
-    run_scaling_experiment,
     scale_function,
 )
 
@@ -78,7 +78,7 @@ class TestEmbeddingSides:
     def test_zero_profile(self, square):
         field = square.constant_field(2, 1.3, 1.6, 1.0)
         z = GridFunction.constant(square, 0.0)
-        sides = embedding_sides(z, field, 2.0, 3.0, 1.0, check_sandwich=False)
+        sides = embedding_sides(z, field, 2.0, 3.0, 1.0)
         assert sides.lhs == 0.0 and sides.rhs == 0.0
 
     def test_sides_finite_and_ordered_sanity(self, square, bump):
@@ -93,10 +93,10 @@ class TestEmbeddingSides:
             scale = rng.uniform(0.2, 5.0)
             v = GridFunction(square, bump.values * scale)
             sides = embedding_sides(v, field, 2.0, 3.0, 1.0, weight_mode="radial")
-            assert sides.sandwich is not None
-            lower, norm, upper = sides.sandwich
-            assert lower <= norm * (1 + 1e-9)
-            assert norm <= upper * (1 + 1e-9)
+            norm = luxemburg_norm(PhiSpec.weighted(ExponentField(2, 1.3, 1.6, square.radius()), 2.0, 3.0, 1.0),
+                                  v).value
+            assert 0.5 * sides.lhs <= norm * (1 + 1e-9)
+            assert norm <= 2.0 ** (1 / 2.0) * sides.lhs * (1 + 1e-9)
 
     def test_unknown_weight_mode(self, square, bump):
         field = square.constant_field(2, 1.3, 1.6, 1.0)
@@ -107,9 +107,7 @@ class TestEmbeddingSides:
 class TestExponentScan:
     def test_unit_weight_slopes(self, square, bump):
         field = square.constant_field(2, 2.0, 3.0, 1.0)
-        exp = run_scaling_experiment(bump, field, r=3.0, s=3.0, alpha=1.0,
-                                     lambdas=(1, 2, 4, 8, 16), weight_mode="unit")
-        fits = exponent_scan(exp)
+        fits = exponent_scan(bump, field, r=3.0, s=3.0, alpha=1.0, lambdas=(1, 2, 4, 8, 16), weight_mode="unit")
         assert fits["lhs_s"].slope == pytest.approx(-2.0 / 3.0, rel=0.02)
         assert abs(fits["rhs_p"].slope) <= 0.02
         assert fits["rhs_q"].slope == pytest.approx(1.0 / 3.0, rel=0.05)
@@ -117,9 +115,7 @@ class TestExponentScan:
 
     def test_radial_weight_slopes(self, square, bump):
         field = square.constant_field(2, 2.0, 3.0, 1.0)
-        exp = run_scaling_experiment(bump, field, r=3.0, s=3.0, alpha=1.0,
-                                     lambdas=(1, 2, 4, 8, 16), weight_mode="radial")
-        fits = exponent_scan(exp)
+        fits = exponent_scan(bump, field, r=3.0, s=3.0, alpha=1.0, lambdas=(1, 2, 4, 8, 16), weight_mode="radial")
         assert abs(fits["rhs_q"].slope) <= 0.02  # (q - N - 1)/q = 0 here
         # weighted value term decays like -(alpha + N)/s = -1
         assert fits["lhs_s"].predicted == pytest.approx(-1.0)
@@ -127,31 +123,26 @@ class TestExponentScan:
 
     def test_needs_decade_span(self, square, bump):
         field = square.constant_field(2, 2.0, 3.0, 1.0)
-        exp = run_scaling_experiment(bump, field, r=3.0, s=3.0, alpha=1.0,
-                                     lambdas=(1, 2, 4, 8), weight_mode="unit")
-        with pytest.raises(DomainError):
-            exponent_scan(exp)
+        with pytest.raises(DomainError, match="spanning at least one decade"):
+            exponent_scan(bump, field, r=3.0, s=3.0, alpha=1.0, lambdas=(1, 2, 4, 8), weight_mode="unit")
 
     def test_a_quantity_beyond_the_double_range_is_not_fitted(self, square, bump):
         # r = 1e-300: the r-integral norm at lambda = 1, about pi^(1e300), reads inf
         field = square.constant_field(2, 2.0, 3.0, 1.0)
-        exp = run_scaling_experiment(bump, field, r=1e-300, s=3.0, alpha=1.0, weight_mode="unit")
-        assert exp.quantities["lhs_r"][0] == np.inf
-        exp.quantities["lhs_r"] = np.array([np.inf, 4.0, 3.0, 2.0, 1.0])  # positive, one not finite
+        assert embedding_sides(bump, field, 1e-300, 3.0, 1.0).lhs_terms[0] == np.inf
         with pytest.raises(ConvergenceError, match="lhs_r is not positive and finite"):
-            exponent_scan(exp)
+            exponent_scan(bump, field, r=1e-300, s=3.0, alpha=1.0, weight_mode="unit")
 
     def test_support_resolution_guard(self, bump, square):
         field = square.constant_field(2, 2.0, 3.0, 1.0)
-        with pytest.raises(DomainError):
-            run_scaling_experiment(bump, field, r=3.0, s=3.0, alpha=1.0,
-                                   lambdas=(1, 64), weight_mode="unit")
+        with pytest.raises(DomainError, match="fewer than 8 cells"):
+            exponent_scan(bump, field, r=3.0, s=3.0, alpha=1.0, lambdas=(1, 2, 4, 64), weight_mode="unit")
 
     def test_vanishing_base_rejected(self, square):
         field = square.constant_field(2, 2.0, 3.0, 1.0)
         z = GridFunction.constant(square, 0.0)
         with pytest.raises(DomainError):
-            run_scaling_experiment(z, field, r=3.0, s=3.0, alpha=1.0)
+            exponent_scan(z, field, r=3.0, s=3.0, alpha=1.0)
 
 
 class TestOptimalityCheck:
