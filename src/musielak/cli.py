@@ -9,8 +9,9 @@ subcommand reads these payload keys (default in brackets, none means required):
   "sobolev", "boundary"], kind ["double_phase"] with its exponents r, s, l, h,
   alpha and mode ["subcritical"]; the modular is solved to 1e-10
 - conjugate-table: field, grid [none], nodes [required when the field
-  varies], t_values [n_samples (32) uniform draws on [0, t_max (10)] from
-  seed 0, sorted], normalized [false]; slacks pass at -1e-10
+  varies], t_values [n_samples (32, at least 1) uniform draws on [0, t_max
+  (10, at least 0)] from seed 0, sorted], normalized [false]; slacks pass at
+  -1e-10
 - embed-scan: field, grid, r, s, alpha, function [a bump of radius ``radius``
   (1)], lambdas [1, 2, 4, 8, 16: at least 4, each >= 1, spanning a decade],
   weight_mode ["unit"]; passes when every fit has residual <= 0.05 and a slope
@@ -27,7 +28,10 @@ subcommand reads these payload keys (default in brackets, none means required):
 
 A key that its subcommand, or its grid, field or grid-function object, does
 not read is an input error.  norm, solve and bound-check need a bounded mu in
-the field.
+the field.  A function is a number (a constant), a grid-function object, or
+the path of a file: a CSV as solve writes it, or a JSON grid-function object;
+an error about a file names the file.  Counts such as n_samples, n_max and
+max_iter are whole numbers, so 200.0 reads as 200.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
 All outputs land under the directory given by --output; a JSON output is
@@ -68,16 +72,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _load_json(path: Path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:  # missing, a directory, or no permission
-        raise DomainError(f"input file not found or not readable: {path} ({exc.strerror})")
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
-
-
 def _field_and_domain(payload, need_domain=False):
     """The payload's field, and its lattice: the field's own ``grid`` when it
     has one, else the payload's."""
@@ -95,10 +89,7 @@ def _function_from_payload(payload, domain):
     if obj is None:
         raise DomainError("payload needs a 'function' entry")
     if isinstance(obj, str):
-        try:
-            return io.load_function(obj, domain)
-        except OSError as exc:  # missing, a directory, or no permission
-            raise DomainError(f"function file not found or not readable: {obj} ({exc.strerror})")
+        return io.load_function(obj, domain)
     return _grid_data(obj, domain, "function")
 
 
@@ -148,6 +139,11 @@ def _flat_numbers(values, what: str) -> np.ndarray:
 def _given(payload, *keys) -> dict:
     """The payload entries among ``keys``; the library defaults fill the rest."""
     return {k: payload[k] for k in keys if k in payload}
+
+
+def _whole(payload, key: str) -> dict:
+    """``_given`` for one whole number, such as 200 or 200.0, read as an int."""
+    return {key: io.number_from_json(payload[key], key, integer=True)} if key in payload else {}
 
 
 def _finite_or_none(value):
@@ -221,11 +217,14 @@ def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
     nodes = _node_list(payload, field)
     ts = payload.get("t_values")
     if ts is None:
-        rng = np.random.default_rng(0)
         t_max = io.number_from_json(payload.get("t_max", 10.0), "t_max")
         n_samples = io.number_from_json(payload.get("n_samples", 32), "n_samples", integer=True)
+        if n_samples < 1:
+            raise DomainError(f"'n_samples' must be at least 1, got {n_samples}")
+        if t_max < 0.0:
+            raise DomainError(f"'t_max' must be >= 0, got {t_max:g}")
         io._require_size(n_samples * len(nodes), "the conjugate table size (n_samples x nodes)")
-        ts = np.sort(rng.uniform(0.0, t_max, n_samples))
+        ts = np.sort(np.random.default_rng(0).uniform(0.0, t_max, n_samples))
     ts = _flat_numbers(ts, "t values")
     io._require_size(ts.size * len(nodes), "the conjugate table size (t values x nodes)")
     normalized = payload.get("normalized", False)
@@ -268,7 +267,7 @@ def _cmd_embed_scan(payload: dict) -> tuple[dict, bool]:
 def _cmd_recursion(payload: dict) -> tuple[dict, bool]:
     K, b, mu1, mu2, z0 = (io.number_from_json(payload[k], k) for k in ("K", "b", "mu1", "mu2", "Z0"))
     params = degiorgi.RecursionParams(K=K, b=b, mu1=mu1, mu2=mu2)
-    trace = degiorgi.iterate_recursion(z0, params, **_given(payload, "n_max"))
+    trace = degiorgi.iterate_recursion(z0, params, **_whole(payload, "n_max"))
     out = {
         "Z": trace.Z.tolist(),
         "n0": trace.n0,
@@ -288,7 +287,7 @@ def _cmd_solve(payload: dict) -> tuple[dict, bool]:
         domain, field, f,
         bc=payload.get("bc", "dirichlet-zero"),
         flux=None if payload.get("flux") is None else _grid_data(payload["flux"], domain, "flux"),
-        **_given(payload, "grad_tol", "max_iter"),
+        **_given(payload, "grad_tol"), **_whole(payload, "max_iter"),
     )
     u, report = solver.solve(spec)
     # The gradient at the returned iterate is not finite when the diffusivity overflowed.
@@ -353,25 +352,18 @@ def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
     return {"bound_check.json": out}, out["pass"]
 
 
+# Each subcommand's handler and the payload keys it reads; any other key is an input error.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "norm": _cmd_norm,
-    "conjugate-table": _cmd_conjugate_table,
-    "embed-scan": _cmd_embed_scan,
-    "recursion": _cmd_recursion,
-    "solve": _cmd_solve,
-    "bound-check": _cmd_bound_check,
-}
-
-# The payload keys each subcommand reads; any other key is an input error.
-_KEYS = {
-    "validate": ("field", "grid", "level"),
-    "norm": ("field", "grid", "function", "norm", "kind", "r", "s", "l", "h", "alpha", "mode"),
-    "conjugate-table": ("field", "grid", "nodes", "t_values", "t_max", "n_samples", "normalized"),
-    "embed-scan": ("field", "grid", "function", "radius", "lambdas", "r", "s", "alpha", "weight_mode"),
-    "recursion": ("K", "b", "mu1", "mu2", "Z0", "n_max"),
-    "solve": ("field", "grid", "function", "source", "bc", "flux", "grad_tol", "max_iter"),
-    "bound-check": ("field", "grid", "function", "constants", "regime", "r", "s", "l", "h", "kappa_grid"),
+    "validate": (_cmd_validate, ("field", "grid", "level")),
+    "norm": (_cmd_norm, ("field", "grid", "function", "norm", "kind", "r", "s", "l", "h", "alpha", "mode")),
+    "conjugate-table": (_cmd_conjugate_table,
+                        ("field", "grid", "nodes", "t_values", "t_max", "n_samples", "normalized")),
+    "embed-scan": (_cmd_embed_scan,
+                   ("field", "grid", "function", "radius", "lambdas", "r", "s", "alpha", "weight_mode")),
+    "recursion": (_cmd_recursion, ("K", "b", "mu1", "mu2", "Z0", "n_max")),
+    "solve": (_cmd_solve, ("field", "grid", "function", "source", "bc", "flux", "grad_tol", "max_iter")),
+    "bound-check": (_cmd_bound_check,
+                    ("field", "grid", "function", "constants", "regime", "r", "s", "l", "h", "kappa_grid")),
 }
 
 
@@ -395,17 +387,17 @@ def _write(outdir: Path, outputs: dict) -> None:
 def run(command: str, input_path: Path, output_dir: Path) -> int:
     """Run one subcommand on the payload in ``input_path``, writing its
     outputs under ``output_dir``; returns the process exit status."""
-    handler = _COMMANDS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         print(f"unknown subcommand: {command}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    handler, keys = _COMMANDS[command]
     try:
         try:
             output_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file of that name, or no permission
             raise DomainError(f"cannot create the output directory {output_dir} ({exc.strerror})")
-        payload = _load_json(input_path)
-        io._require_object(payload, f"{command} payload", _KEYS[command])
+        payload = io.read_json(input_path, "input file")
+        io._require_object(payload, f"{command} payload", keys)
         outputs, passed = handler(payload)
         _write(output_dir, outputs)
         return EXIT_OK if passed else EXIT_CHECK_FAILED

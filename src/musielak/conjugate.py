@@ -41,7 +41,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisError
-from .phi_core import ExponentField, _mu_power, _phi, sobolev_critical
+from .phi_core import ExponentField, PhiSpec, sobolev_critical
 
 __all__ = [
     "BoundReport",
@@ -251,18 +251,18 @@ def _sample_arrays(field: ExponentField, samples):
 
 def _slacks(N, p, q, mu, t, h_star, const):
     """The four slacks given the conjugate values ``h_star`` at the samples;
-    ``const`` is max over the nodes of q*(x)^q*(x).  The critical and trace
-    critical functions are the ones ``PhiSpec.critical`` and
-    ``PhiSpec.critical_trace`` evaluate."""
-    p_star, q_star = sobolev_critical(N, p), sobolev_critical(N, q)
-    p_trace, q_trace = sobolev_critical(N, p, trace=True), sobolev_critical(N, q, trace=True)
-    mu_pow = _mu_power(mu, q_star / q)
+    ``const`` is max over the nodes of q*(x)^q*(x).  p*, q*, the weight
+    mu^(q*/q) and the critical and trace critical functions are those of
+    ``PhiSpec.critical`` and ``PhiSpec.critical_trace`` over the samples."""
+    samples = ExponentField(N, p, q, mu)
+    critical, trace = PhiSpec.critical(samples), PhiSpec.critical_trace(samples)
+    p_star, q_star = critical.lo, critical.hi
     scale = np.maximum(1.0, h_star)
 
     bound_p = p_star**-p_star * t**p_star
-    bound_q = q_star**-q_star * mu_pow * t**q_star
-    g_star = _phi("critical", t, p_star, q_star, mu_pow)
-    t_star = _phi("critical_trace", t, p_trace, q_trace, _mu_power(mu, q_trace / q))
+    bound_q = q_star**-q_star * critical.weight * t**q_star
+    g_star = critical.evaluate_nodes(t)
+    t_star = trace.evaluate_nodes(t)
     rhs = 2.0 * const ** ((N - 1.0) / N) * h_star ** ((N - 1.0) / N)
     return {
         "power_p": (h_star - bound_p) / scale,
@@ -281,8 +281,8 @@ def verify_conjugate_bounds(field: ExponentField, samples, normalized: bool = Fa
     the (N-1)/N power of the conjugate.  The samples are read once and the
     conjugate is solved in one ``conjugate_batch`` call over all of them.
     Slacks are normalized by max(1, dominant side); the bound holds when the
-    slack is >= -``_PASS_TOL``.  Raises DomainError when the
-    domination constant max q*(x)^q*(x) overflows.
+    slack is >= -``_PASS_TOL``.  Raises DomainError when the domination
+    constant max q*(x)^q*(x) or the critical weight mu^(q*/q) overflows.
     """
     _require_admissible(field.N, field.p, field.q, field.mu)
     qq = field.critical("q")

@@ -23,6 +23,7 @@ __all__ = [
     "number_from_json",
     "array_from_json",
     "load_function",
+    "read_json",
 ]
 
 
@@ -146,28 +147,45 @@ def function_to_csv(u: GridFunction, path) -> None:
         fh.write((row_format * data.shape[0]) % tuple(data.ravel().tolist()))
 
 
+def read_json(path, what: str):
+    """The JSON value in the file ``path``; ``what`` names the file in the
+    error when it is missing or not readable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:  # missing, a directory, or no permission
+        raise DomainError(f"{what} not found or not readable: {path} ({exc.strerror})")
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
 def function_from_csv(path) -> GridFunction:
-    """Read the layout ``function_to_csv`` writes: ``# key=value`` metadata
-    lines, an optional column header, then one row per node with the value last."""
+    """Read the layout ``function_to_csv`` writes: ``# key=value`` metadata lines,
+    an optional column header, then one row per node with the value last."""
     meta = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                key, _, val = line.lstrip("# ").partition("=")
-                meta[key.strip()] = val.strip()
-            elif line.strip():
-                break
-        if "shape" not in meta:
-            raise DomainError(f"{path}: missing '# shape=...' metadata line")
-        if not meta.get("spacing"):
-            raise DomainError(f"{path}: missing '# spacing=...' metadata line")
-        header = line.lstrip()[:1].isalpha() or line.lstrip().startswith('"')
-        rows = fh if header else itertools.chain([line], fh)
-        values = np.loadtxt(rows, delimiter=",", ndmin=2)[:, -1]
-    shape = tuple(int(n) for n in meta["shape"].split(","))
-    spacing = tuple(float(h) for h in meta["spacing"].split(","))
-    origin = tuple(float(o) for o in meta["origin"].split(",")) if meta.get("origin") else (0.0,) * len(shape)
-    return GridFunction(GridDomain(shape, spacing, origin), values.reshape(shape))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("#"):
+                    key, _, val = line.lstrip("# ").partition("=")
+                    meta[key.strip()] = val.strip()
+                elif line.strip():
+                    break
+            if "shape" not in meta:
+                raise DomainError("missing '# shape=...' metadata line")
+            if not meta.get("spacing"):
+                raise DomainError("missing '# spacing=...' metadata line")
+            header = line.lstrip()[:1].isalpha() or line.lstrip().startswith('"')
+            rows = fh if header else itertools.chain([line], fh)
+            values = np.loadtxt(rows, delimiter=",", ndmin=2)[:, -1]
+        shape = tuple(int(n) for n in meta["shape"].split(","))
+        spacing = tuple(float(h) for h in meta["spacing"].split(","))
+        origin = tuple(float(o) for o in meta["origin"].split(",")) if meta.get("origin") else (0.0,) * len(shape)
+        return GridFunction(GridDomain(shape, spacing, origin), values.reshape(shape))
+    except OSError as exc:  # missing, a directory, or no permission
+        raise DomainError(f"function file not found or not readable: {path} ({exc.strerror})")
+    except ValueError as exc:  # the toolkit's, numpy's or int()'s complaint about the text
+        raise DomainError(f"{path}: {exc}")
 
 
 def load_function(path, domain: GridDomain | None = None) -> GridFunction:
@@ -177,8 +195,7 @@ def load_function(path, domain: GridDomain | None = None) -> GridFunction:
     if path.suffix.lower() == ".csv":
         u = function_from_csv(path)
     else:
-        with open(path, encoding="utf-8") as fh:
-            u = function_from_json(json.load(fh), domain)
+        u = function_from_json(read_json(path, "function file"), domain)
     if domain is not None and u.domain != domain:
         raise DomainError(f"{path}: the function's lattice {u.domain} is not the payload's {domain}")
     return u

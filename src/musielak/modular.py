@@ -1,11 +1,15 @@
 """Grid domains, grid functions, discrete modulars and Luxemburg norms.
 
 The domain is a rectangular lattice whose outermost node layer is the
-boundary.  Volume quadrature is a lumped rectangle rule carried entirely by
-the interior nodes: each interior node owns its dual cell and the nodes next
-to the boundary also absorb the adjacent half-cells, so the interior weights
-sum exactly to the box volume.  Boundary nodes carry trapezoidal facet
-weights that sum exactly to the surface measure of the box.
+boundary.  Both quadratures are tensor products of per-axis rows.  Volume
+quadrature is a lumped rectangle rule carried entirely by the interior nodes:
+the row of an axis with spacing h is 0 at its two ends and h inside, and the
+two nodes next to the ends absorb the adjacent half-cells (+h/2), so the
+interior weights sum exactly to the box volume.  Boundary nodes carry
+trapezoidal facet weights (rows h/2 at the ends, h inside): each face of an
+axis carries the product of the other axes' rows, so the weights sum exactly
+to the surface measure of the box, and in 1D, with no other axis, the two end
+nodes carry the counting measure 1.
 
 For u != 0 the map ``lam -> modular(u / lam)`` is continuous and strictly
 decreasing, so each norm is the unique lam with unit modular.  All three
@@ -17,6 +21,7 @@ root finder, solves for lam by Illinois regula falsi in log lam.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,22 +44,9 @@ __all__ = [
 ]
 
 
-def _axis_interior_weights(n: int, h: float) -> np.ndarray:
-    # Interior nodes own their dual cells; the two nodes adjacent to the
-    # boundary absorb the neighbouring half-cells, so the row sums to (n-1) h.
-    if n < 3:
-        raise DomainError("need at least 3 nodes per axis (one interior node)")
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.0
-    w[1] += 0.5 * h
-    w[-2] += 0.5 * h
-    return w
-
-
-def _axis_trapezoid_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
+def _outer(rows):
+    """The tensor product of the per-axis ``rows``, in axis order; 1 for no rows."""
+    return functools.reduce(np.multiply.outer, rows) if rows else 1.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,8 @@ class GridDomain:
             lengths = (1.0,) * dim
         if origin is None:
             origin = (0.0,) * dim
-        spacing = tuple(float(L) / (n - 1) for L, n in zip(lengths, shape))
+        # max(n - 1, 1): __post_init__, not a division by zero, rejects n < 3.
+        spacing = tuple(float(L) / max(n - 1, 1) for L, n in zip(lengths, shape))
         return cls(shape, spacing, tuple(origin))
 
     @classmethod
@@ -114,43 +107,36 @@ class GridDomain:
 
     @property
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            sl = [slice(None)] * self.dim
-            for edge in (0, -1):
-                sl[axis] = edge
-                mask[tuple(sl)] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.dim] = False
         return mask
+
+    def _rows(self, end: float, inner: float) -> list:
+        """Per axis with spacing h: h at each node, ``end`` h at the two ends,
+        and ``inner`` h more on the two nodes next to them."""
+        rows = []
+        for n, h in zip(self.shape, self.spacing):
+            row = np.full(n, h)
+            row[0] = row[-1] = end * h
+            row[1] += inner * h
+            row[-2] += inner * h
+            rows.append(row)
+        return rows
 
     @property
     def interior_weights(self) -> np.ndarray:
         """Volume quadrature weights; zero on the boundary, exact box total."""
-        rows = [_axis_interior_weights(n, h) for n, h in zip(self.shape, self.spacing)]
-        w = rows[0]
-        for row in rows[1:]:
-            w = np.multiply.outer(w, row)
-        return w
+        return _outer(self._rows(0.0, 0.5))
 
     @property
     def boundary_weights(self) -> np.ndarray:
         """Facet quadrature weights; zero in the interior, exact surface total."""
+        rows = self._rows(0.5, 0.0)
         w = np.zeros(self.shape)
-        if self.dim == 1:
-            w[0] = w[-1] = 1.0  # 0-dimensional counting measure
-            return w
-        for axis in range(self.dim):
-            rows = [
-                _axis_trapezoid_weights(n, h)
-                for a, (n, h) in enumerate(zip(self.shape, self.spacing))
-                if a != axis
-            ]
-            facet = rows[0]
-            for row in rows[1:]:
-                facet = np.multiply.outer(facet, row)
-            sl = [slice(None)] * self.dim
-            for edge in (0, -1):
-                sl[axis] = edge
-                w[tuple(sl)] += facet
+        for axis in range(self.dim):  # the two faces of ``axis`` carry the other axes' rows
+            face = _outer(rows[:axis] + rows[axis + 1:])
+            w[(slice(None),) * axis + (0,)] += face
+            w[(slice(None),) * axis + (-1,)] += face
         return w
 
     @property
@@ -224,8 +210,7 @@ def _require_same_nodes(spec: PhiSpec, u: GridFunction):
 def modular_rho(spec: PhiSpec, u: GridFunction) -> float:
     """Interior quadrature of phi(x, |u(x)|)."""
     _require_same_nodes(spec, u)
-    w = u.domain.interior_weights
-    return float(np.sum(w * spec.evaluate_nodes(np.abs(u.values))))
+    return _terms_modular(spec, [(u.domain.interior_weights, np.abs(u.values))])
 
 
 def modular_sobolev(field: ExponentField, u: GridFunction) -> float:
@@ -243,7 +228,7 @@ def boundary_modular(spec: PhiSpec, u: GridFunction) -> float:
     w = u.domain.boundary_weights
     if not np.any(w > 0):
         raise DomainError("domain has no boundary nodes")
-    return float(np.sum(w * spec.evaluate_nodes(np.abs(u.values))))
+    return _terms_modular(spec, [(w, np.abs(u.values))])
 
 
 def _terms_modular(spec: PhiSpec, terms, lam: float = 1.0) -> float:

@@ -63,7 +63,7 @@ class TestExitCodes:
         def stalled(payload):
             raise ConvergenceError("stalled")
 
-        monkeypatch.setitem(cli._COMMANDS, "validate", stalled)
+        monkeypatch.setitem(cli._COMMANDS, "validate", (stalled, cli._COMMANDS["validate"][1]))
         code, _ = _run(tmp_path, "validate", {"field": FIELD})
         assert code == cli.EXIT_CHECK_FAILED
 
@@ -508,6 +508,19 @@ MALFORMED = (
                                ("beta", {"beta": 2}, "unknown constants"),
                                ("C-string", {"C": "2"}, "'C' must be a finite number"),
                                ("C-huge-int", {"C": 10**400}, "'C' must be a finite number")]]
+    + [pytest.param("validate", {"grid": GRID}, "payload needs a 'field' entry", id="no-field"),
+       pytest.param("norm", {"field": FLAT, "function": 0.25}, "payload needs a 'grid' entry", id="norm-no-grid"),
+       pytest.param("bound-check", {k: v for k, v in PAYLOADS["bound-check"].items() if k != "function"},
+                    "payload needs a 'function' entry", id="bound-check-no-function"),
+       pytest.param("norm", dict(PAYLOADS["norm"], norm="energy"), "unknown norm type", id="norm-unknown")]
+    # A one-node axis once divided by zero before the node count was checked.
+    + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": shape}), "at least one axis, each with >= 3 nodes",
+                    id=f"shape-{shape}") for shape in ([1, 5], [1])]
+    + [pytest.param("validate", {"field": dict(FLAT, grid={"shape": shape})}, "at least one axis, each with >= 3 nodes",
+                    id=f"field-grid-shape-{shape}") for shape in ([1, 5], [1])]
+    + [pytest.param("conjugate-table", {"field": FLAT, "n_samples": n}, "'n_samples' must be at least 1",
+                    id=f"n_samples={n}") for n in (0, -3)]
+    + [pytest.param("conjugate-table", {"field": FLAT, "t_max": -1}, "'t_max' must be >= 0", id="t_max=-1")]
 )
 
 
@@ -924,7 +937,8 @@ def test_a_handler_returns_its_outputs_and_verdict_and_writes_nothing(monkeypatc
 
     monkeypatch.setattr(builtins, "open", read_only)
     monkeypatch.setattr("io.open", read_only)  # what pathlib opens files with
-    outputs, passed = cli._COMMANDS[command](payload)
+    handler, _ = cli._COMMANDS[command]
+    outputs, passed = handler(payload)
     rows = [list(content) for content in outputs.values()
             if not isinstance(content, (dict, GridFunction))]  # CSV rows may be a generator
     assert type(passed) is bool
@@ -936,7 +950,7 @@ def test_an_output_that_cannot_be_rendered_leaves_the_output_directory_empty(tmp
     # solve once wrote solution.csv before it rendered convergence.json
     u = GridFunction.constant(io.grid_from_json(GRID), 1.0)
     outputs = {"solution.csv": u, "convergence.json": {"energy": float("nan")}}
-    monkeypatch.setitem(cli._COMMANDS, "solve", lambda payload: (outputs, True))
+    monkeypatch.setitem(cli._COMMANDS, "solve", (lambda payload: (outputs, True), cli._COMMANDS["solve"][1]))
     code, out = _run(tmp_path, "solve", PAYLOADS["solve"])
     assert code == cli.EXIT_INPUT_ERROR
     assert list(out.iterdir()) == []
@@ -1080,4 +1094,73 @@ def _docstring_bullets():
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_the_docstring_names_every_key_a_subcommand_reads(command):
     words = set(re.findall(r"\w+", _docstring_bullets()[command]))
-    assert sorted(set(cli._KEYS[command]) - words) == []
+    _, keys = cli._COMMANDS[command]
+    assert sorted(set(keys) - words) == []
+
+
+_CSV_HEAD = "# shape=3,3\n# spacing=0.5,0.5\nx0,x1,value\n"
+
+
+@pytest.mark.parametrize("name,text,needle", [
+    ("cell.csv", _CSV_HEAD + "0,0,abc\n", "could not convert string 'abc'"),
+    ("rows.csv", _CSV_HEAD + "0,0,1\n", "cannot reshape array of size 1 into shape (3,3)"),
+    ("shape.csv", _CSV_HEAD.replace("3,3", "a,b", 1) + "0,0,1\n", "invalid literal for int()"),
+    ("bad.json", "{bad", "malformed JSON at line 1 column 2"),
+], ids=["csv-cell", "csv-rows", "csv-shape", "json"])
+def test_an_error_in_a_function_file_names_the_file(tmp_path, capsys, name, text, needle):
+    # These once exited 2 with the parser's text only.
+    path = tmp_path / name
+    path.write_text(text)
+    code, out = _run(tmp_path, "norm", dict(PAYLOADS["norm"], grid={"shape": [3, 3]}, function=str(path)))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"{path}: " in err and needle in err
+    assert list(out.iterdir()) == []
+
+
+def test_a_malformed_payload_file_is_an_input_error(tmp_path, capsys):
+    code, out = _run(tmp_path, "validate", None, text='{"field": ')
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"{tmp_path / 'input.json'}: malformed JSON at line 1 column 11" in err
+    assert list(out.iterdir()) == []
+
+
+def test_an_unknown_subcommand_returns_2_and_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(PAYLOADS["validate"]))
+    assert cli.run("bogus", src, tmp_path / "out") == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "unknown subcommand: bogus\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sampled_t_values_are_sorted_draws_on_0_to_t_max(tmp_path):
+    code, out = _run(tmp_path, "conjugate-table", {"field": FLAT, "n_samples": 5, "t_max": 2})
+    assert code == cli.EXIT_OK
+    with open(out / "conjugate_table.csv", newline="") as fh:
+        ts = [float(row["t"]) for row in csv.DictReader(fh)]
+    assert len(ts) == 5
+    assert ts == sorted(ts) and 0.0 <= ts[0] and ts[-1] <= 2.0
+
+
+@pytest.mark.parametrize("command,stem,key", [("recursion", "cli_recursion", "n_max"),
+                                              ("solve", "cli_solve", "max_iter")])
+def test_a_whole_float_count_reads_as_the_integer(tmp_path, command, stem, key):
+    # 200.0 once exited 2 ("must be an integer") while n_samples 4.0 read as 4.
+    payload = json.loads((DATA / f"{stem}.json").read_text())
+    files = []
+    for value in (200, 200.0):
+        (tmp_path / str(value)).mkdir()
+        code, out = _run(tmp_path / str(value), command, dict(payload, **{key: value}))
+        assert code == cli.EXIT_OK
+        files.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert files[0] == files[1]
+
+
+def test_embed_scan_reads_a_grid_function_object(tmp_path):
+    # The default bump, given as an object, gives the committed table of the default run.
+    payload = json.loads((DATA / "cli_embed_scan.json").read_text())
+    bump = embedding_lab.bump_function(io.grid_from_json(payload["grid"]), 1.0)
+    code, out = _run(tmp_path, "embed-scan", dict(payload, function={"values": bump.values.tolist()}))
+    assert code == cli.EXIT_OK
+    assert (out / "embed_scan.csv").read_bytes() == (DATA / "cli_embed_scan.golden.csv").read_bytes()

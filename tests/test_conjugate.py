@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -522,3 +523,11 @@ def test_overflowing_domination_constant_is_a_domain_error(monkeypatch):
     monkeypatch.undo()
     # q* = 99 (q = 2.91) still fits: 99^99 is about 3.7e197
     assert tabulate_bounds(ExponentField(3, 1.5, 2.91, 0.5), [None], [0.5]).slacks
+
+
+def test_an_overflowing_critical_weight_is_a_domain_error_with_no_warning():
+    # mu^(q*/q) = 1e11^30 overflows; the check once warned three times and returned NaN slacks.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite weight"):
+            verify_conjugate_bounds(ExponentField(3, 1.5, 2.9, 1e11), [(None, 0.0), (None, 1.0), (None, 5.0)])

@@ -281,6 +281,10 @@ class TestKappaStarFormula:
         with pytest.warns(UserWarning):
             assert kappa_star_dirichlet(0.0, BoundConstants()) == 0.0
 
+    def test_negative_modular_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            kappa_star_dirichlet(-1.0, BoundConstants())
+
     def test_monotone_in_modular(self, rng):
         c = BoundConstants(recursion_constant=0.5, b=3.0, mu1=0.7, mu2=1.2, delta1=0.5, delta2=0.9)
         values = [kappa_star_dirichlet(m, c) for m in (0.1, 0.5, 1.0, 2.0, 10.0)]
@@ -323,6 +327,21 @@ class TestBoundEstimate:
         c = BoundConstants(mu1=0.5, mu2=1.0, delta1=0.4, delta2=0.8)
         assert c.exponents == (0.4, 1.6)
 
+    def test_unknown_regime_rejected(self):
+        with pytest.raises(DomainError, match="unknown regime"):
+            bound_estimate(1.0, BoundConstants(), regime="supercritical-D")
+
+    @pytest.mark.parametrize("psi,upsilon", [(-1.0, None), (1.0, -1.0)])
+    def test_negative_norm_rejected(self, psi, upsilon):
+        with pytest.raises(DomainError, match="nonnegative"):
+            bound_estimate(psi, BoundConstants(), regime="subcritical-N", upsilon_norm=upsilon)
+
+    @pytest.mark.parametrize("change,message", [({"b": 1.0}, "b > 1"), ({"b": 0.5}, "b > 1"),
+                                                ({"delta1": 2.0, "delta2": 1.0}, "delta1 <= delta2")])
+    def test_constants_out_of_range_rejected(self, change, message):
+        with pytest.raises(DomainError, match=message):
+            BoundConstants(**change)
+
     def test_neumann_needs_boundary_norm(self):
         with pytest.raises(HypothesisError):
             bound_estimate(1.0, BoundConstants(), regime="subcritical-N")
@@ -363,6 +382,15 @@ class TestEmpiricalIteration:
         assert small == 0.0  # empty level set
         big = entry_condition(u, field, "critical-D", 0.01)
         assert big > 0.0
+
+    def test_nonpositive_candidates_are_skipped(self, rng):
+        dom = GridDomain.interval(201)
+        field = dom.constant_field(3, 2.0, 2.2, 1.0)
+        u = random_grid_function(rng, dom, scale=0.5, zero_boundary=True)
+        top = float(np.max(np.abs(u.values))) + 0.1
+        report = empirical_iteration(u, field, "subcritical-D", kappa_star_grid=[-1.0, 0.0, top], r=3.0, s=3.5)
+        assert [c[0] for c in report.candidates] == [top]
+        assert report.kappa_star == top
 
     def test_no_candidate_reports_not_found(self, rng):
         dom = GridDomain.interval(101)

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,48 @@ class TestGridDomain:
     def test_no_axis_rejected(self):
         with pytest.raises(DomainError):
             GridDomain((), (), ())
+
+    @pytest.mark.parametrize("shape", [(1, 5), (1,)])
+    def test_a_box_with_too_few_nodes_on_an_axis_is_a_domain_error(self, shape):
+        # One node once divided the length by zero before the count was checked.
+        with pytest.raises(DomainError, match="each with >= 3 nodes"):
+            GridDomain.box(shape)
+
+    @pytest.mark.parametrize("shape", [(3,), (8,), (3, 5), (6, 3), (3, 3, 4), (5, 4, 3), (3, 4, 3, 5)])
+    def test_weights_and_mask_match_a_per_node_reference_bit_for_bit(self, shape):
+        # Per axis with spacing h: interior factor 0 at the ends, h inside, +h/2
+        # (added in that order) next to each end; trapezoid factor h/2 at the
+        # ends, h inside.  Products run in axis order and faces add in axis order.
+        spacing = tuple(float(h) for h in 10.0 ** np.random.default_rng(len(shape)).uniform(-3, 2, len(shape)))
+        dom = GridDomain(shape, spacing, (0.0,) * len(shape))
+
+        def interior(i, n, h):
+            if i in (0, n - 1):
+                return 0.0
+            f = h
+            if i == 1:
+                f += 0.5 * h
+            if i == n - 2:
+                f += 0.5 * h
+            return f
+
+        def trapezoid(i, n, h):
+            return 0.5 * h if i in (0, n - 1) else h
+
+        axes = list(zip(shape, spacing))
+        mask, w_int, w_bnd = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape)
+        for node in np.ndindex(*shape):
+            at_end = [i in (0, n - 1) for i, n in zip(node, shape)]
+            mask[node] = any(at_end)
+            w_int[node] = math.prod(interior(i, n, h) for i, (n, h) in zip(node, axes))
+            total = 0.0
+            for a, end in enumerate(at_end):
+                if end:
+                    total += math.prod(trapezoid(i, n, h) for b, (i, (n, h)) in enumerate(zip(node, axes)) if b != a)
+            w_bnd[node] = total
+        assert dom.boundary_mask.dtype == bool and np.array_equal(dom.boundary_mask, mask)
+        assert dom.interior_weights.tobytes() == w_int.tobytes()
+        assert dom.boundary_weights.tobytes() == w_bnd.tobytes()
 
 
 class TestModulars:
