@@ -9,9 +9,9 @@ subcommand reads these payload keys (default in brackets, none means required):
   "sobolev", "boundary"], kind ["double_phase"] with its exponents r, s, l, h,
   alpha and mode ["subcritical"]; the modular is solved to 1e-10
 - conjugate-table: field, grid [none], nodes [required when the field
-  varies], t_values [n_samples (32, at least 1) uniform draws on [0, t_max
-  (10, at least 0)] from seed 0, sorted], normalized [false]; slacks pass at
-  -1e-10
+  varies; not empty], t_values [not empty; n_samples (32, at least 1) uniform
+  draws on [0, t_max (10, at least 0)] from seed 0, sorted], normalized
+  [false]; slacks pass at -1e-10
 - embed-scan: field, grid, r, s, alpha, function [a bump of radius ``radius``
   (1)], lambdas [1, 2, 4, 8, 16: at least 4, each >= 1, spanning a decade],
   weight_mode ["unit"]; passes when every fit has residual <= 0.05 and a slope
@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import degiorgi, embedding_lab, io, solver
-from .conjugate import tabulate_bounds
+from .conjugate import verify_conjugate_bounds
 from .errors import ConvergenceError, DomainError
 from .modular import GridFunction, boundary_norm, luxemburg_norm, modular_rho, sobolev_norm
 from .phi_core import PhiSpec, validate_hypotheses
@@ -197,8 +197,8 @@ def _node_list(payload, field):
         if field.shape:
             raise DomainError(f"field varies over nodes of shape {field.shape}: payload needs a 'nodes' list")
         return [None]
-    if not isinstance(nodes, list):
-        raise DomainError(f"'nodes' must be a list of node indices, got {nodes!r}")
+    if not isinstance(nodes, list) or not nodes:
+        raise DomainError(f"'nodes' must be a nonempty list of node indices, got {nodes!r:.40}")
     out = []
     for node in nodes:
         index = tuple(node) if isinstance(node, list) else node
@@ -226,12 +226,14 @@ def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
         io._require_size(n_samples * len(nodes), "the conjugate table size (n_samples x nodes)")
         ts = np.sort(np.random.default_rng(0).uniform(0.0, t_max, n_samples))
     ts = _flat_numbers(ts, "t values")
+    if ts.size == 0:
+        raise DomainError("'t_values' must hold at least one t value")
     io._require_size(ts.size * len(nodes), "the conjugate table size (t values x nodes)")
     normalized = payload.get("normalized", False)
     if not isinstance(normalized, bool):
         raise DomainError(f"'normalized' must be true or false, got {normalized!r:.40}")
 
-    report = tabulate_bounds(field, nodes, ts, normalized=normalized)
+    report = verify_conjugate_bounds(field, nodes, ts, normalized=normalized)
     crit_spec = PhiSpec.critical(field)
     # Python floats: csv.writer formats them with the same bytes as np.float64, faster.
     critical = [v for x in nodes for v in crit_spec(x, ts).tolist()]
@@ -240,7 +242,7 @@ def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
                                             "trace_domination")]
     header = ["x_index", "t", "conjugate", "critical_value",
               "slack_power_p", "slack_power_q", "slack_critical", "slack_trace"]
-    rows = ([*sample, *values] for sample, *values in zip(report.samples, *columns))
+    rows = ([*sample, *values] for sample, *values in zip(itertools.product(nodes, ts.tolist()), *columns))
     return {"conjugate_table.csv": itertools.chain([header], rows)}, report.all_pass
 
 

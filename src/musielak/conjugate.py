@@ -18,9 +18,8 @@ does; both stop row by row, so a value does not depend on its batch.
 The interface is two batch functions, ``conjugate_batch`` and
 ``conjugate_inverse_batch`` (a node's exponents are ``ExponentField.at``),
 and one bound check, ``verify_conjugate_bounds``.  It reports the two power
-lower bounds, the critical domination and the trace domination from one pass
-over its samples and one batch solve; ``tabulate_bounds`` is that check over
-a node x t grid.
+lower bounds, the critical domination and the trace domination over a node x t
+table, in node-major order, from one field read per node and one batch solve.
 
 ``normalized=True`` uses the variant that is linear below t = 1: its inverse
 is closed form up to ``s = 1 + mu = W(1)``, and only rows above that add
@@ -36,7 +35,6 @@ and 4e-8 and 1e-6, inside the bound, with q within 1e-8 (N - p) of N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -48,7 +46,6 @@ __all__ = [
     "conjugate_inverse_batch",
     "conjugate_batch",
     "verify_conjugate_bounds",
-    "tabulate_bounds",
 ]
 
 # A priori relative accuracy of the inverse, and the factor on eps/(b - 1/N)
@@ -224,29 +221,15 @@ def conjugate_batch(N, p, q, mu, t, normalized=False):
 
 @dataclass
 class BoundReport:
-    """Per-sample slack of verified inequalities; slack >= -_PASS_TOL means pass."""
+    """Slack of each verified inequality at each (node, t) of a table, in
+    node-major order; slack >= -_PASS_TOL means pass."""
 
-    samples: list  # (x, t) pairs
     slacks: dict  # name -> normalized slack array
     conjugate: np.ndarray  # conjugate values the slacks were computed from
 
     @property
     def all_pass(self) -> bool:
         return all(bool(np.all(v >= -_PASS_TOL)) for v in self.slacks.values())
-
-
-def _sample_arrays(field: ExponentField, samples):
-    """Nodes and (p, q, mu, t) arrays of the (node, t) samples, read in one
-    pass, with one field lookup per run of equal consecutive nodes."""
-    xs, data, ts = [], [], []
-    for x, run in groupby(samples, key=lambda sample: sample[0]):
-        pqm = field.at(x)
-        for _, t in run:
-            xs.append(x)
-            data.append(pqm)
-            ts.append(t)
-    p, q, mu = np.array(data, dtype=float).reshape(-1, 3).T
-    return xs, p, q, mu, np.array(ts, dtype=float)
 
 
 def _slacks(N, p, q, mu, t, h_star, const):
@@ -272,14 +255,15 @@ def _slacks(N, p, q, mu, t, h_star, const):
     }
 
 
-def verify_conjugate_bounds(field: ExponentField, samples, normalized: bool = False) -> BoundReport:
-    """Slacks of the conjugate's four inequalities at the (node, t) samples.
+def verify_conjugate_bounds(field: ExponentField, nodes, ts, normalized: bool = False) -> BoundReport:
+    """Slacks of the conjugate's four inequalities at every (node, t) of
+    ``nodes`` x ``ts``, in node-major order.
 
     ``power_p`` and ``power_q`` are the two power lower bounds on the
     conjugate, ``critical_domination`` the domination of the critical
     function and ``trace_domination`` that of the trace-critical function by
-    the (N-1)/N power of the conjugate.  The samples are read once and the
-    conjugate is solved in one ``conjugate_batch`` call over all of them.
+    the (N-1)/N power of the conjugate.  The field is read once per node and
+    the conjugate is solved in one ``conjugate_batch`` call over the table.
     Slacks are normalized by max(1, dominant side); the bound holds when the
     slack is >= -``_PASS_TOL``.  Raises DomainError when the domination
     constant max q*(x)^q*(x) or the critical weight mu^(q*/q) overflows.
@@ -290,15 +274,10 @@ def verify_conjugate_bounds(field: ExponentField, samples, normalized: bool = Fa
         const = float(np.max(qq**qq))
     if not np.isfinite(const):
         raise DomainError(f"domination constant max q*(x)^q*(x) overflows (q* up to {np.max(qq):.6g})")
-    xs, p, q, mu, t = _sample_arrays(field, samples)
+    ts = np.asarray(ts, dtype=float)
+    pqm = np.array([field.at(x) for x in nodes], dtype=float).reshape(-1, 3)
+    p, q, mu = np.repeat(pqm, ts.size, axis=0).T
+    t = np.tile(ts, len(pqm))
     N = float(field.N)
     h_star = conjugate_batch(N, p, q, mu, t, normalized=normalized)
-    return BoundReport(list(zip(xs, t)), _slacks(N, p, q, mu, t, h_star, const), h_star)
-
-
-def tabulate_bounds(field: ExponentField, nodes, ts, normalized: bool = False) -> BoundReport:
-    """``verify_conjugate_bounds`` at every (node, t) of ``nodes`` x ``ts``,
-    in node-major order."""
-    ts = np.asarray(ts, dtype=float).tolist()
-    samples = ((x, s) for x in nodes for s in ts)  # read once, so no list during the solve
-    return verify_conjugate_bounds(field, samples, normalized=normalized)
+    return BoundReport(_slacks(N, p, q, mu, t, h_star, const), h_star)

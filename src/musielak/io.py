@@ -175,9 +175,11 @@ def function_from_csv(path) -> GridFunction:
                 raise DomainError("missing '# shape=...' metadata line")
             if not meta.get("spacing"):
                 raise DomainError("missing '# spacing=...' metadata line")
-            header = line.lstrip()[:1].isalpha() or line.lstrip().startswith('"')
-            rows = fh if header else itertools.chain([line], fh)
-            values = np.loadtxt(rows, delimiter=",", ndmin=2)[:, -1]
+            if line.lstrip()[:1].isalpha() or line.lstrip().startswith('"'):  # a column header
+                line = next((row for row in fh if row.strip() and not row.startswith("#")), "")
+            if not line.strip() or line.startswith("#"):
+                raise DomainError("no data rows")
+            values = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)[:, -1]
         shape = tuple(int(n) for n in meta["shape"].split(","))
         spacing = tuple(float(h) for h in meta["spacing"].split(","))
         origin = tuple(float(o) for o in meta["origin"].split(",")) if meta.get("origin") else (0.0,) * len(shape)

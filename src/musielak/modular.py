@@ -9,7 +9,9 @@ interior weights sum exactly to the box volume.  Boundary nodes carry
 trapezoidal facet weights (rows h/2 at the ends, h inside): each face of an
 axis carries the product of the other axes' rows, so the weights sum exactly
 to the surface measure of the box, and in 1D, with no other axis, the two end
-nodes carry the counting measure 1.
+nodes carry the counting measure 1.  A spacing for which the cell measure or
+some weight is 0 or overflows, such as 1e-200 on a 2D lattice, is an input
+error.
 
 For u != 0 the map ``lam -> modular(u / lam)`` is continuous and strictly
 decreasing, so each norm is the unique lam with unit modular.  All three
@@ -49,6 +51,11 @@ def _outer(rows):
     return functools.reduce(np.multiply.outer, rows) if rows else 1.0
 
 
+def _prod(rows, pick) -> float:
+    """The product, in axis order, of ``pick`` of each row; 1 for no rows."""
+    return math.prod(float(pick(r)) for r in rows)
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """A rectangular lattice with marked boundary layer and quadrature weights."""
@@ -67,6 +74,16 @@ class GridDomain:
             raise DomainError("a grid needs at least one axis, each with >= 3 nodes")
         if any(h <= 0 for h in self.spacing):
             raise DomainError("spacing must be positive")
+        # Each weight lies between products, in _outer's axis order, of per-axis
+        # row extremes (a corner's facet weight sums its faces), so all weights
+        # are positive finite doubles when these bounds are.
+        with np.errstate(over="ignore"):  # an infinite row entry fails the check
+            inner, trap = [r[1:-1] for r in self._rows(0.0, 0.5)], self._rows(0.5, 0.0)
+        faces = [trap[:k] + trap[k + 1:] for k in range(self.dim)]
+        bounds = [math.prod(self.spacing), _prod(inner, np.min), _prod(inner, np.max),
+                  *(_prod(f, np.min) for f in faces), sum(_prod(f, np.max) for f in faces)]
+        if not all(0.0 < w < math.inf for w in bounds):
+            raise DomainError(f"spacing {self.spacing} puts a lattice weight outside the double range")
 
     @classmethod
     def box(cls, shape, lengths=None, origin=None) -> "GridDomain":
@@ -225,10 +242,7 @@ def modular_sobolev(field: ExponentField, u: GridFunction) -> float:
 def boundary_modular(spec: PhiSpec, u: GridFunction) -> float:
     """Facet quadrature of phi(x, |u(x)|) over the boundary layer."""
     _require_same_nodes(spec, u)
-    w = u.domain.boundary_weights
-    if not np.any(w > 0):
-        raise DomainError("domain has no boundary nodes")
-    return _terms_modular(spec, [(w, np.abs(u.values))])
+    return _terms_modular(spec, [(u.domain.boundary_weights, np.abs(u.values))])
 
 
 def _terms_modular(spec: PhiSpec, terms, lam: float = 1.0) -> float:

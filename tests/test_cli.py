@@ -146,8 +146,7 @@ def test_one_pass_table_matches_separate_solves(tmp_path, normalized):
     for x in range(4):
         node_rows = rows[x * ts.size:(x + 1) * ts.size]
         h_ref = conjugate_batch(3, *field.at(x), ts, normalized=normalized)
-        samples = [(x, t) for t in ts]
-        slacks = verify_conjugate_bounds(field, samples, normalized=normalized).slacks
+        slacks = verify_conjugate_bounds(field, [x], ts, normalized=normalized).slacks
         for i, (row, t) in enumerate(zip(node_rows, ts)):
             assert float(row["conjugate"]) == pytest.approx(h_ref[i], rel=_conjugate_rtol(t), abs=0.0)
             assert float(row["critical_value"]) == crit_spec(x, ts)[i]
@@ -521,6 +520,36 @@ MALFORMED = (
     + [pytest.param("conjugate-table", {"field": FLAT, "n_samples": n}, "'n_samples' must be at least 1",
                     id=f"n_samples={n}") for n in (0, -3)]
     + [pytest.param("conjugate-table", {"field": FLAT, "t_max": -1}, "'t_max' must be >= 0", id="t_max=-1")]
+    # An empty table once exited 0 with a header-only table that passed.
+    + [pytest.param("conjugate-table", {"field": FLAT, "nodes": [], "t_values": [1.0]}, "'nodes' must be a nonempty",
+                    id="nodes-empty"),
+       pytest.param("conjugate-table", {"field": FLAT, "t_values": []}, "'t_values' must hold at least one",
+                    id="t_values-empty")]
+    # Weights that underflow or overflow once gave a zero norm, a NaN modular or zero facet weights.
+    + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": shape, "spacing": spacing}, **kw),
+                    f"spacing {tuple(spacing)} puts a lattice weight outside the double range", id=name)
+       for name, shape, spacing, kw in [
+           ("spacing-underflow-2d", [9, 9], [1e-200] * 2, {}),
+           ("spacing-underflow-3d", [5, 5, 5], [1e-200] * 3, {}),
+           ("spacing-overflow-2d", [9, 9], [1e200] * 2, {}),
+           ("spacing-overflow-3d", [5, 5, 5], [1e200] * 3, {}),
+           ("spacing-facet-underflow", [5, 5, 5], [1e-200, 1e-200, 1e300],
+            {"field": dict(FLAT, N=4), "norm": "boundary", "kind": "critical_trace"})]]
+    + [pytest.param("solve", dict(PAYLOADS["solve"], bc="robin"), "unknown boundary condition", id="solve-bc-robin")]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], grid=grid), what, id=name)
+       for name, grid, what in [
+           ("spacing-length", {"shape": [9, 9], "spacing": [0.1]}, "must have equal length"),
+           ("spacing-zero", {"shape": [9, 9], "spacing": [0.1, 0.0]}, "spacing must be positive"),
+           ("grid-no-shape", {"spacing": [0.1, 0.1]}, "grid needs a 'shape' entry")]]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], function="no-such-file.csv"),
+                    "function file not found or not readable: no-such-file.csv", id="norm-function-csv-missing"),
+       pytest.param("norm", dict(PAYLOADS["norm"], function={"values": [[None] * 9] * 9}), "must be finite",
+                    id="norm-function-null")]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], kind="subcritical", **kw), what, id=name)
+       for name, kw, what in [
+           ("critical-mode-r-above-p-star", {"r": 4.0, "s": 5.0, "mode": "critical"}, "critical mode needs r <="),
+           ("mode-bogus", {"r": 2.5, "s": 3.0, "mode": "bogus"}, "unknown subcritical mode"),
+           ("r-shape", {"r": [2.5, 2.5, 2.5], "s": 3.0}, "field shape (3,) != node shape (9, 9)")]]
 )
 
 
@@ -529,6 +558,20 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys, command, payload,
     code, out = _run(tmp_path, command, payload)
     assert code == cli.EXIT_INPUT_ERROR
     assert what in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("column_header", [True, False])
+def test_a_csv_function_without_data_rows_is_one_input_error_line(tmp_path, capsys, column_header):
+    path = tmp_path / "u.csv"
+    io.function_to_csv(GridFunction.constant(musielak.GridDomain.box((9, 9)), 1.0), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:4] if column_header else lines[:3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, "norm", dict(PAYLOADS["norm"], function=str(path)))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"input error: {path}: no data rows\n"
     assert list(out.iterdir()) == []
 
 

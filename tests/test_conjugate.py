@@ -17,7 +17,6 @@ from musielak import (
     conjugate_batch,
     conjugate_inverse_batch,
     eval_phi,
-    tabulate_bounds,
     verify_conjugate_bounds,
 )
 
@@ -154,29 +153,29 @@ class TestBoundVerification:
         # with mu = 0 the p-power bound is an equality everywhere
         f = pure_power_field(N=4, p=2.0)
         ts = [0.5, 1.0, 3.0, 10.0]
-        rep = verify_conjugate_bounds(f, [(None, t) for t in ts])
+        rep = verify_conjugate_bounds(f, [None], ts)
         assert rep.all_pass
         assert np.max(np.abs(rep.slacks["power_p"])) <= 1e-8
 
     def test_zero_argument_all_slack_zero(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
-        rep = verify_conjugate_bounds(f, [(None, 0.0)])
+        rep = verify_conjugate_bounds(f, [None], [0.0])
         assert rep.all_pass
         assert rep.slacks["power_p"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_double_phase_bounds_hold(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
-        rep = verify_conjugate_bounds(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)])
+        rep = verify_conjugate_bounds(f, [None], (0.5, 1.0, 2.0, 5.0))
         assert rep.all_pass, rep.slacks
 
     def test_trace_bound_pure_power(self):
         f = pure_power_field(N=4, p=2.0)
-        trace = verify_conjugate_bounds(f, [(None, t) for t in np.linspace(0.0, 10.0, 21)]).slacks["trace_domination"]
+        trace = verify_conjugate_bounds(f, [None], np.linspace(0.0, 10.0, 21)).slacks["trace_domination"]
         assert np.all(trace >= -1e-9), np.min(trace)
 
     def test_trace_bound_double_phase(self):
         f = ExponentField(4, 2.0, 3.0, 1.0)
-        trace = verify_conjugate_bounds(f, [(None, t) for t in (0.5, 1.0, 2.0, 5.0)]).slacks["trace_domination"]
+        trace = verify_conjugate_bounds(f, [None], (0.5, 1.0, 2.0, 5.0)).slacks["trace_domination"]
         assert np.all(trace >= -1e-9), np.min(trace)
 
     def test_nodewise_fields(self, rng):
@@ -184,8 +183,8 @@ class TestBoundVerification:
         q = p + rng.uniform(0.1, 0.5, 7)
         mu = rng.uniform(0.0, 2.0, 7)
         f = ExponentField(4, p, q, mu)
-        samples = [(i, float(t)) for i, t in enumerate(rng.uniform(0.0, 8.0, 7))]
-        rep = verify_conjugate_bounds(f, samples)
+        rep = verify_conjugate_bounds(f, range(7), rng.uniform(0.0, 8.0, 7))
+        assert rep.conjugate.size == 7 * 7
         assert rep.all_pass
         assert np.all(rep.slacks["trace_domination"] >= -importlib.import_module("musielak.conjugate")._PASS_TOL)
 
@@ -194,7 +193,7 @@ class TestBoundVerification:
         # values of PhiSpec.critical and PhiSpec.critical_trace
         f = ExponentField(3, np.array([1.5, 1.8, 2.0]), np.array([2.0, 2.2, 2.5]), np.array([0.0, 0.5, 2.0]))
         samples = [(x, t) for x in range(3) for t in (0.0, 0.3, 1.0, 4.0)]
-        rep = verify_conjugate_bounds(f, samples)
+        rep = verify_conjugate_bounds(f, range(3), (0.0, 0.3, 1.0, 4.0))
         N, h = f.N, rep.conjugate
         const = float(np.max(f.critical("q") ** f.critical("q")))
         g_star = np.array([eval_phi(PhiSpec.critical(f), x, t) for x, t in samples])
@@ -227,17 +226,16 @@ class TestTabulateBounds:
 
         monkeypatch.setattr(module, "conjugate_batch", counted)
         nodes = list(range(12))
-        report = tabulate_bounds(self.FIELD, nodes, self.TS)
-        assert sum(sizes) == len(nodes) * self.TS.size == report.conjugate.size == len(report.samples)
+        report = verify_conjugate_bounds(self.FIELD, nodes, self.TS)
+        assert sum(sizes) == len(nodes) * self.TS.size == report.conjugate.size
 
     def test_blocks_across_nodes_match_per_node_tables(self):
         nodes = list(range(30))
         for normalized in (False, True):
-            report = tabulate_bounds(self.FIELD, nodes, self.TS, normalized=normalized)
+            report = verify_conjugate_bounds(self.FIELD, nodes, self.TS, normalized=normalized)
             for x in nodes:
                 rows = slice(x * self.TS.size, (x + 1) * self.TS.size)
-                rep_node = tabulate_bounds(self.FIELD, [x], self.TS, normalized=normalized)
-                assert report.samples[rows] == rep_node.samples
+                rep_node = verify_conjugate_bounds(self.FIELD, [x], self.TS, normalized=normalized)
                 np.testing.assert_allclose(report.conjugate[rows], rep_node.conjugate, rtol=1e-12, atol=0.0)
                 for name, vals in rep_node.slacks.items():
                     assert np.all(np.abs(report.slacks[name][rows] - vals) <= 1e-12 * np.maximum(1.0, np.abs(vals)))
@@ -247,10 +245,10 @@ class TestTabulateBounds:
         # depend on the other samples of its batch.
         nodes = list(range(30))
         for normalized in (False, True):
-            report = tabulate_bounds(self.FIELD, nodes, self.TS, normalized=normalized)
+            report = verify_conjugate_bounds(self.FIELD, nodes, self.TS, normalized=normalized)
             for x in nodes:
                 rows = slice(x * self.TS.size, (x + 1) * self.TS.size)
-                rep_node = tabulate_bounds(self.FIELD, [x], self.TS, normalized=normalized)
+                rep_node = verify_conjugate_bounds(self.FIELD, [x], self.TS, normalized=normalized)
                 h_node = conjugate_batch(3, *self.FIELD.at(x), self.TS, normalized=normalized)
                 assert np.all(report.conjugate[rows] == rep_node.conjugate)
                 assert np.all(report.conjugate[rows] == h_node)
@@ -270,7 +268,7 @@ class TestTabulateBounds:
             return conjugate_batch(N, p, q, mu, t, **kw)
 
         monkeypatch.setattr(module, "conjugate_batch", counted)
-        tabulate_bounds(self.WIDE, range(64), np.linspace(0.0, 20.0, 64), normalized=normalized)
+        verify_conjugate_bounds(self.WIDE, range(64), np.linspace(0.0, 20.0, 64), normalized=normalized)
         assert sizes == [64 * 64]
 
     @pytest.mark.parametrize("normalized", [False, True])
@@ -285,45 +283,31 @@ class TestTabulateBounds:
             return conjugate_inverse_batch(N, p, q, mu, s, **kw)
 
         monkeypatch.setattr(module, "conjugate_inverse_batch", counted)
-        tabulate_bounds(self.WIDE, range(64), np.linspace(0.0, 20.0, 64), normalized=normalized)
+        verify_conjugate_bounds(self.WIDE, range(64), np.linspace(0.0, 20.0, 64), normalized=normalized)
         assert sizes == [64 * 64]
 
     def test_table_memory_peak(self):
         ts = np.linspace(0.0, 20.0, 64)
-        tabulate_bounds(self.WIDE, [0, 1], ts, normalized=True)  # imports and caches outside the trace
+        verify_conjugate_bounds(self.WIDE, [0, 1], ts, normalized=True)  # imports and caches outside the trace
         tracemalloc.start()
         try:
-            tabulate_bounds(self.WIDE, range(64), ts, normalized=True)
+            verify_conjugate_bounds(self.WIDE, range(64), ts, normalized=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_slacks_match_the_verify_functions(self):
-        nodes = [0, 1, 2]
-        samples = [(x, t) for x in nodes for t in self.TS]
-        report = tabulate_bounds(self.FIELD, nodes, self.TS)
-        ref = verify_conjugate_bounds(self.FIELD, samples).slacks
-        assert report.samples == samples
-        assert set(report.slacks) == set(ref)
-        for name, vals in ref.items():
-            assert np.all(np.abs(report.slacks[name] - vals) <= 1e-12 * np.maximum(1.0, np.abs(vals)))
-        assert report.all_pass
-
     def test_inadmissible_field_rejected(self):
         with pytest.raises(HypothesisError):
-            tabulate_bounds(ExponentField(3, 1.5, 3.5, 0.0), [None], self.TS)
+            verify_conjugate_bounds(ExponentField(3, 1.5, 3.5, 0.0), [None], self.TS)
 
     def test_one_field_lookup_per_node(self, monkeypatch):
         calls = []
         lookup = ExponentField.at
         monkeypatch.setattr(ExponentField, "at", lambda f, x: calls.append(x) or lookup(f, x))
         nodes = [4, 2, 7]
-        tabulate_bounds(self.FIELD, nodes, self.TS)
+        verify_conjugate_bounds(self.FIELD, nodes, self.TS)
         assert calls == nodes
-        calls.clear()
-        verify_conjugate_bounds(self.FIELD, [(4, 1.0), (2, 1.0), (4, 2.0)])
-        assert calls == [4, 2, 4]
 
 
 def _mp_inverse(N, p, q, mu, s, normalized):
@@ -517,12 +501,12 @@ def test_overflowing_domination_constant_is_a_domain_error(monkeypatch):
     field = ExponentField(3, 1.5, 2.95, 0.5)
     monkeypatch.setattr(importlib.import_module("musielak.conjugate"), "conjugate_batch", None)
     with pytest.raises(DomainError, match="domination constant"):
-        verify_conjugate_bounds(field, [(None, 1.0)])
+        verify_conjugate_bounds(field, [None], [1.0])
     with pytest.raises(DomainError, match="domination constant"):
-        tabulate_bounds(field, [None], [0.5, 1.0])
+        verify_conjugate_bounds(field, [None], [0.5, 1.0])
     monkeypatch.undo()
     # q* = 99 (q = 2.91) still fits: 99^99 is about 3.7e197
-    assert tabulate_bounds(ExponentField(3, 1.5, 2.91, 0.5), [None], [0.5]).slacks
+    assert verify_conjugate_bounds(ExponentField(3, 1.5, 2.91, 0.5), [None], [0.5]).slacks
 
 
 def test_an_overflowing_critical_weight_is_a_domain_error_with_no_warning():
@@ -530,4 +514,4 @@ def test_an_overflowing_critical_weight_is_a_domain_error_with_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite weight"):
-            verify_conjugate_bounds(ExponentField(3, 1.5, 2.9, 1e11), [(None, 0.0), (None, 1.0), (None, 5.0)])
+            verify_conjugate_bounds(ExponentField(3, 1.5, 2.9, 1e11), [None], [0.0, 1.0, 5.0])

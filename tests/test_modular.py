@@ -58,6 +58,28 @@ class TestGridDomain:
         with pytest.raises(DomainError, match="each with >= 3 nodes"):
             GridDomain.box(shape)
 
+    @pytest.mark.parametrize("shape,spacing", [
+        ((9, 9), (1e-200, 1e-200)),  # interior weights and cell measure underflow
+        ((5, 5, 5), (1e-200,) * 3),
+        ((9, 9), (1e200, 1e200)),  # they overflow
+        ((3, 3), (5e-324, 1.0)),  # half the smallest subnormal (an end node's row entry) is 0
+        ((5, 5, 5), (1e-200, 1e-200, 1e300)),  # the first two axes' facet product underflows first
+        ((3, 3, 3), (1e154, 1e154, 1.0)),  # only the interior weight 2h x 2h x 2h overflows
+        ((3,), (1.5e308,)),  # the interior row entry 2h overflows
+        ((9,), (float("inf"),)),
+        ((9,), (float("nan"),)),
+    ])
+    def test_weights_outside_the_double_range_are_a_domain_error(self, shape, spacing):
+        with pytest.raises(DomainError, match="outside the double range"):
+            GridDomain(shape, spacing, (0.0,) * len(shape))
+
+    @pytest.mark.parametrize("shape,spacing", [((9, 9), (1e-150, 1e-150)), ((5, 5, 5), (1e300, 1e-200, 1e-90)),
+                                               ((9,), (1e300,)), ((9,), (1e-320,))])
+    def test_weights_inside_the_double_range_are_positive_and_finite(self, shape, spacing):
+        dom = GridDomain(shape, spacing, (0.0,) * len(shape))
+        for w, nodes in ((dom.interior_weights, ~dom.boundary_mask), (dom.boundary_weights, dom.boundary_mask)):
+            assert np.all((w[nodes] > 0.0) & (w[nodes] < np.inf))
+
     @pytest.mark.parametrize("shape", [(3,), (8,), (3, 5), (6, 3), (3, 3, 4), (5, 4, 3), (3, 4, 3, 5)])
     def test_weights_and_mask_match_a_per_node_reference_bit_for_bit(self, shape):
         # Per axis with spacing h: interior factor 0 at the ends, h inside, +h/2

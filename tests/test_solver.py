@@ -103,6 +103,23 @@ class TestEnergy:
             assert mid <= avg + 1e-12 * max(1.0, abs(avg))
 
 
+class TestOtherLattice:
+    DOM, OTHER = GridDomain.interval(9), GridDomain.interval(11)
+
+    @pytest.mark.parametrize("part,what", [("f", "source term"), ("flux", "flux term"), ("field", "exponent field")])
+    def test_problem_data_on_another_lattice_is_a_domain_error(self, part, what):
+        kw = {"field": self.DOM.constant_field(3, 2.0, 2.2, 0.5), "f": GridFunction.constant(self.DOM, 0.0)}
+        kw[part] = (self.OTHER.constant_field(3, 2.0, 2.2, 0.5) if part == "field"
+                    else GridFunction.constant(self.OTHER, 0.0))
+        with pytest.raises(DomainError, match=f"{what} lives on a different grid"):
+            ProblemSpec(self.DOM, bc="neumann", **kw)
+
+    def test_energy_at_a_function_on_another_lattice_is_a_domain_error(self):
+        spec = ProblemSpec(self.DOM, self.DOM.constant_field(3, 2.0, 2.2, 0.5), GridFunction.constant(self.DOM, 1.0))
+        with pytest.raises(DomainError, match="grid function lives on a different grid"):
+            energy(spec, GridFunction.constant(self.OTHER, 0.0))
+
+
 class TestEnergyGradient:
     def test_zero_at_origin_without_load(self):
         spec = interval_problem(f=0.0)
