@@ -23,15 +23,18 @@ subcommand reads these payload keys (default in brackets, none means required):
   the max-norm
 - bound-check: field, grid, function, regime ["subcritical-D"], r, s, l, h
   [none], constants [the BoundConstants defaults], kappa_grid [16 geometric
-  levels up to max |u| + 1]; each candidate runs for at most 60 levels, and
-  a level has decayed when its energy is at most 1e-12
+  levels up to max |u| + 1; not empty]; each candidate runs for at most 60
+  levels, and a level has decayed when its energy is at most 1e-12
 
 A key that its subcommand, or its grid, field or grid-function object, does
-not read is an input error.  norm, solve and bound-check need a bounded mu in
-the field.  A function is a number (a constant), a grid-function object, or
-the path of a file: a CSV as solve writes it, or a JSON grid-function object;
-an error about a file names the file.  Counts such as n_samples, n_max and
-max_iter are whole numbers, so 200.0 reads as 200.
+not read is an input error, and so is a key that the run would ignore: norm
+"sobolev" with kind, r, s, l, h, alpha or mode; t_values with t_max or
+n_samples; embed-scan's function with radius; solve's function with source,
+and flux with bc "dirichlet-zero".  norm, solve and bound-check need a
+bounded mu in the field.  A function is a number (a constant), a
+grid-function object, or the path of a file: a CSV as solve writes it, or a
+JSON grid-function object; an error about a file names the file.  Counts such
+as n_samples, n_max and max_iter are whole numbers, so 200.0 reads as 200.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
 All outputs land under the directory given by --output; a JSON output is
@@ -43,7 +46,7 @@ subcommand's handler, ``handler(payload) -> (outputs, passed)``, where
 ``outputs`` maps a file name to a JSON object, a ``GridFunction`` or CSV
 rows.  A handler writes nothing: ``run`` writes the outputs only after the
 handler returns, and maps ``passed`` to exit 0 or 1.  An input error is a
-``ValueError`` (a ``DomainError`` where this module raises it) or the
+``DomainError``, a ``ValueError`` from outside the toolkit, or the
 ``KeyError`` of a missing payload key.
 """
 
@@ -136,6 +139,13 @@ def _flat_numbers(values, what: str) -> np.ndarray:
     return arr
 
 
+def _reject_ignored(payload, owner: str, keys) -> None:
+    """An input error when the payload holds one of ``keys``, which ``owner`` makes the run ignore."""
+    for key in keys:
+        if key in payload:
+            raise DomainError(f"{owner} cannot be combined with '{key}', which the run would ignore")
+
+
 def _given(payload, *keys) -> dict:
     """The payload entries among ``keys``; the library defaults fill the rest."""
     return {k: payload[k] for k in keys if k in payload}
@@ -172,6 +182,7 @@ def _cmd_norm(payload: dict) -> tuple[dict, bool]:
     u = _function_from_payload(payload, domain)
     which = payload.get("norm", "luxemburg")
     if which == "sobolev":
+        _reject_ignored(payload, "'norm' = 'sobolev'", ("kind", "r", "s", "l", "h", "alpha", "mode"))
         result = sobolev_norm(field, u)
         modular = None
     else:
@@ -216,7 +227,9 @@ def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
     field, _ = _field_and_domain(payload)
     nodes = _node_list(payload, field)
     ts = payload.get("t_values")
-    if ts is None:
+    if ts is not None:
+        _reject_ignored(payload, "'t_values'", ("t_max", "n_samples"))
+    else:
         t_max = io.number_from_json(payload.get("t_max", 10.0), "t_max")
         n_samples = io.number_from_json(payload.get("n_samples", 32), "n_samples", integer=True)
         if n_samples < 1:
@@ -249,6 +262,7 @@ def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
 def _cmd_embed_scan(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
     if payload.get("function") is not None:
+        _reject_ignored(payload, "'function'", ("radius",))
         u = _function_from_payload(payload, domain)
     else:
         u = embedding_lab.bump_function(domain, io.number_from_json(payload.get("radius", 1.0), "radius"))
@@ -283,11 +297,16 @@ def _cmd_recursion(payload: dict) -> tuple[dict, bool]:
 
 def _cmd_solve(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
-    f = (_function_from_payload(payload, domain) if "function" in payload
-         else _grid_data(payload.get("source", 0.0), domain, "source"))
+    bc = payload.get("bc", "dirichlet-zero")
+    if bc == "dirichlet-zero":
+        _reject_ignored(payload, "'bc' = 'dirichlet-zero'", ("flux",))
+    if "function" in payload:
+        _reject_ignored(payload, "'function'", ("source",))
+        f = _function_from_payload(payload, domain)
+    else:
+        f = _grid_data(payload.get("source", 0.0), domain, "source")
     spec = solver.ProblemSpec(
-        domain, field, f,
-        bc=payload.get("bc", "dirichlet-zero"),
+        domain, field, f, bc=bc,
         flux=None if payload.get("flux") is None else _grid_data(payload["flux"], domain, "flux"),
         **_given(payload, "grad_tol"), **_whole(payload, "max_iter"),
     )
@@ -330,11 +349,13 @@ def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
         top = float(np.max(np.abs(u.values))) + 1.0
         grid = np.geomspace(max(top / 64.0, 1e-6), top, 16)
     grid = _flat_numbers(grid, "kappa grid values")
+    if grid.size == 0:
+        raise DomainError("'kappa_grid' must hold at least one candidate level")
     report = degiorgi.two_sided_bound(u, field, regime, grid, **kw)
 
     psi_norm = None
     bound = None
-    # two_sided_bound has raised HypothesisError if a regime's exponents are missing.
+    # two_sided_bound has raised DomainError if a regime's exponents are missing.
     if regime.startswith("subcritical"):
         spec = PhiSpec.subcritical(field, kw["r"], kw["s"])
         psi_norm = luxemburg_norm(spec, u).value
@@ -407,8 +428,7 @@ def run(command: str, input_path: Path, output_dir: Path) -> int:
         print(f"input error: missing key {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ValueError as exc:
-        # ValueError covers every toolkit error about the input: DomainError,
-        # GridMismatchError, HypothesisError, SingularityError, ContractError.
+        # A DomainError, or a ValueError from outside the toolkit, is an input error.
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ConvergenceError as exc:

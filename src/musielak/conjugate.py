@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, HypothesisError
+from .errors import ConvergenceError, DomainError
 from .phi_core import ExponentField, PhiSpec, sobolev_critical
 
 __all__ = [
@@ -74,7 +74,7 @@ def _require_admissible(N, p, q, mu):
     if not np.all(ok):
         N, p, q, mu, ok = np.broadcast_arrays(N, p, q, mu, ok)
         i = np.argmin(ok)
-        raise HypothesisError(
+        raise DomainError(
             "conjugate needs 1 < p(x) < q(x) < N and 0 <= mu bounded, got "
             f"N = {N.flat[i]:g}, p = {p.flat[i]:g}, q = {q.flat[i]:g}, mu = {mu.flat[i]:g}")
 

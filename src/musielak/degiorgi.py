@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError
+from .errors import DomainError
 from .modular import GridDomain, GridFunction
 from .phi_core import ExponentField, PhiSpec
 
@@ -215,11 +215,11 @@ class _Levels:
         self.boundary = self.gradient_term = None
         if regime.startswith("subcritical"):
             if r is None or s is None:
-                raise HypothesisError(f"regime {regime} needs interior exponents r, s")
+                raise DomainError(f"regime {regime} needs interior exponents r, s")
             self.interior = PhiSpec.subcritical(field, r, s)
             if regime == "subcritical-N":
                 if l is None or h is None:
-                    raise HypothesisError("regime subcritical-N needs boundary exponents l, h")
+                    raise DomainError("regime subcritical-N needs boundary exponents l, h")
                 self.boundary = PhiSpec.subcritical_trace(field, l, h)
         else:
             self.interior = PhiSpec.critical(field)
@@ -401,7 +401,7 @@ def bound_estimate(
     neumann = regime.endswith("-N")
     if neumann:
         if upsilon_norm is None:
-            raise HypothesisError("Neumann regime needs the boundary norm")
+            raise DomainError("Neumann regime needs the boundary norm")
         base = psi_norm + upsilon_norm
     else:
         base = psi_norm
@@ -433,6 +433,13 @@ class IterationReport:
         return self.kappa_star is not None
 
 
+def _bound_ok(u: GridFunction, kappa, sup: float) -> bool:
+    """Whether a level was found and sup <= 2 kappa + max(h) max |grad u|:
+    twice the level, plus one cell of slack."""
+    cell_slack = max(u.domain.spacing) * float(np.max(u.gradient_magnitude()))
+    return kappa is not None and sup <= 2.0 * kappa + cell_slack
+
+
 def empirical_iteration(
     u: GridFunction,
     field: ExponentField,
@@ -459,7 +466,6 @@ def empirical_iteration(
         raise DomainError("kappa_star candidates must be finite")
     levels = _Levels(u, field, regime, r, s, l, h)
     sup_u = float(np.max(u.values[~levels.bmask]))
-    cell_slack = max(u.domain.spacing) * float(np.max(u.gradient_magnitude()))
 
     candidates = []
     chosen = None
@@ -482,8 +488,7 @@ def empirical_iteration(
         if entry < 1.0 and decayed and chosen is None:
             chosen = kappa
             chosen_energies = energies
-    bound_ok = chosen is not None and sup_u <= 2.0 * chosen + cell_slack
-    return IterationReport(regime, chosen, sup_u, bound_ok, candidates, chosen_energies)
+    return IterationReport(regime, chosen, sup_u, _bound_ok(u, chosen, sup_u), candidates, chosen_energies)
 
 
 def two_sided_bound(
@@ -498,13 +503,7 @@ def two_sided_bound(
     ``kw`` holds the exponents r, s, l and h of ``empirical_iteration``."""
     up = empirical_iteration(u, field, regime, kappa_star_grid, **kw)
     down = empirical_iteration(-u, field, regime, kappa_star_grid, **kw)
-    dom = u.domain
-    interior = ~dom.boundary_mask
-    sup_abs = float(np.max(np.abs(u.values[interior])))
-    kappa = None
-    if up.found and down.found:
-        kappa = max(up.kappa_star, down.kappa_star)
-    cell_slack = max(dom.spacing) * float(np.max(u.gradient_magnitude()))
-    ok = kappa is not None and sup_abs <= 2.0 * kappa + cell_slack
-    return IterationReport(regime, kappa, sup_abs, ok, up.candidates + down.candidates,
-                           up.energies + down.energies)
+    sup_abs = abs(max(up.esssup, down.esssup))  # abs: +0.0 when the interior holds only +-0
+    kappa = max(up.kappa_star, down.kappa_star) if up.found and down.found else None
+    return IterationReport(regime, kappa, sup_abs, _bound_ok(u, kappa, sup_abs),
+                           up.candidates + down.candidates, up.energies + down.energies)

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, HypothesisError
+from .errors import ConvergenceError, DomainError
 from .modular import GridDomain, GridFunction
 from .phi_core import ExponentField, sobolev_critical
 
@@ -224,7 +224,7 @@ def optimality_check(N: int, p: float, q: float, r: float, s: float, alpha: floa
     ``s/q - N^2 epsilon / (N - q)`` it induces.
     """
     if not (1.0 < p < q < N):
-        raise HypothesisError("need 1 < p < q < N")
+        raise DomainError("need 1 < p < q < N")
     p_star, q_star = sobolev_critical(N, p), sobolev_critical(N, q)
     alpha_floor = q_star / q
     eps_cmp = 1e-12  # float slack so that exact boundary equality passes

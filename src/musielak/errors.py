@@ -1,32 +1,19 @@
-"""Exception types shared across the toolkit."""
+"""The toolkit's two exception types.
 
-__all__ = ["ToolkitError", "DomainError", "GridMismatchError", "SingularityError",
-           "HypothesisError", "ConvergenceError", "ContractError"]
+``DomainError``, a ``ValueError``, is an input error: data outside the
+admissible range, objects on different lattices, or data that break a
+hypothesis of the paper (1 < p < q < N, q < p*, bounded mu, a subcritical
+window).  The command line exits 2 on it.  ``ConvergenceError``, a
+``RuntimeError``, is an iteration that missed its tolerance within its cap.
+The command line exits 1 on it.
+"""
 
-
-class ToolkitError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class DomainError(ToolkitError, ValueError):
-    """An argument lies outside the mathematically admissible range."""
-
-
-class GridMismatchError(ToolkitError, ValueError):
-    """Two gridded objects do not live on the same node set."""
+__all__ = ["DomainError", "ConvergenceError"]
 
 
-class SingularityError(ToolkitError, ValueError):
-    """A derived quantity is undefined (division by zero in an exponent formula)."""
+class DomainError(ValueError):
+    """An input lies outside the range where the operation is defined."""
 
 
-class HypothesisError(ToolkitError, ValueError):
-    """An exponent field violates the structural hypotheses required by an operation."""
-
-
-class ConvergenceError(ToolkitError, RuntimeError):
+class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance within its iteration cap."""
-
-
-class ContractError(ToolkitError, ValueError):
-    """An input violates a stated precondition (e.g. boundary condition not satisfied)."""

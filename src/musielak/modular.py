@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GridMismatchError
+from .errors import ConvergenceError, DomainError
 from .phi_core import ExponentField, PhiSpec
 
 __all__ = [
@@ -69,7 +69,7 @@ class GridDomain:
         object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
         if not (len(self.shape) == len(self.spacing) == len(self.origin)):
-            raise GridMismatchError("shape, spacing and origin must have equal length")
+            raise DomainError("shape, spacing and origin must have equal length")
         if not self.shape or any(n < 3 for n in self.shape):
             raise DomainError("a grid needs at least one axis, each with >= 3 nodes")
         if any(h <= 0 for h in self.spacing):
@@ -181,7 +181,7 @@ class GridFunction:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.domain.shape:
-            raise GridMismatchError(f"values shape {vals.shape} != grid shape {self.domain.shape}")
+            raise DomainError(f"values shape {vals.shape} != grid shape {self.domain.shape}")
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
@@ -219,9 +219,7 @@ class NormResult:
 
 def _require_same_nodes(spec: PhiSpec, u: GridFunction):
     if spec.base.shape not in ((), u.domain.shape):
-        raise GridMismatchError(
-            f"Phi-function lives on {spec.base.shape}, grid function on {u.domain.shape}"
-        )
+        raise DomainError(f"Phi-function lives on {spec.base.shape}, grid function on {u.domain.shape}")
 
 
 def modular_rho(spec: PhiSpec, u: GridFunction) -> float:

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GridMismatchError,
-    HypothesisError,
-    SingularityError,
-)
+from .errors import DomainError
 
 __all__ = [
     "ExponentField",
@@ -47,7 +42,7 @@ def _as_field_array(value, shape):
     if arr.shape == ():
         return np.broadcast_to(arr, shape).copy() if shape else arr
     if shape and arr.shape != shape:
-        raise GridMismatchError(f"field shape {arr.shape} != node shape {shape}")
+        raise DomainError(f"field shape {arr.shape} != node shape {shape}")
     return arr
 
 
@@ -87,7 +82,7 @@ class ExponentField:
         shapes = [a.shape for a in arrays.values() if a.shape]
         shape = shapes[0] if shapes else ()
         if any(s != shape for s in shapes):
-            raise GridMismatchError(f"p/q/mu shapes disagree: {shapes}")
+            raise DomainError(f"p/q/mu shapes disagree: {shapes}")
         for k, a in arrays.items():
             object.__setattr__(self, k, _as_field_array(a, shape))
         # An infinite mu stays: validate_hypotheses reports it as "mu bounded".
@@ -122,7 +117,7 @@ class ExponentField:
     def _critical(self, which, trace):
         r = self.p if which == "p" else self.q
         if np.any(r >= self.N):
-            raise SingularityError(f"{which}(x) >= N={self.N} somewhere: critical exponent undefined")
+            raise DomainError(f"{which}(x) >= N={self.N} somewhere: critical exponent undefined")
         return sobolev_critical(self.N, r, trace)
 
 
@@ -329,10 +324,10 @@ def _check_subcritical_window(base, lo, hi, cap_lo, cap_hi, mode):
     if mode == "subcritical":
         ok = np.all(base.p < lo) and np.all(lo < cap_lo) and np.all(base.q < hi) and np.all(hi < cap_hi)
         if not ok:
-            raise HypothesisError("subcritical mode needs p < r < p-critical and q < s < q-critical nodewise")
+            raise DomainError("subcritical mode needs p < r < p-critical and q < s < q-critical nodewise")
     elif mode == "critical":
         if not (np.all(lo <= cap_lo) and np.all(hi <= cap_hi)):
-            raise HypothesisError("critical mode needs r <= p-critical and s <= q-critical nodewise")
+            raise DomainError("critical mode needs r <= p-critical and s <= q-critical nodewise")
     else:
         raise DomainError(f"unknown subcritical mode {mode!r}")
 

@@ -71,7 +71,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ContractError, DomainError, HypothesisError
+from .errors import DomainError
 from .modular import GridDomain, GridFunction
 from .phi_core import ExponentField
 
@@ -127,7 +127,7 @@ class ProblemSpec:
             raise DomainError("exponent field lives on a different grid")
         mu = self.field.mu
         if np.any(self.field.p < 1.0) or np.any(self.field.q < 1.0) or not np.all((0.0 <= mu) & (mu < np.inf)):
-            raise HypothesisError("need p, q >= 1 and a bounded mu >= 0 for a convex energy")
+            raise DomainError("need p, q >= 1 and a bounded mu >= 0 for a convex energy")
         if self.bc == "neumann" and self.flux is not None:
             if self.flux.domain.shape != self.domain.shape:
                 raise DomainError("flux term lives on a different grid")
@@ -224,7 +224,7 @@ def _check_bc(spec: ProblemSpec, u: GridFunction):
     if u.domain.shape != spec.domain.shape:
         raise DomainError("grid function lives on a different grid")
     if spec.bc == "dirichlet-zero" and np.any(u.values[spec.domain.boundary_mask] != 0.0):
-        raise ContractError("Dirichlet-zero problem evaluated at a function with nonzero boundary values")
+        raise DomainError("Dirichlet-zero problem evaluated at a function with nonzero boundary values")
 
 
 def energy(spec: ProblemSpec, u: GridFunction) -> float:

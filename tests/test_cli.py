@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import musielak
 from musielak import ConvergenceError, ExponentField, PhiSpec, conjugate_batch, eval_phi, verify_conjugate_bounds
-from musielak import DomainError, GridFunction, HypothesisError, cli, degiorgi, embedding_lab, io, solver
+from musielak import DomainError, GridFunction, cli, degiorgi, embedding_lab, io, solver
 from conftest import function_json
 
 
@@ -550,6 +550,24 @@ MALFORMED = (
            ("critical-mode-r-above-p-star", {"r": 4.0, "s": 5.0, "mode": "critical"}, "critical mode needs r <="),
            ("mode-bogus", {"r": 2.5, "s": 3.0, "mode": "bogus"}, "unknown subcritical mode"),
            ("r-shape", {"r": [2.5, 2.5, 2.5], "s": 3.0}, "field shape (3,) != node shape (9, 9)")]]
+    # A key that the run would ignore once exited 0 and dropped the key.
+    + [pytest.param("solve", dict(PAYLOADS["solve"], flux=1.0, **bc),
+                    "'bc' = 'dirichlet-zero' cannot be combined with 'flux'", id=f"solve-flux-{name}")
+       for name, bc in [("default-bc", {}), ("dirichlet-zero", {"bc": "dirichlet-zero"})]]
+    + [pytest.param("solve", dict(PAYLOADS["solve"], function=0.5), "'function' cannot be combined with 'source'",
+                    id="solve-function-and-source")]
+    + [pytest.param("conjugate-table", dict(PAYLOADS["conjugate-table"], **{key: value}),
+                    f"'t_values' cannot be combined with '{key}'", id=f"t_values-and-{key}")
+       for key, value in [("t_max", -5), ("n_samples", 8)]]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], norm="sobolev", **{key: value}),
+                    f"'norm' = 'sobolev' cannot be combined with '{key}'", id=f"sobolev-and-{key}")
+       for key, value in [("kind", "bogus"), ("r", 2.5), ("s", 3.0), ("l", 2.0), ("h", 2.5), ("alpha", 1.0),
+                          ("mode", "critical")]]
+    + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], function=0.25, radius=2.0),
+                    "'function' cannot be combined with 'radius'", id="embed-scan-function-and-radius")]
+    # An empty kappa grid once exited 1 with kappa_star null.
+    + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], kappa_grid=[]),
+                    "'kappa_grid' must hold at least one candidate level", id="kappa_grid-empty")]
 )
 
 
@@ -748,7 +766,7 @@ def test_phi_spec_matches_its_constructor(kind, mode):
         if mode == "critical":
             cli._phi_spec(at_cap, SPEC_FIELD)
         else:
-            with pytest.raises(HypothesisError, match="subcritical mode"):
+            with pytest.raises(DomainError, match="subcritical mode"):
                 cli._phi_spec(at_cap, SPEC_FIELD)
 
 

@@ -10,7 +10,6 @@ from musielak import (
     ExponentField,
     GridDomain,
     GridFunction,
-    HypothesisError,
     PhiSpec,
     RecursionParams,
     bound_estimate,
@@ -205,9 +204,9 @@ class TestTruncationEnergy:
 
     def test_missing_exponents_rejected(self):
         u = GridFunction.constant(self.dom, 0.5)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(DomainError, match="regime subcritical-D needs interior exponents r, s"):
             truncation_energy(u, self.field, "subcritical-D", 1.0, 0)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(DomainError, match="regime subcritical-N needs boundary exponents l, h"):
             truncation_energy(u, self.field, "subcritical-N", 1.0, 0, r=self.r, s=self.s)
 
     def test_neumann_regime_has_boundary_term(self):
@@ -343,7 +342,7 @@ class TestBoundEstimate:
             BoundConstants(**change)
 
     def test_neumann_needs_boundary_norm(self):
-        with pytest.raises(HypothesisError):
+        with pytest.raises(DomainError, match="Neumann regime needs the boundary norm"):
             bound_estimate(1.0, BoundConstants(), regime="subcritical-N")
 
     def test_neumann_combines_norms(self):
@@ -372,6 +371,16 @@ class TestEmpiricalIteration:
                                  kappa_star_grid=np.geomspace(0.05, 2.0, 12),
                                  r=3.0, s=3.5)
         assert report.found and report.bound_ok
+        assert report.esssup == float(np.max(np.abs(u.values[1:-1])))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_two_sided_sup_of_a_signed_zero_is_plus_zero(self, zero):
+        dom = GridDomain.interval(11)
+        field = dom.constant_field(3, 2.0, 2.2, 1.0)
+        u = GridFunction(dom, np.full(dom.shape, zero))
+        report = two_sided_bound(u, field, "subcritical-D", kappa_star_grid=[1.0], r=3.0, s=3.5)
+        assert report.found and report.bound_ok
+        assert np.copysign(1.0, report.esssup) == 1.0
 
     def test_entry_condition_critical(self):
         dom = GridDomain.interval(201)

@@ -7,7 +7,6 @@ from musielak import (
     ExponentField,
     GridDomain,
     GridFunction,
-    HypothesisError,
     PhiSpec,
     bump_function,
     embedding_sides,
@@ -166,7 +165,7 @@ class TestOptimalityCheck:
         assert res.alpha_epsilon_threshold == pytest.approx(expect)
 
     def test_invalid_exponents(self):
-        with pytest.raises(HypothesisError):
+        with pytest.raises(DomainError, match="need 1 < p < q < N"):
             optimality_check(4, 3.0, 2.0, 1.0, 1.0, 1.0)
 
     def test_admissible_pair_dominated_by_critical_plus_two(self, rng):

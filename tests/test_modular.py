@@ -10,7 +10,6 @@ from musielak import (
     ExponentField,
     GridDomain,
     GridFunction,
-    GridMismatchError,
     PhiSpec,
     boundary_modular,
     boundary_norm,
@@ -162,7 +161,7 @@ class TestModulars:
             ExponentField(3, np.full(unit_interval.shape, 2.0),
                           np.full(unit_interval.shape, 3.0),
                           np.zeros(unit_interval.shape)))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(DomainError, match="Phi-function lives on .*, grid function on"):
             modular_rho(spec, GridFunction.constant(other, 1.0))
 
 
