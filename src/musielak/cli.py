@@ -28,13 +28,16 @@ subcommand reads these payload keys (default in brackets, none means required):
 
 A key that its subcommand, or its grid, field or grid-function object, does
 not read is an input error, and so is a key that the run would ignore: norm
-"sobolev" with kind, r, s, l, h, alpha or mode; t_values with t_max or
-n_samples; embed-scan's function with radius; solve's function with source,
-and flux with bc "dirichlet-zero".  norm, solve and bound-check need a
-bounded mu in the field.  A function is a number (a constant), a
-grid-function object, or the path of a file: a CSV as solve writes it, or a
-JSON grid-function object; an error about a file names the file.  Counts such
-as n_samples, n_max and max_iter are whole numbers, so 200.0 reads as 200.
+"sobolev" with kind, r, s, l, h, alpha or mode; norm's kind with an exponent
+r, s, l, h or alpha that it does not take, or with mode unless it is
+"subcritical" or "subcritical_trace"; t_values with t_max or n_samples;
+embed-scan's function with radius; solve's function with source, and flux
+with bc "dirichlet-zero"; bound-check's l and h with a regime other than
+"subcritical-N".  norm, solve and bound-check need a bounded mu in the field.
+A function is a number (a constant), a grid-function object, or the path of a
+file: a CSV as solve writes it, or a JSON grid-function object; an error about
+a file names the file.  Counts such as n_samples, n_max and max_iter are whole
+numbers, so 200.0 reads as 200.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
 All outputs land under the directory given by --output; a JSON output is
@@ -115,7 +118,9 @@ def _phi_spec(payload, field):
     if not isinstance(kind, str) or kind not in _PHI_KINDS:
         raise DomainError(f"unknown Phi-function kind {kind!r:.40}")
     args = [_exponent(payload, k) for k in _PHI_KINDS[kind]]
-    if kind.startswith("subcritical"):
+    reads = _PHI_KINDS[kind] + (("mode",) if kind.startswith("subcritical") else ())
+    _reject_ignored(payload, f"'kind' = '{kind}'", [k for k in ("r", "s", "l", "h", "alpha", "mode") if k not in reads])
+    if "mode" in reads:
         args.append(payload.get("mode", "subcritical"))
     return getattr(PhiSpec, kind)(field, *args)
 
@@ -343,6 +348,8 @@ def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
     u = _function_from_payload(payload, domain)
     constants = _bound_constants(payload.get("constants", {}))
     regime = payload.get("regime", "subcritical-D")
+    if regime in ("subcritical-D", "critical-D", "critical-N"):
+        _reject_ignored(payload, f"'regime' = '{regime}'", ("l", "h"))
     kw = {k: _exponent(payload, k) for k in ("r", "s", "l", "h") if k in payload}
     grid = payload.get("kappa_grid")
     if grid is None:

@@ -9,7 +9,8 @@ truncation energies realize that sequence for grid functions: levels
 Phi-functions of ``(u - kappa_n)_+`` over them (plus boundary terms in the
 Neumann regimes and gradient terms in the critical regimes).  Only the
 truncation depends on the level: the Phi-functions and the gradient term are
-built once per function and reused at every level.  The energies do not
+built once per function and reused at every level, and each level evaluates
+its Phi-functions on the nodes of ``{u > kappa_n}`` only.  The energies do not
 increase with n: the excess ``(u - kappa_n)_+`` and the level set shrink, and
 every Phi-function and the gradient term are nonnegative and nondecreasing.  So
 a candidate whose last level has not decayed is settled by that one
@@ -204,6 +205,8 @@ class _Levels:
     """The level-independent parts of one function's truncation energies: the
     regime and exponent checks, the interior and boundary Phi-functions, the
     weights and, in the critical regimes, the nodal gradient term w H(|grad u|).
+    Each level evaluates the Phi-functions on the nodes of {u > kappa} only:
+    off that set the excess is 0, where every Phi-function is +0.0.
     """
 
     def __init__(self, u, field, regime, r=None, s=None, l=None, h=None):
@@ -230,13 +233,14 @@ class _Levels:
 
     def energy(self, kappa):
         """The (interior, boundary) truncation energy of (u - kappa)_+."""
+        above = self.values > kappa
         excess = np.maximum(self.values - kappa, 0.0)
-        interior = float(np.sum(self.w * self.interior.evaluate_nodes(excess)))
+        interior = float(np.sum(self.w * self.interior.evaluate_nodes(excess, above)))
         if self.gradient_term is not None:
-            interior += float(np.sum(self.gradient_term[(self.values > kappa) & ~self.bmask]))
+            interior += float(np.sum(self.gradient_term[above & ~self.bmask]))
         if self.boundary is None:
             return interior, 0.0
-        return interior, float(np.sum(self.wb * self.boundary.evaluate_nodes(excess)))
+        return interior, float(np.sum(self.wb * self.boundary.evaluate_nodes(excess, above)))
 
     def entry(self, kappa_star):
         """The critical-regime sum of ``entry_condition`` over {u > kappa_*}."""
@@ -244,11 +248,11 @@ class _Levels:
         on_set = above & ~self.bmask
         absu = np.abs(self.values)
         total = float(np.sum(self.gradient_term[on_set]))
-        total += float(np.sum(self.w[on_set] * self.interior.evaluate_nodes(absu)[on_set]))
+        total += float(np.sum(self.w[on_set] * self.interior.evaluate_nodes(absu, on_set)[on_set]))
         if self.boundary is None:
-            return total + float(np.sum(self.w[on_set] * self.H.evaluate_nodes(absu)[on_set]))
+            return total + float(np.sum(self.w[on_set] * self.H.evaluate_nodes(absu, on_set)[on_set]))
         on_set = above & self.bmask
-        return total + float(np.sum(self.wb[on_set] * self.boundary.evaluate_nodes(absu)[on_set]))
+        return total + float(np.sum(self.wb[on_set] * self.boundary.evaluate_nodes(absu, on_set)[on_set]))
 
 
 def truncation_energy(

@@ -285,9 +285,11 @@ class PhiSpec:
     def __call__(self, x, t):
         return eval_phi(self, x, t)
 
-    def evaluate_nodes(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation with one t value per node (shapes must broadcast)."""
-        return _phi(self.kind, t, self.lo, self.hi, self.weight)
+    def evaluate_nodes(self, t: np.ndarray, where=None) -> np.ndarray:
+        """Vectorized evaluation with one t value per node (shapes must broadcast).
+        With a boolean node mask ``where`` of the node shape only the masked nodes
+        are evaluated and the others read +0.0; t >= 0 is checked at every node."""
+        return _phi(self.kind, t, self.lo, self.hi, self.weight, where)
 
 
 def _mu_power(mu, expo):
@@ -305,12 +307,17 @@ def _upper_weight(base, expo):
     return _mu_power(base.mu, expo / base.q)
 
 
-def _phi(kind, t, lo, hi, w):
+def _phi(kind, t, lo, hi, w, where=None):
     """The one Phi formula: ``t^lo + w t^hi``, linear below t=1 for the
-    normalized kind, whose (lo, hi, w) are (p, q, mu)."""
+    normalized kind, whose (lo, hi, w) are (p, q, mu).  A node mask ``where``
+    restricts it to t[where], with lo, hi and w indexed alike, and scatters."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("Phi-functions are defined for t >= 0 only")
+    if where is not None:
+        out = np.zeros(t.shape)
+        out[where] = _phi(kind, t[where], *(a if np.ndim(a) == 0 else a[where] for a in (lo, hi, w)))
+        return out
     with np.errstate(invalid="ignore", over="ignore"):
         first = np.where(t > 0.0, np.power(t, lo), 0.0)
         second = np.where(t > 0.0, np.power(t, hi), 0.0)

@@ -459,6 +459,8 @@ PAYLOADS = {
     "solve": {"field": FLAT, "grid": GRID, "source": 1.0},
     "bound-check": {"field": FLAT, "grid": GRID, "function": 0.25, "regime": "critical-D"},
 }
+# A value for each exponent and the mode that the Phi kinds of a norm payload read.
+KIND_KEYS = {"r": 2.5, "s": 3.0, "l": 2.0, "h": 2.5, "alpha": 1.5, "mode": "critical"}
 MALFORMED = (
     [pytest.param(cmd, dict(base, field="abc"), "field must be a JSON object", id=f"{cmd}-field")
      for cmd, base in PAYLOADS.items()]
@@ -565,6 +567,18 @@ MALFORMED = (
                           ("mode", "critical")]]
     + [pytest.param("embed-scan", dict(PAYLOADS["embed-scan"], function=0.25, radius=2.0),
                     "'function' cannot be combined with 'radius'", id="embed-scan-function-and-radius")]
+    # An exponent or mode that the Phi kind does not read once exited 0 and was dropped.
+    + [pytest.param("norm", dict(PAYLOADS["norm"], r=2.5, s=3.0, mode="bogus"),
+                    "'kind' = 'double_phase' cannot be combined with 'r'", id="default-kind-and-r-s-mode")]
+    + [pytest.param("norm", dict(PAYLOADS["norm"], kind=kind, **{k: KIND_KEYS[k] for k in cli._PHI_KINDS[kind]},
+                                 **{key: KIND_KEYS[key]}),
+                    f"'kind' = '{kind}' cannot be combined with '{key}'", id=f"{kind}-and-{key}")
+       for kind in sorted(cli._PHI_KINDS) for key in KIND_KEYS
+       if key not in cli._PHI_KINDS[kind] and not (key == "mode" and kind.startswith("subcritical"))]
+    # Boundary exponents outside the subcritical Neumann regime once exited 0 and were dropped.
+    + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], regime=regime, r=2.5, s=3.0, **{key: value}),
+                    f"'regime' = '{regime}' cannot be combined with '{key}'", id=f"{regime}-and-{key}")
+       for regime in ("subcritical-D", "critical-D", "critical-N") for key, value in [("l", -7), ("h", 2.5)]]
     # An empty kappa grid once exited 1 with kappa_star null.
     + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], kappa_grid=[]),
                     "'kappa_grid' must hold at least one candidate level", id="kappa_grid-empty")]
@@ -746,9 +760,13 @@ SPEC_ARGS = {"r": np.full((9, 9), 2.5), "s": np.full((9, 9), 3.0), "l": np.full(
 @pytest.mark.parametrize("mode", [None, "critical"])
 @pytest.mark.parametrize("kind", sorted(cli._PHI_KINDS))
 def test_phi_spec_matches_its_constructor(kind, mode):
-    payload = {"kind": kind, **{k: np.asarray(v).tolist() for k, v in SPEC_ARGS.items()}}
+    payload = {"kind": kind, **{k: np.asarray(SPEC_ARGS[k]).tolist() for k in cli._PHI_KINDS[kind]}}
     if mode is not None:
-        payload["mode"] = mode  # only the subcritical kinds take a mode
+        payload["mode"] = mode
+        if not kind.startswith("subcritical"):  # only the subcritical kinds take a mode
+            with pytest.raises(DomainError, match=f"'kind' = '{kind}' cannot be combined with 'mode'"):
+                cli._phi_spec(payload, SPEC_FIELD)
+            del payload["mode"]
     got = cli._phi_spec(payload, SPEC_FIELD)
     constructor = getattr(PhiSpec, kind)
     args = [SPEC_ARGS[k] for k in cli._PHI_KINDS[kind]]

@@ -529,6 +529,46 @@ def test_levels_match_per_level_reference(monkeypatch, regime, dim, varying):
     assert _rel_close([(e.interior, e.boundary) for e in report.energies], [ref[2:] for ref in energies])
 
 
+def _full_node_entry(levels, kappa_star):
+    """``_Levels.entry`` with every Phi-function evaluated at every node and then masked."""
+    above = levels.values > kappa_star
+    on_set = above & ~levels.bmask
+    absu = np.abs(levels.values)
+    total = float(np.sum(levels.gradient_term[on_set]))
+    total += float(np.sum(levels.w[on_set] * levels.interior.evaluate_nodes(absu)[on_set]))
+    if levels.boundary is None:
+        return total + float(np.sum(levels.w[on_set] * levels.H.evaluate_nodes(absu)[on_set]))
+    on_set = above & levels.bmask
+    return total + float(np.sum(levels.wb[on_set] * levels.boundary.evaluate_nodes(absu)[on_set]))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("varying", [False, True])
+def test_level_set_evaluation_equals_full_node_evaluation(regime, dim, varying):
+    u, field = _case(dim, varying)
+    levels = degiorgi._Levels(u, field, regime, **EXPONENTS)
+    lo, hi = float(np.min(u.values)), float(np.max(u.values))
+    assert lo > 0.0
+    # below min u (every node), inside the range, and at and above max u (an empty set)
+    for kappa in (0.5 * lo, 0.5 * (lo + hi), 0.9 * hi, hi, 2.0 * hi):
+        excess = np.maximum(u.values - kappa, 0.0)
+        interior = float(np.sum(levels.w * levels.interior.evaluate_nodes(excess)))
+        if levels.gradient_term is not None:
+            interior += float(np.sum(levels.gradient_term[(u.values > kappa) & ~levels.bmask]))
+        boundary = 0.0
+        if levels.boundary is not None:
+            boundary = float(np.sum(levels.wb * levels.boundary.evaluate_nodes(excess)))
+        assert levels.energy(kappa) == (interior, boundary)
+        if kappa >= hi:
+            assert levels.energy(kappa) == (0.0, 0.0)
+        entry = entry_condition(u, field, regime, kappa, _levels=levels)
+        if regime.startswith("subcritical"):
+            assert entry == interior + boundary
+        else:
+            assert entry == _full_node_entry(levels, kappa)
+
+
 def _plateau():
     dom = GridDomain.interval(61)
     field = dom.constant_field(3, 1.7, 2.04, 1.0)

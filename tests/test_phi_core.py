@@ -301,6 +301,35 @@ class TestPhiSpecWindows:
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
 
 
+def _every_mask(n):
+    return [np.array([(i >> k) & 1 for k in range(n)], dtype=bool) for i in range(2**n)]
+
+
+@pytest.mark.parametrize("varying", [False, True])
+@pytest.mark.parametrize("kind", sorted(SEVEN_KINDS))
+def test_masked_evaluation_is_the_full_evaluation_on_the_mask(kind, varying):
+    if varying:
+        spec = dict(zip(SEVEN_KINDS, nodewise_specs()))[kind]
+    else:
+        spec = SEVEN_KINDS[kind](const_field(4, 2.0, 3.0, 1.5))
+    assert spec.kind == kind
+    t = np.array([0.4, 1.0, 2.5])  # below, at and above 1, where the normalized kind changes form
+    full = spec.evaluate_nodes(t)
+    for where in _every_mask(3):
+        got = spec.evaluate_nodes(t, where)
+        assert got.shape == t.shape
+        assert np.array_equal(got[where], full[where])
+        assert np.all(got[~where] == 0.0) and not np.any(np.signbit(got[~where]))
+    assert np.array_equal(spec.evaluate_nodes(t, np.zeros(3, dtype=bool)), np.zeros(3))
+
+
+@pytest.mark.parametrize("kind", sorted(SEVEN_KINDS))
+def test_masked_evaluation_checks_t_at_every_node(kind):
+    spec = SEVEN_KINDS[kind](const_field(4, 2.0, 3.0, 1.5))
+    with pytest.raises(DomainError, match="t >= 0"):
+        spec.evaluate_nodes(np.array([1.0, -0.5, 2.0]), np.array([True, False, True]))
+
+
 def test_exponents_near_the_double_range_overflow_without_a_warning():
     field = const_field(3, 1e308, 1e308, 1e308)
     with warnings.catch_warnings():
