@@ -5,39 +5,38 @@ no other option, so the same file always gives the same outputs.  Each
 subcommand reads these payload keys (default in brackets, none means required):
 
 - validate: field, grid [none], level ["H3"]
-- norm: field, grid or a field with one, function, norm ["luxemburg"; or
-  "sobolev", "boundary"], kind ["double_phase"] with its exponents r, s, l, h,
-  alpha and mode ["subcritical"]; the modular is solved to 1e-10
+- norm: field, grid, function, norm ["luxemburg"; or "sobolev", "boundary"],
+  kind ["double_phase"] with its exponents r, s, l, h, alpha and mode
+  ["subcritical"]; the modular is solved to 1e-10
 - conjugate-table: field, grid [none], nodes [required when the field
-  varies; not empty], t_values [not empty; n_samples (32, at least 1) uniform
-  draws on [0, t_max (10, at least 0)] from seed 0, sorted], normalized
-  [false]; slacks pass at -1e-10
+  varies; not empty], t_values [not empty], normalized [false]; slacks pass
+  at -1e-10
 - embed-scan: field, grid, r, s, alpha, function [a bump of radius ``radius``
   (1)], lambdas [1, 2, 4, 8, 16: at least 4, each >= 1, spanning a decade],
   weight_mode ["unit"]; passes when every fit has residual <= 0.05 and a slope
   within max(0.02, 2 % of the prediction) of the predicted one
 - recursion: K, b, mu1, mu2, Z0, n_max [200]
-- solve: field, grid, function or source [0], bc ["dirichlet-zero"], flux
-  [none], grad_tol [1e-10], max_iter [200, at most 10000]; a solve fails
-  (exit 1) unless the energy gradient on the free nodes reaches grad_tol in
-  the max-norm
+- solve: field, grid, source [0], bc ["dirichlet-zero"], flux [none], grad_tol
+  [1e-10], max_iter [200, at most 10000]; a solve fails (exit 1) unless the
+  energy gradient on the free nodes reaches grad_tol in the max-norm
 - bound-check: field, grid, function, regime ["subcritical-D"], r, s, l, h
   [none], constants [the BoundConstants defaults], kappa_grid [16 geometric
   levels up to max |u| + 1; not empty]; each candidate runs for at most 60
   levels, and a level has decayed when its energy is at most 1e-12
 
-A key that its subcommand, or its grid, field or grid-function object, does
-not read is an input error, and so is a key that the run would ignore: norm
-"sobolev" with kind, r, s, l, h, alpha or mode; norm's kind with an exponent
-r, s, l, h or alpha that it does not take, or with mode unless it is
-"subcritical" or "subcritical_trace"; t_values with t_max or n_samples;
-embed-scan's function with radius; solve's function with source, and flux
-with bc "dirichlet-zero"; bound-check's l and h with a regime other than
+Each input has one spelling.  The lattice is the payload's grid: a field has
+none of its own, and a function's own grid, inline or in a file, must be the
+payload's.  A key that its subcommand, or its grid, field or grid-function
+object, does not read is an input error, and so is a key that the run would
+ignore: norm "sobolev" with kind, r, s, l, h, alpha or mode; norm's kind with
+an exponent r, s, l, h or alpha that it does not take, or with mode unless it
+is "subcritical" or "subcritical_trace"; embed-scan's function with radius;
+flux with bc "dirichlet-zero"; bound-check's l and h with a regime other than
 "subcritical-N".  norm, solve and bound-check need a bounded mu in the field.
-A function is a number (a constant), a grid-function object, or the path of a
-file: a CSV as solve writes it, or a JSON grid-function object; an error about
-a file names the file.  Counts such as n_samples, n_max and max_iter are whole
-numbers, so 200.0 reads as 200.
+A function, source or flux is a number (a constant), a grid-function object,
+or the path of a file: a CSV as solve writes it, or a JSON grid-function
+object; an error about a file names the key and the file.  Counts such as
+n_max and max_iter are whole numbers, so 200.0 reads as 200.
 
 Exit codes: 0 on success, 1 when a requested check fails, 2 on input errors.
 All outputs land under the directory given by --output; a JSON output is
@@ -69,7 +68,7 @@ from . import degiorgi, embedding_lab, io, solver
 from .conjugate import verify_conjugate_bounds
 from .errors import ConvergenceError, DomainError
 from .modular import GridFunction, boundary_norm, luxemburg_norm, modular_rho, sobolev_norm
-from .phi_core import PhiSpec, validate_hypotheses
+from .phi_core import PhiSpec, eval_phi, validate_hypotheses
 
 __all__ = ["run", "main"]
 
@@ -79,33 +78,29 @@ EXIT_INPUT_ERROR = 2
 
 
 def _field_and_domain(payload, need_domain=False):
-    """The payload's field, and its lattice: the field's own ``grid`` when it
-    has one, else the payload's."""
+    """The payload's field, and its lattice: the payload's ``grid``."""
     if "field" not in payload:
         raise DomainError("payload needs a 'field' entry")
     domain = io.grid_from_json(payload["grid"]) if "grid" in payload else None
-    field, domain = io.field_from_json(payload["field"], domain)
     if need_domain and domain is None:
-        raise DomainError("payload needs a 'grid' entry (or a field with one)")
-    return field, domain
+        raise DomainError("payload needs a 'grid' entry")
+    return io.field_from_json(payload["field"], domain), domain
 
 
-def _function_from_payload(payload, domain):
-    obj = payload.get("function")
-    if obj is None:
-        raise DomainError("payload needs a 'function' entry")
+def _grid_function(obj, domain, what: str) -> GridFunction:
+    """The payload entry ``what`` on the payload's lattice: a number (not a
+    bool) as a constant, a grid-function object, or the path of a CSV or JSON
+    file holding one."""
     if isinstance(obj, str):
-        return io.load_function(obj, domain)
-    return _grid_data(obj, domain, "function")
-
-
-def _grid_data(obj, domain, what: str) -> GridFunction:
-    """A number (not a bool) as a constant function, or a grid-function object."""
+        try:
+            return io.load_function(obj, domain)
+        except DomainError as exc:
+            raise DomainError(f"'{what}': {exc}" if obj in str(exc) else f"'{what}': {obj}: {exc}") from None
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return GridFunction.constant(domain, float(obj))
     if isinstance(obj, dict):
         return io.function_from_json(obj, domain)
-    raise DomainError(f"'{what}' must be a number or a grid function, got {obj!r:.40}")
+    raise DomainError(f"'{what}' must be a number, a grid function or a file path, got {obj!r:.40}")
 
 
 # PhiSpec constructor name -> the payload keys of its exponents, in argument order.
@@ -184,25 +179,19 @@ def _cmd_validate(payload: dict) -> tuple[dict, bool]:
 
 def _cmd_norm(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
-    u = _function_from_payload(payload, domain)
+    u = _grid_function(payload["function"], domain, "function")
     which = payload.get("norm", "luxemburg")
     if which == "sobolev":
         _reject_ignored(payload, "'norm' = 'sobolev'", ("kind", "r", "s", "l", "h", "alpha", "mode"))
         result = sobolev_norm(field, u)
-        modular = None
     else:
         spec = _phi_spec(payload, field)
-        if which == "boundary":
-            result = boundary_norm(spec, u)
-            modular = None
-        elif which == "luxemburg":
-            result = luxemburg_norm(spec, u)
-            modular = modular_rho(spec, u)
-        else:
+        if which not in ("luxemburg", "boundary"):
             raise DomainError(f"unknown norm type {which!r}")
+        result = (luxemburg_norm if which == "luxemburg" else boundary_norm)(spec, u)
     out = asdict(result)
-    if modular is not None:
-        out["modular_of_u"] = modular
+    if which == "luxemburg":
+        out["modular_of_u"] = _finite_or_none(modular_rho(spec, u))
     return {"norm.json": out}, True
 
 
@@ -231,19 +220,7 @@ def _node_list(payload, field):
 def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
     field, _ = _field_and_domain(payload)
     nodes = _node_list(payload, field)
-    ts = payload.get("t_values")
-    if ts is not None:
-        _reject_ignored(payload, "'t_values'", ("t_max", "n_samples"))
-    else:
-        t_max = io.number_from_json(payload.get("t_max", 10.0), "t_max")
-        n_samples = io.number_from_json(payload.get("n_samples", 32), "n_samples", integer=True)
-        if n_samples < 1:
-            raise DomainError(f"'n_samples' must be at least 1, got {n_samples}")
-        if t_max < 0.0:
-            raise DomainError(f"'t_max' must be >= 0, got {t_max:g}")
-        io._require_size(n_samples * len(nodes), "the conjugate table size (n_samples x nodes)")
-        ts = np.sort(np.random.default_rng(0).uniform(0.0, t_max, n_samples))
-    ts = _flat_numbers(ts, "t values")
+    ts = _flat_numbers(payload["t_values"], "t values")
     if ts.size == 0:
         raise DomainError("'t_values' must hold at least one t value")
     io._require_size(ts.size * len(nodes), "the conjugate table size (t values x nodes)")
@@ -254,7 +231,7 @@ def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
     report = verify_conjugate_bounds(field, nodes, ts, normalized=normalized)
     crit_spec = PhiSpec.critical(field)
     # Python floats: csv.writer formats them with the same bytes as np.float64, faster.
-    critical = [v for x in nodes for v in crit_spec(x, ts).tolist()]
+    critical = [v for x in nodes for v in eval_phi(crit_spec, x, ts).tolist()]
     columns = [report.conjugate.tolist(), critical] + [
         report.slacks[k].tolist() for k in ("power_p", "power_q", "critical_domination",
                                             "trace_domination")]
@@ -268,7 +245,7 @@ def _cmd_embed_scan(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
     if payload.get("function") is not None:
         _reject_ignored(payload, "'function'", ("radius",))
-        u = _function_from_payload(payload, domain)
+        u = _grid_function(payload["function"], domain, "function")
     else:
         u = embedding_lab.bump_function(domain, io.number_from_json(payload.get("radius", 1.0), "radius"))
     lambdas = _flat_numbers(payload.get("lambdas", [1.0, 2.0, 4.0, 8.0, 16.0]), "lambdas")
@@ -305,14 +282,9 @@ def _cmd_solve(payload: dict) -> tuple[dict, bool]:
     bc = payload.get("bc", "dirichlet-zero")
     if bc == "dirichlet-zero":
         _reject_ignored(payload, "'bc' = 'dirichlet-zero'", ("flux",))
-    if "function" in payload:
-        _reject_ignored(payload, "'function'", ("source",))
-        f = _function_from_payload(payload, domain)
-    else:
-        f = _grid_data(payload.get("source", 0.0), domain, "source")
     spec = solver.ProblemSpec(
-        domain, field, f, bc=bc,
-        flux=None if payload.get("flux") is None else _grid_data(payload["flux"], domain, "flux"),
+        domain, field, _grid_function(payload.get("source", 0.0), domain, "source"), bc=bc,
+        flux=None if payload.get("flux") is None else _grid_function(payload["flux"], domain, "flux"),
         **_given(payload, "grad_tol"), **_whole(payload, "max_iter"),
     )
     u, report = solver.solve(spec)
@@ -345,7 +317,7 @@ def _bound_constants(obj) -> degiorgi.BoundConstants:
 
 def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
     field, domain = _field_and_domain(payload, need_domain=True)
-    u = _function_from_payload(payload, domain)
+    u = _grid_function(payload["function"], domain, "function")
     constants = _bound_constants(payload.get("constants", {}))
     regime = payload.get("regime", "subcritical-D")
     if regime in ("subcritical-D", "critical-D", "critical-N"):
@@ -386,12 +358,11 @@ def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
 _COMMANDS = {
     "validate": (_cmd_validate, ("field", "grid", "level")),
     "norm": (_cmd_norm, ("field", "grid", "function", "norm", "kind", "r", "s", "l", "h", "alpha", "mode")),
-    "conjugate-table": (_cmd_conjugate_table,
-                        ("field", "grid", "nodes", "t_values", "t_max", "n_samples", "normalized")),
+    "conjugate-table": (_cmd_conjugate_table, ("field", "grid", "nodes", "t_values", "normalized")),
     "embed-scan": (_cmd_embed_scan,
                    ("field", "grid", "function", "radius", "lambdas", "r", "s", "alpha", "weight_mode")),
     "recursion": (_cmd_recursion, ("K", "b", "mu1", "mu2", "Z0", "n_max")),
-    "solve": (_cmd_solve, ("field", "grid", "function", "source", "bc", "flux", "grad_tol", "max_iter")),
+    "solve": (_cmd_solve, ("field", "grid", "source", "bc", "flux", "grad_tol", "max_iter")),
     "bound-check": (_cmd_bound_check,
                     ("field", "grid", "function", "constants", "regime", "r", "s", "l", "h", "kappa_grid")),
 }

@@ -409,8 +409,7 @@ def bound_estimate(
         base = psi_norm + upsilon_norm
     else:
         base = psi_norm
-    if base == 0.0:
-        warnings.warn("zero norm: degenerate bound 0", stacklevel=2)
+    if base == 0.0:  # X = 0, so the bound is exactly 0
         return 0.0
     c = constants
     t1, t2 = c.exponents

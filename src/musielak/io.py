@@ -96,21 +96,17 @@ def grid_from_json(obj: dict) -> GridDomain:
     return GridDomain.box(shape, _numbers(obj.get("lengths", [1.0] * len(shape)), "lengths"), origin)
 
 
-def field_from_json(obj: dict, domain: GridDomain | None = None):
-    """Returns (field, domain).  The field's own ``grid`` entry, when it has
-    one, takes the place of ``domain``; with a domain, p, q and mu are
-    broadcast over its lattice."""
-    _require_object(obj, "field", ("N", "p", "q", "mu", "lipschitz_bound", "grid"))
-    if "grid" in obj:
-        domain = grid_from_json(obj["grid"])
+def field_from_json(obj: dict, domain: GridDomain | None = None) -> ExponentField:
+    """The exponent field; with a domain, p, q and mu are broadcast over its lattice."""
+    _require_object(obj, "field", ("N", "p", "q", "mu", "lipschitz_bound"))
     N = number_from_json(obj["N"], "N", integer=True)
     p, q, mu = (array_from_json(obj[k], k) for k in ("p", "q", "mu"))
     kw = {}
     if obj.get("lipschitz_bound") is not None:
         kw["lipschitz_bound"] = number_from_json(obj["lipschitz_bound"], "lipschitz_bound")
     if domain is None:
-        return ExponentField(N, p, q, mu, **kw), None
-    return domain.constant_field(N, p, q, mu, **kw), domain
+        return ExponentField(N, p, q, mu, **kw)
+    return domain.constant_field(N, p, q, mu, **kw)
 
 
 def function_from_json(obj: dict, domain: GridDomain | None = None) -> GridFunction:

@@ -244,8 +244,10 @@ def boundary_modular(spec: PhiSpec, u: GridFunction) -> float:
 
 
 def _terms_modular(spec: PhiSpec, terms, lam: float = 1.0) -> float:
-    """Sum of w * phi(t / lam) over the (weights, magnitudes) ``terms``."""
-    return float(sum(np.sum(w * spec.evaluate_nodes(t / lam)) for w, t in terms))
+    """Sum of w * phi(t / lam) over the (weights, magnitudes) ``terms``; NaN
+    when phi overflows at a node of weight 0."""
+    with np.errstate(invalid="ignore"):
+        return float(sum(np.sum(w * spec.evaluate_nodes(t / lam)) for w, t in terms))
 
 
 _LN2 = math.log(2.0)
@@ -320,19 +322,31 @@ def _norm(spec: PhiSpec, terms, rho_u: float) -> NormResult:
     """The lam with sum of w * phi(t / lam) over ``terms`` = 1, to ``_NORM_TOL``.
 
     ``terms`` are (weights, magnitudes) pairs over the nodes of ``spec``;
-    ``rho_u`` is the modular at lam = 1.
+    ``rho_u`` is the modular at lam = 1.  When that underflows to 0 or is not
+    finite, the norm is 2^k times the norm of u / 2^k, for the power of two
+    2^k above every weighted magnitude (the norm is homogeneous, and the
+    scaling is exact); it is 0 only when every weighted magnitude is.
     """
     # The spec's own exponents, not exponent_bounds(): the normalized kind's start at 1.
     smallest = float(min(np.min(spec.lo), np.min(spec.hi)))
     if smallest <= 0.0:  # a NaN exponent gives a NaN modular, which fails the tolerance test
         raise DomainError(f"a norm needs exponents > 0, got a smallest exponent of {smallest:g}")
-    if rho_u == 0.0:
-        return NormResult(0.0, 0.0, 0)
+    k = 0
+    if not 0.0 < rho_u < math.inf:
+        top = max(float(np.max(t, where=w > 0.0, initial=0.0)) for w, t in terms)
+        if top == 0.0:
+            return NormResult(0.0, 0.0, 0)
+        k = math.frexp(top)[1]
+        terms = [(w, np.ldexp(np.where(w > 0.0, t, 0.0), -k)) for w, t in terms]
+        rho_u = _terms_modular(spec, terms)
     lam, val, it = _unit_root(lambda lam: _terms_modular(spec, terms, lam), rho_u, *spec.exponent_bounds(),
                               math.log1p(_NORM_TOL))
     if not abs(val - 1.0) <= _NORM_TOL:
         raise ConvergenceError(f"norm root-finder stalled at lam={lam} with modular {val}")
-    return NormResult(lam, val, it)
+    try:
+        return NormResult(math.ldexp(lam, k), val, it)
+    except OverflowError:
+        raise ConvergenceError(f"the norm {lam!r} x 2^{k} overflows the double range") from None
 
 
 def luxemburg_norm(spec: PhiSpec, u: GridFunction) -> NormResult:

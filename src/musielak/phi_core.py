@@ -282,9 +282,6 @@ class PhiSpec:
         hi = float(max(np.max(self.lo), np.max(self.hi)))
         return lo, hi
 
-    def __call__(self, x, t):
-        return eval_phi(self, x, t)
-
     def evaluate_nodes(self, t: np.ndarray, where=None) -> np.ndarray:
         """Vectorized evaluation with one t value per node (shapes must broadcast).
         With a boolean node mask ``where`` of the node shape only the masked nodes

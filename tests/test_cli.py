@@ -149,7 +149,7 @@ def test_one_pass_table_matches_separate_solves(tmp_path, normalized):
         slacks = verify_conjugate_bounds(field, [x], ts, normalized=normalized).slacks
         for i, (row, t) in enumerate(zip(node_rows, ts)):
             assert float(row["conjugate"]) == pytest.approx(h_ref[i], rel=_conjugate_rtol(t), abs=0.0)
-            assert float(row["critical_value"]) == crit_spec(x, ts)[i]
+            assert float(row["critical_value"]) == eval_phi(crit_spec, x, ts)[i]
             for col, name in SLACK_COLUMNS.items():
                 assert _slack_close(float(row[col]), slacks[name][i]), (x, t, col)
 
@@ -229,7 +229,8 @@ SOLVE = {"grid": {"shape": [17, 17]}, "field": {"N": 3, "p": 2.0, "q": 2.0, "mu"
     ("solve", dict(SOLVE, source=None), "'source'"),
     ("solve", dict(SOLVE, source=[1, 2]), "'source'"),
     ("solve", dict(SOLVE, source=True), "'source'"),
-    ("solve", dict(SOLVE, bc="neumann", source=0.0, flux="abc"), "'flux'"),
+    ("solve", dict(SOLVE, bc="neumann", source=0.0, flux="abc"),
+     "'flux': function file not found or not readable: abc"),
     ("norm", {"field": SOLVE["field"], "grid": SOLVE["grid"], "function": [1, 2]}, "'function'"),
 ], ids=["source-null", "source-list", "source-bool", "flux-string", "function-list"])
 def test_malformed_grid_data_is_an_input_error(tmp_path, capsys, command, payload, what):
@@ -490,16 +491,15 @@ MALFORMED = (
                     "lambdas must be a flat list", id="embed-scan-lambdas-bool")]
     + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": shape}), "node count", id=f"shape-{name}")
        for name, shape in [("over-cap", [4097, 4097]), ("huge", [10**6] * 3)]]
-    + [pytest.param("validate", {"field": dict(FLAT, grid={"shape": [4097, 4097]})}, "node count",
-                    id="field-grid-over-cap")]
-    + [pytest.param("conjugate-table", {"field": FLAT, "n_samples": n}, "conjugate table size", id=f"n_samples-{n}")
-       for n in (2**24 + 1, 10**15)]
+    + [pytest.param("validate", {"field": FLAT, "grid": {"shape": [4097, 4097]}}, "node count",
+                    id="validate-grid-over-cap")]
+    + [pytest.param("conjugate-table", {"field": dict(FLAT, p=[1.6] * 4097, q=[1.9] * 4097, mu=[1.0] * 4097),
+                                       "nodes": list(range(4097)), "t_values": [1.0] * 4097},
+                    "conjugate table size", id="table-over-cap")]
     + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": []}), "at least one axis", id="shape-empty")]
     + [pytest.param("norm", dict(PAYLOADS["norm"], kind="weighted", r=None, s=3.0, alpha=1.0),
                     "'r' must be a finite number", id="weighted-r-null")]
     + [pytest.param("norm", dict(PAYLOADS["norm"], kind=["critical"]), "unknown Phi-function kind", id="kind-list")]
-    + [pytest.param("conjugate-table", {"field": FLAT, key: bad}, f"'{key}' must be a finite", id=f"{key}-{bad}")
-       for key, bad in [("t_max", None), ("t_max", "10"), ("n_samples", 2.5), ("n_samples", True)]]
     + [pytest.param("conjugate-table", dict(PAYLOADS["conjugate-table"], normalized=bad),
                     "'normalized' must be true or false", id=f"normalized-{bad}")
        for bad in ("false", "true", [0], 0, 1, None)]
@@ -512,16 +512,15 @@ MALFORMED = (
     + [pytest.param("validate", {"grid": GRID}, "payload needs a 'field' entry", id="no-field"),
        pytest.param("norm", {"field": FLAT, "function": 0.25}, "payload needs a 'grid' entry", id="norm-no-grid"),
        pytest.param("bound-check", {k: v for k, v in PAYLOADS["bound-check"].items() if k != "function"},
-                    "payload needs a 'function' entry", id="bound-check-no-function"),
+                    "missing key 'function'", id="bound-check-no-function"),
+       pytest.param("bound-check", dict(PAYLOADS["bound-check"], function=None),
+                    "'function' must be a number, a grid function or a file path", id="bound-check-function-null"),
        pytest.param("norm", dict(PAYLOADS["norm"], norm="energy"), "unknown norm type", id="norm-unknown")]
     # A one-node axis once divided by zero before the node count was checked.
     + [pytest.param("norm", dict(PAYLOADS["norm"], grid={"shape": shape}), "at least one axis, each with >= 3 nodes",
                     id=f"shape-{shape}") for shape in ([1, 5], [1])]
-    + [pytest.param("validate", {"field": dict(FLAT, grid={"shape": shape})}, "at least one axis, each with >= 3 nodes",
-                    id=f"field-grid-shape-{shape}") for shape in ([1, 5], [1])]
-    + [pytest.param("conjugate-table", {"field": FLAT, "n_samples": n}, "'n_samples' must be at least 1",
-                    id=f"n_samples={n}") for n in (0, -3)]
-    + [pytest.param("conjugate-table", {"field": FLAT, "t_max": -1}, "'t_max' must be >= 0", id="t_max=-1")]
+    + [pytest.param("validate", {"field": FLAT, "grid": {"shape": shape}}, "at least one axis, each with >= 3 nodes",
+                    id=f"validate-grid-shape-{shape}") for shape in ([1, 5], [1])]
     # An empty table once exited 0 with a header-only table that passed.
     + [pytest.param("conjugate-table", {"field": FLAT, "nodes": [], "t_values": [1.0]}, "'nodes' must be a nonempty",
                     id="nodes-empty"),
@@ -556,11 +555,26 @@ MALFORMED = (
     + [pytest.param("solve", dict(PAYLOADS["solve"], flux=1.0, **bc),
                     "'bc' = 'dirichlet-zero' cannot be combined with 'flux'", id=f"solve-flux-{name}")
        for name, bc in [("default-bc", {}), ("dirichlet-zero", {"bc": "dirichlet-zero"})]]
-    + [pytest.param("solve", dict(PAYLOADS["solve"], function=0.5), "'function' cannot be combined with 'source'",
-                    id="solve-function-and-source")]
-    + [pytest.param("conjugate-table", dict(PAYLOADS["conjugate-table"], **{key: value}),
-                    f"'t_values' cannot be combined with '{key}'", id=f"t_values-and-{key}")
-       for key, value in [("t_max", -5), ("n_samples", 8)]]
+    # A second spelling of an input is an unknown key: the field's own grid (which
+    # once replaced the payload's), solve's function (the load is source) and the
+    # sampled t axis (the t axis is t_values).
+    + [pytest.param("norm", dict(PAYLOADS["norm"], field=dict(FLAT, grid={"shape": [9, 9], "lengths": [4, 4]}),
+                                 grid={"shape": [5, 5]}), "unknown field keys ['grid']", id="field-grid")]
+    + [pytest.param("validate", {"field": dict(FLAT, grid=GRID)}, "unknown field keys ['grid']",
+                    id="validate-field-grid")]
+    + [pytest.param("solve", dict(PAYLOADS["solve"], function=0.5), "unknown solve payload keys ['function']",
+                    id="solve-function-and-source"),
+       pytest.param("solve", {k: v for k, v in PAYLOADS["solve"].items() if k != "source"} | {"function": 0.5},
+                    "unknown solve payload keys ['function']", id="solve-function")]
+    + [pytest.param("conjugate-table", dict(base, **{key: value}), f"unknown conjugate-table payload keys ['{key}']",
+                    id=f"{name}{key}-{value}")
+       for name, base, cases in [
+           ("", {"field": FLAT}, [("t_max", None), ("t_max", "10"), ("t_max", -1), ("n_samples", 2.5),
+                                  ("n_samples", True), ("n_samples", 0), ("n_samples", -3), ("n_samples", 2**24 + 1),
+                                  ("n_samples", 10**15)]),
+           ("t_values-and-", PAYLOADS["conjugate-table"], [("t_max", -5), ("n_samples", 8)])]
+       for key, value in cases]
+    + [pytest.param("conjugate-table", {"field": FLAT}, "missing key 't_values'", id="conjugate-table-no-t_values")]
     + [pytest.param("norm", dict(PAYLOADS["norm"], norm="sobolev", **{key: value}),
                     f"'norm' = 'sobolev' cannot be combined with '{key}'", id=f"sobolev-and-{key}")
        for key, value in [("kind", "bogus"), ("r", 2.5), ("s", 3.0), ("l", 2.0), ("h", 2.5), ("alpha", 1.0),
@@ -603,7 +617,7 @@ def test_a_csv_function_without_data_rows_is_one_input_error_line(tmp_path, caps
         warnings.simplefilter("error")
         code, out = _run(tmp_path, "norm", dict(PAYLOADS["norm"], function=str(path)))
     assert code == cli.EXIT_INPUT_ERROR
-    assert capsys.readouterr().err == f"input error: {path}: no data rows\n"
+    assert capsys.readouterr().err == f"input error: 'function': {path}: no data rows\n"
     assert list(out.iterdir()) == []
 
 
@@ -744,12 +758,6 @@ def test_an_inline_function_is_read_on_the_payloads_lattice_only(tmp_path, capsy
         assert list(out.iterdir()) == []
 
 
-def test_the_fields_own_grid_wins_over_the_payloads():
-    payload = {"field": dict(FLAT, grid={"shape": [5, 7]}), "grid": GRID}
-    field, domain = cli._field_and_domain(payload, need_domain=True)
-    assert domain.shape == field.shape == (5, 7)
-
-
 # A 9 x 9 field with exponent windows that every subcritical kind accepts in
 # both modes: r, l and s, h as node arrays, alpha as a number.
 SPEC_FIELD = io.grid_from_json(GRID).constant_field(3, 1.6, 1.9, np.linspace(0.0, 2.0, 81).reshape(9, 9))
@@ -860,8 +868,8 @@ _GRID_KEYS = ("shape", "spacing", "lengths", "origin")
 _TOP_KEYS = {
     "validate": (),
     "recursion": ("K", "b", "mu1", "mu2", "Z0", "n_max"),
-    "conjugate-table": ("nodes", "t_values", "normalized", "t_max", "n_samples"),
-    "norm": ("kind", "r", "s", "l", "h", "alpha"),
+    "conjugate-table": ("nodes", "t_values", "normalized"),
+    "norm": ("function", "kind", "r", "s", "l", "h", "alpha"),
     "embed-scan": ("r", "s", "alpha", "radius", "lambdas"),
     "bound-check": ("r", "s", "l", "h"),
     "solve": ("source", "bc", "flux", "grad_tol", "max_iter"),
@@ -1068,20 +1076,28 @@ def test_an_embed_scan_radius_or_weight_out_of_range_warns_nothing(tmp_path, cap
     ({"shape": [11, 11]}, cli.EXIT_INPUT_ERROR),
 ], ids=["same-lattice", "other-box", "other-shape"])
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
-@pytest.mark.parametrize("command", ["norm", "bound-check"])
-def test_a_function_file_is_read_on_the_payloads_lattice_only(tmp_path, capsys, command, suffix, grid, exit_code):
+@pytest.mark.parametrize("command,key,change", [("norm", "function", {}), ("bound-check", "function", {}),
+                                                ("solve", "source", {}),
+                                                ("solve", "flux", {"bc": "neumann", "source": 0.0})],
+                         ids=["norm", "bound-check", "solve-source", "solve-flux"])
+def test_a_function_file_is_read_on_the_payloads_lattice_only(tmp_path, capsys, command, key, change, suffix, grid,
+                                                              exit_code):
     # The file holds a profile on the 9 x 9 unit box.  A CSV file's lattice once
-    # replaced the payload's, and a JSON file's own grid was ignored.
-    u = GridFunction(io.grid_from_json(GRID), np.outer(*2 * [np.sin(np.pi * np.linspace(0.0, 1.0, 9))]))
+    # replaced the payload's, and a JSON file's own grid was ignored; solve's
+    # source and flux once took no file at all.  The flux, cos(pi x) cos(pi y),
+    # has the zero boundary integral that Neumann data with no source need.
+    wave = np.cos if key == "flux" else np.sin
+    u = GridFunction(io.grid_from_json(GRID), np.outer(*2 * [wave(np.pi * np.linspace(0.0, 1.0, 9))]))
     path = tmp_path / f"u{suffix}"
     if suffix == ".csv":
         io.function_to_csv(u, path)
     else:
         path.write_text(json.dumps(function_json(u)))
-    code, out = _run(tmp_path, command, dict(PAYLOADS[command], grid=grid, function=str(path)))
+    code, out = _run(tmp_path, command, dict(PAYLOADS[command], grid=grid, **change, **{key: str(path)}))
     assert code == exit_code
     if exit_code == cli.EXIT_INPUT_ERROR:
         err = capsys.readouterr().err
+        assert f"'{key}': {path}: " in err
         assert repr(u.domain) in err and repr(io.grid_from_json(grid)) in err
         assert list(out.iterdir()) == []
 
@@ -1114,6 +1130,40 @@ def test_an_infinite_phi_weight_is_an_input_error(tmp_path, capsys, command, nam
     assert "input error:" in capsys.readouterr().err
     assert list(out.iterdir()) == []
     assert caught == []
+
+
+@pytest.mark.parametrize("stem", ["cli_norm_luxemburg", "cli_norm_sobolev", "cli_norm_boundary"])
+def test_a_norm_whose_modular_underflows_or_overflows_at_1_scales_exactly(tmp_path, capsys, stem):
+    # u = 1e-300 once read norm 0 (its modular at 1 underflows), and u = 1e200
+    # exited 1 with a warning (0 * inf at the nodes of weight 0).
+    payload = json.loads((DATA / f"{stem}.json").read_text())
+    values = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1.0, 1e-300, 1e200, 1e308):
+            (tmp_path / str(c)).mkdir()
+            code, out = _run(tmp_path / str(c), "norm", dict(payload, function=c))
+            if c == 1e308:
+                assert code == cli.EXIT_CHECK_FAILED
+                assert "overflows the double range" in capsys.readouterr().err
+                assert list(out.iterdir()) == []
+            else:
+                assert code == cli.EXIT_OK
+                values[c] = _read_standard_json(out / "norm.json")
+    for c in (1e-300, 1e200):
+        assert values[c]["value"] == pytest.approx(c * values[1.0]["value"], rel=1e-9, abs=0.0)
+    if stem == "cli_norm_luxemburg":
+        assert values[1e200]["modular_of_u"] is None and values[1e-300]["modular_of_u"] == 0.0
+
+
+def test_bound_check_of_zero_gives_the_bound_0_and_prints_nothing(tmp_path, capsys):
+    # It once printed "UserWarning: zero norm: degenerate bound 0" with a source line.
+    payload = dict(json.loads((DATA / "bound_check_subcritical-D.json").read_text()), function=0.0)
+    code, out = _run(tmp_path, "bound-check", payload)
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    got = _read_standard_json(out / "bound_check.json")
+    assert (got["psi_norm"], got["bound_estimate"], got["pass"]) == (0.0, 0.0, True)
 
 
 def test_embed_scan_does_not_read_the_fields_mu(tmp_path):
@@ -1151,7 +1201,7 @@ def test_a_misspelled_key_in_a_function_file_is_an_input_error(tmp_path, capsys)
     path.write_text(json.dumps(dict(payload["function"], grd=payload["grid"])))
     code, out = _run(tmp_path, "norm", dict(payload, function=str(path)))
     assert code == cli.EXIT_INPUT_ERROR
-    assert "unknown function keys ['grd']" in capsys.readouterr().err
+    assert f"'function': {path}: unknown function keys ['grd']" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -1211,15 +1261,6 @@ def test_an_unknown_subcommand_returns_2_and_writes_nothing(tmp_path, capsys):
     assert cli.run("bogus", src, tmp_path / "out") == cli.EXIT_INPUT_ERROR
     assert capsys.readouterr().err == "unknown subcommand: bogus\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_sampled_t_values_are_sorted_draws_on_0_to_t_max(tmp_path):
-    code, out = _run(tmp_path, "conjugate-table", {"field": FLAT, "n_samples": 5, "t_max": 2})
-    assert code == cli.EXIT_OK
-    with open(out / "conjugate_table.csv", newline="") as fh:
-        ts = [float(row["t"]) for row in csv.DictReader(fh)]
-    assert len(ts) == 5
-    assert ts == sorted(ts) and 0.0 <= ts[0] and ts[-1] <= 2.0
 
 
 @pytest.mark.parametrize("command,stem,key", [("recursion", "cli_recursion", "n_max"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,7 +312,8 @@ class TestKappaStarFormula:
 
 class TestBoundEstimate:
     def test_zero_norm(self):
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert bound_estimate(0.0, BoundConstants()) == 0.0
 
     def test_identity_exponents(self):

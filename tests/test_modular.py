@@ -253,6 +253,30 @@ class TestLuxemburgNorm:
             scaled = luxemburg_norm(spec, c * u).value
             assert scaled == pytest.approx(abs(c) * base, rel=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_homogeneity_where_the_modular_at_1_leaves_the_double_range(self, rng, unit_interval, c):
+        # The modular of c u at lam = 1 underflows to 0 or overflows; the norm
+        # of 1e-300 u once read 0.
+        field = random_field_h3(rng, unit_interval)
+        spec = PhiSpec.double_phase(field)
+        u = random_grid_function(rng, unit_interval)
+        expected = c * luxemburg_norm(spec, u).value
+        assert luxemburg_norm(spec, c * u).value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_a_norm_that_overflows_is_a_convergence_error(self, unit_interval):
+        # The norm of 1 is 2.31, the root of 1 / lam^2 + 10 / lam^3 = 1.
+        spec = PhiSpec.double_phase(unit_interval.constant_field(3, 2.0, 3.0, 10.0))
+        with pytest.raises(ConvergenceError, match="overflows the double range"):
+            luxemburg_norm(spec, GridFunction.constant(unit_interval, 1e308))
+
+    def test_a_function_on_the_weightless_nodes_only_has_norm_0(self, unit_square):
+        # phi(1e200) = inf at the boundary, where the interior weights are 0,
+        # once made the modular NaN and stalled the root-finder.
+        values = np.zeros(unit_square.shape)
+        values[0] = 1e200
+        spec = PhiSpec.double_phase(unit_square.constant_field(3, 2.0, 3.0, 1.0))
+        assert luxemburg_norm(spec, GridFunction(unit_square, values)).value == 0.0
+
     def test_classical_lp_agreement(self, rng, unit_interval):
         # mu = 0 with constant p reduces to the discrete L^p norm
         p = 2.7
