@@ -45,7 +45,8 @@ standard JSON, with null for a quantity that is not finite.
 ``run(command, input_path, output_dir)`` is a run without the argument
 parser.  It loads the payload once, checks its keys and hands it to the
 subcommand's handler, ``handler(payload) -> (outputs, passed)``, where
-``outputs`` maps a file name to a JSON object, a ``GridFunction`` or CSV
+``outputs`` maps a file name to a JSON object, a ``GridFunction`` or the
+text chunks of a CSV file, with the bytes csv.writer would write for its
 rows.  A handler writes nothing: ``run`` writes the outputs only after the
 handler returns, and maps ``passed`` to exit 0 or 1.  An input error is a
 ``DomainError``, a ``ValueError`` from outside the toolkit, or the
@@ -60,6 +61,7 @@ import itertools
 import json
 import sys
 from dataclasses import asdict, fields
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -230,15 +232,31 @@ def _cmd_conjugate_table(payload: dict) -> tuple[dict, bool]:
 
     report = verify_conjugate_bounds(field, nodes, ts, normalized=normalized)
     crit_spec = PhiSpec.critical(field)
-    # Python floats: csv.writer formats them with the same bytes as np.float64, faster.
-    critical = [v for x in nodes for v in eval_phi(crit_spec, x, ts).tolist()]
-    columns = [report.conjugate.tolist(), critical] + [
-        report.slacks[k].tolist() for k in ("power_p", "power_q", "critical_domination",
-                                            "trace_domination")]
+    critical = np.concatenate([eval_phi(crit_spec, x, ts) for x in nodes])
+    slacks = [report.slacks[k] for k in ("power_p", "power_q", "critical_domination", "trace_domination")]
     header = ["x_index", "t", "conjugate", "critical_value",
               "slack_power_p", "slack_power_q", "slack_critical", "slack_trace"]
-    rows = ([*sample, *values] for sample, *values in zip(itertools.product(nodes, ts.tolist()), *columns))
-    return {"conjugate_table.csv": itertools.chain([header], rows)}, report.all_pass
+    blocks = _node_blocks(nodes, ts, np.column_stack([report.conjugate, critical, *slacks]))
+    return {"conjugate_table.csv": itertools.chain([_csv_text([header])], blocks)}, report.all_pass
+
+
+def _node_blocks(nodes, ts, table):
+    """The CSV text of each node's rows, one ``%`` operation per node.  The
+    x_index cell, as csv.writer renders it inside a row (None is an empty
+    cell, a tuple a quoted one), and the t cells are rendered once; each
+    float of the node's rows of ``table`` is written as its repr, as
+    csv.writer writes a float."""
+    rows = [f",{t!r}" + ",%r" * table.shape[1] + "\r\n" for t in ts.tolist()]
+    for x, block in zip(nodes, np.split(table, len(nodes))):
+        key = _csv_text([[x, ""]])[:-3]  # the cell without its "," and line end
+        yield (key + key.join(rows)) % tuple(block.ravel().tolist())
+
+
+def _csv_text(rows) -> str:
+    """The text csv.writer writes for ``rows``."""
+    buf = StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _cmd_embed_scan(payload: dict) -> tuple[dict, bool]:
@@ -259,7 +277,7 @@ def _cmd_embed_scan(payload: dict) -> tuple[dict, bool]:
              ["residual"] + [fits[n].residual for n in names]]
     passed = all(fit.reliable and abs(fit.slope - fit.predicted) <= max(0.02, 0.02 * abs(fit.predicted))
                  for fit in fits.values())
-    return {"embed_scan.csv": rows}, passed
+    return {"embed_scan.csv": [_csv_text(rows)]}, passed
 
 
 def _cmd_recursion(payload: dict) -> tuple[dict, bool]:
@@ -370,9 +388,9 @@ _COMMANDS = {
 
 def _write(outdir: Path, outputs: dict) -> None:
     """Write each output under ``outdir``: a JSON object as standard JSON, a
-    grid function by ``io.function_to_csv``, anything else as CSV rows.  Every
-    JSON text is rendered first, so a NaN or infinity raises ValueError before
-    any file is opened."""
+    grid function by ``io.function_to_csv``, anything else as CSV text
+    chunks, verbatim.  Every JSON text is rendered first, so a NaN or
+    infinity raises ValueError before any file is opened."""
     texts = {name: json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
              for name, obj in outputs.items() if isinstance(obj, dict)}
     for name, content in outputs.items():
@@ -382,7 +400,7 @@ def _write(outdir: Path, outputs: dict) -> None:
             io.function_to_csv(content, outdir / name)
         else:
             with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(content)
+                fh.writelines(content)
 
 
 def run(command: str, input_path: Path, output_dir: Path) -> int:

@@ -9,17 +9,18 @@ truncation energies realize that sequence for grid functions: levels
 Phi-functions of ``(u - kappa_n)_+`` over them (plus boundary terms in the
 Neumann regimes and gradient terms in the critical regimes).  Only the
 truncation depends on the level: the Phi-functions and the gradient term are
-built once per function and reused at every level, and each level evaluates
-its Phi-functions on the nodes of ``{u > kappa_n}`` only.  The energies do not
-increase with n: the excess ``(u - kappa_n)_+`` and the level set shrink, and
-every Phi-function and the gradient term are nonnegative and nondecreasing.  So
-a candidate whose last level has not decayed is settled by that one
-evaluation.  When the sequence dies, twice the starting level bounds the
-function from above.
+built once per function, reused at every level and shared by u and -u in the
+two-sided bound, and each level evaluates its Phi-functions on the nodes of
+``{u > kappa_n}`` only.  The energies do not increase with n: the excess
+``(u - kappa_n)_+`` and the level set shrink, and every Phi-function and the
+gradient term are nonnegative and nondecreasing.  So a candidate whose last
+level has not decayed is settled by that one evaluation.  When the sequence
+dies, twice the starting level bounds the function from above.
 """
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -201,12 +202,19 @@ class IterationEnergy:
         return self.interior + self.boundary
 
 
+def _weighted(w, phi):
+    """w * phi, with +0.0 at the nodes of weight 0, where phi may be inf (0 * inf is NaN)."""
+    return np.multiply(w, phi, where=w != 0.0, out=np.zeros_like(phi))
+
+
 class _Levels:
     """The level-independent parts of one function's truncation energies: the
     regime and exponent checks, the interior and boundary Phi-functions, the
-    weights and, in the critical regimes, the nodal gradient term w H(|grad u|).
-    Each level evaluates the Phi-functions on the nodes of {u > kappa} only:
-    off that set the excess is 0, where every Phi-function is +0.0.
+    weights, the cell slack of ``_bound_ok`` and, in the critical regimes, the
+    nodal gradient term w H(|grad u|).  None of them depends on the sign of
+    u, so ``negated`` gives the levels of -u.  Each level evaluates the
+    Phi-functions on the nodes of {u > kappa} only: off that set the excess
+    is 0, where every Phi-function is +0.0.
     """
 
     def __init__(self, u, field, regime, r=None, s=None, l=None, h=None):
@@ -216,6 +224,8 @@ class _Levels:
         self.values, self.bmask = u.values, dom.boundary_mask
         self.w, self.wb = dom.interior_weights, dom.boundary_weights
         self.boundary = self.gradient_term = None
+        grad = u.gradient_magnitude()
+        self.cell_slack = max(dom.spacing) * float(np.max(grad))
         if regime.startswith("subcritical"):
             if r is None or s is None:
                 raise DomainError(f"regime {regime} needs interior exponents r, s")
@@ -229,18 +239,24 @@ class _Levels:
             if regime == "critical-N":
                 self.boundary = PhiSpec.critical_trace(field)
             self.H = PhiSpec.double_phase(field)
-            self.gradient_term = self.w * self.H.evaluate_nodes(u.gradient_magnitude())
+            self.gradient_term = _weighted(self.w, self.H.evaluate_nodes(grad))
+
+    def negated(self):
+        """The levels of -u."""
+        other = copy.copy(self)
+        other.values = -self.values
+        return other
 
     def energy(self, kappa):
         """The (interior, boundary) truncation energy of (u - kappa)_+."""
         above = self.values > kappa
         excess = np.maximum(self.values - kappa, 0.0)
-        interior = float(np.sum(self.w * self.interior.evaluate_nodes(excess, above)))
+        interior = float(np.sum(_weighted(self.w, self.interior.evaluate_nodes(excess, above))))
         if self.gradient_term is not None:
             interior += float(np.sum(self.gradient_term[above & ~self.bmask]))
         if self.boundary is None:
             return interior, 0.0
-        return interior, float(np.sum(self.wb * self.boundary.evaluate_nodes(excess, above)))
+        return interior, float(np.sum(_weighted(self.wb, self.boundary.evaluate_nodes(excess, above))))
 
     def entry(self, kappa_star):
         """The critical-regime sum of ``entry_condition`` over {u > kappa_*}."""
@@ -436,11 +452,10 @@ class IterationReport:
         return self.kappa_star is not None
 
 
-def _bound_ok(u: GridFunction, kappa, sup: float) -> bool:
+def _bound_ok(levels: _Levels, kappa, sup: float) -> bool:
     """Whether a level was found and sup <= 2 kappa + max(h) max |grad u|:
     twice the level, plus one cell of slack."""
-    cell_slack = max(u.domain.spacing) * float(np.max(u.gradient_magnitude()))
-    return kappa is not None and sup <= 2.0 * kappa + cell_slack
+    return kappa is not None and sup <= 2.0 * kappa + levels.cell_slack
 
 
 def empirical_iteration(
@@ -452,6 +467,8 @@ def empirical_iteration(
     s=None,
     l=None,
     h=None,
+    *,
+    _levels=None,
 ) -> IterationReport:
     """Grid search for the smallest admissible starting level.
 
@@ -462,13 +479,14 @@ def empirical_iteration(
     is above ``_DECAY_TOL`` is settled by that one evaluation, with the final
     energy the full walk would end on; the others walk up from n = 0.  The
     report carries the one-sided supremum of u over interior nodes and whether
-    it is bounded by twice the chosen level (plus one-cell slack).
+    it is bounded by twice the chosen level (plus one-cell slack).  ``_levels``,
+    if given, is the ``_Levels`` of these arguments.
     """
     kappas = sorted(float(k) for k in kappa_star_grid)
     if not np.all(np.isfinite(kappas)):
         raise DomainError("kappa_star candidates must be finite")
-    levels = _Levels(u, field, regime, r, s, l, h)
-    sup_u = float(np.max(u.values[~levels.bmask]))
+    levels = _Levels(u, field, regime, r, s, l, h) if _levels is None else _levels
+    sup_u = float(np.max(levels.values[~levels.bmask]))
 
     candidates = []
     chosen = None
@@ -491,7 +509,7 @@ def empirical_iteration(
         if entry < 1.0 and decayed and chosen is None:
             chosen = kappa
             chosen_energies = energies
-    return IterationReport(regime, chosen, sup_u, _bound_ok(u, chosen, sup_u), candidates, chosen_energies)
+    return IterationReport(regime, chosen, sup_u, _bound_ok(levels, chosen, sup_u), candidates, chosen_energies)
 
 
 def two_sided_bound(
@@ -503,10 +521,13 @@ def two_sided_bound(
 ) -> IterationReport:
     """Run the iteration for u and for -u and bound max |u| by twice the level.
 
-    ``kw`` holds the exponents r, s, l and h of ``empirical_iteration``."""
-    up = empirical_iteration(u, field, regime, kappa_star_grid, **kw)
-    down = empirical_iteration(-u, field, regime, kappa_star_grid, **kw)
+    ``kw`` holds the exponents r, s, l and h of ``empirical_iteration``.  Both
+    runs share one ``_Levels``: its Phi-functions, weights and gradient term do
+    not depend on the sign of u."""
+    levels = _Levels(u, field, regime, **kw)
+    up = empirical_iteration(u, field, regime, kappa_star_grid, _levels=levels)
+    down = empirical_iteration(-u, field, regime, kappa_star_grid, _levels=levels.negated())
     sup_abs = abs(max(up.esssup, down.esssup))  # abs: +0.0 when the interior holds only +-0
     kappa = max(up.kappa_star, down.kappa_star) if up.found and down.found else None
-    return IterationReport(regime, kappa, sup_abs, _bound_ok(u, kappa, sup_abs),
+    return IterationReport(regime, kappa, sup_abs, _bound_ok(levels, kappa, sup_abs),
                            up.candidates + down.candidates, up.energies + down.energies)

@@ -198,8 +198,16 @@ class GridFunction:
         return np.stack(grads)
 
     def gradient_magnitude(self) -> np.ndarray:
+        """Nodewise |grad u|.  When a gradient component is above 2^500, where
+        its square could overflow, the gradient is first scaled by an exact
+        power of two."""
         g = self.gradient()
-        return np.sqrt(np.sum(g * g, axis=0))
+        top = float(np.max(np.abs(g)))
+        if not top > 2.0**500:
+            return np.sqrt(np.sum(g * g, axis=0))
+        k = math.frexp(top)[1]
+        g = np.ldexp(g, -k)
+        return np.ldexp(np.sqrt(np.sum(g * g, axis=0)), k)
 
     def __neg__(self):
         return GridFunction(self.domain, -self.values)

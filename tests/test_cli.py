@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,77 @@ def test_conjugate_table_golden_many_nodes(tmp_path):
         assert float(row["conjugate"]) == pytest.approx(float(ref["conjugate"]), rel=_conjugate_rtol(t), abs=0.0)
         for col in SLACK_COLUMNS:
             assert _slack_close(float(row[col]), float(ref[col])), (ref["x_index"], t, col)
+
+
+TABLE_HEADER = ["x_index", "t", "conjugate", "critical_value",
+                "slack_power_p", "slack_power_q", "slack_critical", "slack_trace"]
+
+
+def _table_by_writer(payload):
+    """The bytes csv.writer writes for the conjugate table of ``payload``, one
+    row list per (node, t) sample, as the table was once written."""
+    field = io.field_from_json(payload["field"])
+    nodes = [tuple(x) if isinstance(x, list) else x for x in payload.get("nodes", [None])]
+    ts = np.array(payload["t_values"], dtype=float)
+    report = verify_conjugate_bounds(field, nodes, ts, normalized=payload.get("normalized", False))
+    crit_spec = PhiSpec.critical(field)
+    rows, i = [TABLE_HEADER], 0
+    for x in nodes:
+        for t, critical in zip(ts.tolist(), eval_phi(crit_spec, x, ts).tolist()):
+            rows.append([x, t, float(report.conjugate[i]), critical,
+                         *(float(report.slacks[k][i]) for k in SLACK_COLUMNS.values())])
+            i += 1
+    buf = StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+TUPLE_FIELD = {"N": 3, "p": [[1.5, 1.6], [1.7, 1.4]], "q": [[1.8, 1.9], [2.0, 1.7]], "mu": [[0.0, 1.0], [2.0, 0.5]]}
+CONSTANT_FIELD = {"N": 3, "p": 1.5, "q": 1.8, "mu": 0.7}
+
+
+@pytest.mark.parametrize("payload", [
+    {"field": MIXED, "nodes": [0, 3, 1, 3], "t_values": MIXED_TS},
+    {"field": TUPLE_FIELD, "nodes": [[0, 1], [1, 0], [0, 1]], "t_values": [0.0, 2.0, 0.25], "normalized": True},
+    {"field": CONSTANT_FIELD, "t_values": [0.0, 0.5, 1.0, 3.0]},
+    {"field": CONSTANT_FIELD, "nodes": [0, 2], "t_values": [1e-300, 7.5]},
+    {"field": MIXED, "nodes": [2, 0], "t_values": [2.5]},
+], ids=["int-nodes", "tuple-nodes", "constant-field", "constant-field-nodes", "one-t"])
+def test_conjugate_table_bytes_are_the_csv_writer_bytes(tmp_path, payload):
+    code, out = _run(tmp_path, "conjugate-table", payload)
+    assert code == cli.EXIT_OK
+    got = (out / "conjugate_table.csv").read_bytes()
+    assert got == _table_by_writer(payload)
+    if "nodes" not in payload:  # an empty x_index cell, not the '""' of a row holding one empty field
+        assert all(line.startswith(b",") for line in got.splitlines()[1:])
+
+
+def _stacked_bytes(u):
+    """The bytes of a grid-function CSV as it was once written: the coordinate
+    columns and the values column-stacked, each row in one "%.18e" format."""
+    dom = u.domain
+    header = [
+        "# shape=" + ",".join(str(n) for n in dom.shape),
+        "# spacing=" + ",".join(repr(h) for h in dom.spacing),
+        "# origin=" + ",".join(repr(o) for o in dom.origin),
+        ",".join(f"x{i}" for i in range(dom.dim)) + ",value",
+    ]
+    data = np.column_stack([c.ravel() for c in dom.coordinates] + [u.values.ravel()])
+    row_format = ",".join(["%.18e"] * data.shape[1]) + "\n"
+    return ("\n".join(header) + "\n" + (row_format * data.shape[0]) % tuple(data.ravel().tolist())).encode()
+
+
+@pytest.mark.parametrize("grid", [
+    {"shape": [9], "lengths": [2.0]},
+    {"shape": [7, 5], "lengths": [1.5, 1.0], "origin": [-0.75, -3.25]},
+    {"shape": [5, 4, 3], "spacing": [0.3, 0.1, 0.7]},
+], ids=["1d", "2d-negative-origin", "3d"])
+def test_solution_bytes_are_the_stacked_rows(tmp_path, grid):
+    code, out = _run(tmp_path, "solve", {"field": FLAT, "grid": grid, "source": 1.0})
+    assert code == cli.EXIT_OK
+    u = io.function_from_csv(out / "solution.csv")
+    assert u.domain == io.grid_from_json(grid)
+    assert (out / "solution.csv").read_bytes() == _stacked_bytes(u)
 
 
 def test_conjugate_below_1e290_is_solved(tmp_path):
@@ -1154,6 +1226,41 @@ def test_a_norm_whose_modular_underflows_or_overflows_at_1_scales_exactly(tmp_pa
         assert values[c]["value"] == pytest.approx(c * values[1.0]["value"], rel=1e-9, abs=0.0)
     if stem == "cli_norm_luxemburg":
         assert values[1e200]["modular_of_u"] is None and values[1e-300]["modular_of_u"] == 0.0
+
+
+@pytest.mark.parametrize("regime,exit_code", [
+    ("subcritical-D", cli.EXIT_OK), ("subcritical-N", cli.EXIT_OK),
+    ("critical-D", cli.EXIT_CHECK_FAILED), ("critical-N", cli.EXIT_CHECK_FAILED),
+])
+def test_bound_check_of_1e200_prints_no_warning(tmp_path, capsys, regime, exit_code):
+    # Phi(u - kappa) is inf at every node, also at the nodes of weight 0, where
+    # the truncation energies once printed "invalid value encountered in
+    # multiply" (0 * inf).
+    payload = dict(json.loads((DATA / f"bound_check_{regime}.json").read_text()), function=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, "bound-check", payload)
+    assert code == exit_code
+    assert capsys.readouterr().err == ""
+    assert _read_standard_json(out / "bound_check.json")["esssup"] == 1e200
+
+
+def test_sobolev_norm_of_a_gradient_above_1e154_scales(tmp_path, capsys):
+    # |grad u| once overflowed to inf (its components were squared unscaled),
+    # so the norm exited 1 with "no unit root in the double range".
+    payload = json.loads((DATA / "cli_norm_sobolev.json").read_text())
+    values = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1.0, 1e200):
+            (tmp_path / str(c)).mkdir()
+            f = dict(payload["function"], values=(c * np.array(payload["function"]["values"])).tolist())
+            code, out = _run(tmp_path / str(c), "norm", dict(payload, function=f))
+            assert code == cli.EXIT_OK
+            values[c] = _read_standard_json(out / "norm.json")["value"]
+    assert capsys.readouterr().err == ""
+    # Each norm is solved to |modular - 1| <= 1e-10, so two solves agree to about 1e-10 / p.
+    assert values[1e200] == pytest.approx(1e200 * values[1.0], rel=1e-9, abs=0.0)
 
 
 def test_bound_check_of_zero_gives_the_bound_0_and_prints_nothing(tmp_path, capsys):

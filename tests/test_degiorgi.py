@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -735,3 +736,48 @@ def test_out_of_contract_inputs_are_domain_errors(call):
     u, field = _case(1, False)
     with pytest.raises(DomainError):
         call(u, field)
+
+
+@pytest.mark.parametrize("regime,specs", [("subcritical-D", 1), ("subcritical-N", 2), ("critical-D", 2),
+                                          ("critical-N", 3)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_two_sided_bound_builds_its_levels_once(monkeypatch, regime, specs, dim):
+    u, field = _case(dim, True)
+    kappas = [0.02, 0.1, 0.3, 0.5, 0.7]
+    # the report the two one-sided runs give, each with levels of its own
+    up = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
+    down = empirical_iteration(-u, field, regime, kappas, **EXPONENTS)
+    counts = {"specs": 0, "gradients": 0}
+    init, gradient = PhiSpec.__init__, GridFunction.gradient_magnitude
+
+    def counted_init(obj, *args, **kwargs):
+        counts["specs"] += 1
+        init(obj, *args, **kwargs)
+
+    def counted_gradient(obj):
+        counts["gradients"] += 1
+        return gradient(obj)
+
+    monkeypatch.setattr(PhiSpec, "__init__", counted_init)
+    monkeypatch.setattr(GridFunction, "gradient_magnitude", counted_gradient)
+    report = two_sided_bound(u, field, regime, kappas, **EXPONENTS)
+    assert counts == {"specs": specs, "gradients": 1}
+    assert report.candidates == up.candidates + down.candidates
+    assert report.energies == up.energies + down.energies
+    assert report.esssup == abs(max(up.esssup, down.esssup))
+    found = up.found and down.found
+    assert report.kappa_star == (max(up.kappa_star, down.kappa_star) if found else None)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_energies_of_an_overflowing_phi_are_inf_without_a_warning(regime):
+    # Phi(u - kappa) = inf at every node, the boundary nodes of interior
+    # weight 0 (and the interior nodes of boundary weight 0) included.
+    dom = GridDomain.box((9, 7))
+    u = GridFunction.constant(dom, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        interior, boundary = degiorgi._Levels(u, dom.constant_field(3, 1.7, 2.04, 1.0), regime,
+                                              **EXPONENTS).energy(1.0)
+    assert interior == math.inf
+    assert boundary == (math.inf if regime.endswith("-N") else 0.0)

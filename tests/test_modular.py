@@ -21,6 +21,20 @@ from musielak import (
 from conftest import random_field_h3, random_grid_function
 
 
+@pytest.mark.parametrize("shape", [(41,), (17, 13), (5, 6, 7)])
+def test_gradient_magnitude_above_1e154_is_scaled_exactly(shape):
+    # The squares of components above about 1e154 once overflowed to inf.
+    dom = GridDomain.box(shape, origin=(-0.5,) * len(shape))
+    x = dom.coordinates
+    u = GridFunction(dom, np.sin(3.0 * x[0]) + sum(c * c for c in x))
+    grad = u.gradient_magnitude()
+    for k in (450, 600, 1000):  # below and above the 2^500 at which it scales
+        big = GridFunction(dom, np.ldexp(u.values, k))
+        assert np.array_equal(big.gradient_magnitude(), np.ldexp(grad, k))
+    big = GridFunction(dom, 1e200 * u.values).gradient_magnitude()
+    assert np.allclose(big, 1e200 * grad, rtol=1e-12, atol=0.0)  # 1e200 u is rounded
+
+
 class TestGridDomain:
     def test_interior_weights_sum_to_volume_exactly(self):
         for shape, lengths in [((11,), (1.0,)), ((9, 13), (1.0, 2.0)), ((5, 6, 7), (1.0, 1.5, 0.5))]:
