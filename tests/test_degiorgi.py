@@ -581,9 +581,8 @@ def _plateau():
     return GridFunction(dom, vals), field
 
 
-@pytest.mark.parametrize("regime", REGIMES)
-def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
-    u, field = _plateau()
+def _count_builds(monkeypatch) -> dict:
+    """Counts of PhiSpec builds and gradient_magnitude calls from here on."""
     counts = {"specs": 0, "gradients": 0}
     init, gradient = PhiSpec.__init__, GridFunction.gradient_magnitude
 
@@ -597,6 +596,13 @@ def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
 
     monkeypatch.setattr(PhiSpec, "__init__", counted_init)
     monkeypatch.setattr(GridFunction, "gradient_magnitude", counted_gradient)
+    return counts
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
+    u, field = _plateau()
+    counts = _count_builds(monkeypatch)
     seen = []
     for n_max in (2, 40):
         counts.update(specs=0, gradients=0)
@@ -747,19 +753,7 @@ def test_two_sided_bound_builds_its_levels_once(monkeypatch, regime, specs, dim)
     # the report the two one-sided runs give, each with levels of its own
     up = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
     down = empirical_iteration(-u, field, regime, kappas, **EXPONENTS)
-    counts = {"specs": 0, "gradients": 0}
-    init, gradient = PhiSpec.__init__, GridFunction.gradient_magnitude
-
-    def counted_init(obj, *args, **kwargs):
-        counts["specs"] += 1
-        init(obj, *args, **kwargs)
-
-    def counted_gradient(obj):
-        counts["gradients"] += 1
-        return gradient(obj)
-
-    monkeypatch.setattr(PhiSpec, "__init__", counted_init)
-    monkeypatch.setattr(GridFunction, "gradient_magnitude", counted_gradient)
+    counts = _count_builds(monkeypatch)
     report = two_sided_bound(u, field, regime, kappas, **EXPONENTS)
     assert counts == {"specs": specs, "gradients": 1}
     assert report.candidates == up.candidates + down.candidates
@@ -767,6 +761,8 @@ def test_two_sided_bound_builds_its_levels_once(monkeypatch, regime, specs, dim)
     assert report.esssup == abs(max(up.esssup, down.esssup))
     found = up.found and down.found
     assert report.kappa_star == (max(up.kappa_star, down.kappa_star) if found else None)
+    assert report.bound_ok == (found and report.esssup <= 2.0 * report.kappa_star + max(u.domain.spacing)
+                               * float(np.max(u.gradient_magnitude())))
 
 
 @pytest.mark.parametrize("regime", REGIMES)
