@@ -32,7 +32,9 @@ ignore: norm "sobolev" with kind, r, s, l, h, alpha or mode; norm's kind with
 an exponent r, s, l, h or alpha that it does not take, or with mode unless it
 is "subcritical" or "subcritical_trace"; embed-scan's function with radius;
 flux with bc "dirichlet-zero"; bound-check's l and h with a regime other than
-"subcritical-N".  norm, solve and bound-check need a bounded mu in the field.
+"subcritical-N", and its constants with a critical regime; a grid's spacing
+with lengths; a field's lipschitz_bound anywhere but in validate at level "H3"
+with a grid.  norm, solve and bound-check need a bounded mu in the field.
 A function, source or flux is a number (a constant), a grid-function object,
 or the path of a file: a CSV as solve writes it, or a JSON grid-function
 object; an error about a file names the key and the file.  Counts such as
@@ -79,14 +81,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _field_and_domain(payload, need_domain=False):
-    """The payload's field, and its lattice: the payload's ``grid``."""
+def _field_and_domain(payload, need_domain=False, reads_lipschitz=False):
+    """The payload's field, and its lattice: the payload's ``grid``.  A
+    field's lipschitz_bound is an input error unless the run reads it."""
     if "field" not in payload:
         raise DomainError("payload needs a 'field' entry")
     domain = io.grid_from_json(payload["grid"]) if "grid" in payload else None
     if need_domain and domain is None:
         raise DomainError("payload needs a 'grid' entry")
-    return io.field_from_json(payload["field"], domain), domain
+    field = io.field_from_json(payload["field"], domain)
+    if field.lipschitz_bound is not None and not reads_lipschitz:
+        raise DomainError("the field's 'lipschitz_bound' is read only by validate at level 'H3' with a 'grid'; "
+                          "this run would ignore it")
+    return field, domain
 
 
 def _grid_function(obj, domain, what: str) -> GridFunction:
@@ -168,7 +175,8 @@ def _finite_or_none(value):
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(payload: dict) -> tuple[dict, bool]:
-    field, _ = _field_and_domain(payload)
+    # The Lipschitz quotients need the lattice spacing, and only level H3 checks them.
+    field, _ = _field_and_domain(payload, reads_lipschitz=payload.get("level", "H3") == "H3" and "grid" in payload)
     report = validate_hypotheses(field, **_given(payload, "level"))
     out = {
         "level": report.level,
@@ -339,7 +347,9 @@ def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
     constants = _bound_constants(payload.get("constants", {}))
     regime = payload.get("regime", "subcritical-D")
     if regime in ("subcritical-D", "critical-D", "critical-N"):
-        _reject_ignored(payload, f"'regime' = '{regime}'", ("l", "h"))
+        # The critical regimes give no a priori bound, so they read no constants.
+        ignored = ("l", "h") if regime == "subcritical-D" else ("l", "h", "constants")
+        _reject_ignored(payload, f"'regime' = '{regime}'", ignored)
     kw = {k: _exponent(payload, k) for k in ("r", "s", "l", "h") if k in payload}
     grid = payload.get("kappa_grid")
     if grid is None:
@@ -348,17 +358,14 @@ def _cmd_bound_check(payload: dict) -> tuple[dict, bool]:
     grid = _flat_numbers(grid, "kappa grid values")
     if grid.size == 0:
         raise DomainError("'kappa_grid' must hold at least one candidate level")
-    report = degiorgi.two_sided_bound(u, field, regime, grid, **kw)
+    levels = degiorgi.TruncationLevels(u, field, regime, **kw)
+    report = degiorgi.two_sided_bound(levels, grid)
 
     psi_norm = None
     bound = None
-    # two_sided_bound has raised DomainError if a regime's exponents are missing.
     if regime.startswith("subcritical"):
-        spec = PhiSpec.subcritical(field, kw["r"], kw["s"])
-        psi_norm = luxemburg_norm(spec, u).value
-        upsilon = None
-        if regime.endswith("-N"):
-            upsilon = boundary_norm(PhiSpec.subcritical_trace(field, kw["l"], kw["h"]), u).value
+        psi_norm = luxemburg_norm(levels.interior, u).value
+        upsilon = None if levels.boundary is None else boundary_norm(levels.boundary, u).value
         bound = _finite_or_none(degiorgi.bound_estimate(psi_norm, constants, regime, upsilon_norm=upsilon))
     out = {
         "regime": regime,

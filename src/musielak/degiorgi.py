@@ -8,8 +8,9 @@ truncation energies realize that sequence for grid functions: levels
 ``{u > kappa_n}`` shrink, and the energies integrate kind-specific
 Phi-functions of ``(u - kappa_n)_+`` over them (plus boundary terms in the
 Neumann regimes and gradient terms in the critical regimes).  Only the
-truncation depends on the level: the Phi-functions and the gradient term are
-built once per function, reused at every level and shared by u and -u in the
+truncation depends on the level: a ``TruncationLevels`` builds the
+Phi-functions and the gradient term once per function, every function below
+takes it in place of (u, field, regime, r, s, l, h), u and -u share it in the
 two-sided bound, and each level evaluates its Phi-functions on the nodes of
 ``{u > kappa_n}`` only.  The energies do not increase with n: the excess
 ``(u - kappa_n)_+`` and the level set shrink, and every Phi-function and the
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DomainError
-from .modular import GridDomain, GridFunction
+from .modular import GridFunction
 from .phi_core import ExponentField, PhiSpec
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "BoundConstants",
     "LevelSet",
     "IterationReport",
+    "TruncationLevels",
     "recursion_thresholds",
     "iterate_recursion",
     "level_set",
@@ -207,19 +209,22 @@ def _weighted(w, phi):
     return np.multiply(w, phi, where=w != 0.0, out=np.zeros_like(phi))
 
 
-class _Levels:
-    """The level-independent parts of one function's truncation energies: the
-    regime and exponent checks, the interior and boundary Phi-functions, the
-    weights, the cell slack of ``_bound_ok`` and, in the critical regimes, the
-    nodal gradient term w H(|grad u|).  None of them depends on the sign of
-    u, so ``negated`` gives the levels of -u.  Each level evaluates the
-    Phi-functions on the nodes of {u > kappa} only: off that set the excess
-    is 0, where every Phi-function is +0.0.
+class TruncationLevels:
+    """The level-independent parts of one function's truncation energies:
+    the regime, checked with its exponents (r, s; and l, h in
+    "subcritical-N"), the ``interior`` and ``boundary`` Phi-functions (no
+    boundary one in the Dirichlet regimes), the weights, the cell slack of
+    ``_bound_ok`` and, in the critical regimes, the nodal gradient term
+    w H(|grad u|).  None of them depends on the sign of u, so ``negated``
+    gives the levels of -u.  Each level evaluates the Phi-functions on the
+    nodes of {u > kappa} only: off that set the excess is 0, where every
+    Phi-function is +0.0.
     """
 
-    def __init__(self, u, field, regime, r=None, s=None, l=None, h=None):
+    def __init__(self, u: GridFunction, field: ExponentField, regime: str, r=None, s=None, l=None, h=None):
         if regime not in REGIMES:
             raise DomainError(f"unknown regime {regime!r}")
+        self.regime = regime
         dom = u.domain
         self.values, self.bmask = u.values, dom.boundary_mask
         self.w, self.wb = dom.interior_weights, dom.boundary_weights
@@ -271,19 +276,7 @@ class _Levels:
         return total + float(np.sum(self.wb[on_set] * self.boundary.evaluate_nodes(absu, on_set)[on_set]))
 
 
-def truncation_energy(
-    u: GridFunction,
-    field: ExponentField,
-    regime: str,
-    kappa_star: float,
-    n: int,
-    r=None,
-    s=None,
-    l=None,
-    h=None,
-    *,
-    _levels=None,
-) -> IterationEnergy:
+def truncation_energy(levels: TruncationLevels, kappa_star: float, n: int) -> IterationEnergy:
     """One term of the truncation-energy sequence at level kappa_n.
 
     Subcritical regimes integrate the two-exponent function of (u-kappa_n)_+
@@ -291,36 +284,21 @@ def truncation_energy(
     level set in the Neumann case).  Critical regimes integrate the
     double-phase function of the gradient over the level set plus the critical
     function of the truncation (plus its trace version on the boundary).
-    ``_levels``, if given, is the ``_Levels`` of these arguments.
     """
-    levels = _Levels(u, field, regime, r, s, l, h) if _levels is None else _levels
     kappa_n = kappa_sequence(kappa_star, n)
-    return IterationEnergy(regime, int(n), kappa_n, *levels.energy(kappa_n))
+    return IterationEnergy(levels.regime, int(n), kappa_n, *levels.energy(kappa_n))
 
 
-def entry_condition(
-    u: GridFunction,
-    field: ExponentField,
-    regime: str,
-    kappa_star: float,
-    r=None,
-    s=None,
-    l=None,
-    h=None,
-    *,
-    _levels=None,
-) -> float:
+def entry_condition(levels: TruncationLevels, kappa_star: float) -> float:
     """Entry quantity whose value below 1 licenses the iteration at kappa_*.
 
     Critical Dirichlet: level-set integral of the double-phase function of the
     gradient and of |u| plus the critical function of |u|.  Critical Neumann:
     gradient term, critical function of |u| and the boundary trace term.
-    Subcritical regimes use the n = 0 truncation energy itself.  ``_levels``,
-    if given, is the ``_Levels`` of these arguments.
+    Subcritical regimes use the n = 0 truncation energy itself.
     """
-    levels = _Levels(u, field, regime, r, s, l, h) if _levels is None else _levels
-    if regime in ("subcritical-D", "subcritical-N"):
-        return truncation_energy(u, field, regime, kappa_star, 0, _levels=levels).total
+    if levels.regime.startswith("subcritical"):
+        return truncation_energy(levels, kappa_star, 0).total
     return levels.entry(kappa_star)
 
 
@@ -452,24 +430,13 @@ class IterationReport:
         return self.kappa_star is not None
 
 
-def _bound_ok(levels: _Levels, kappa, sup: float) -> bool:
+def _bound_ok(levels: TruncationLevels, kappa, sup: float) -> bool:
     """Whether a level was found and sup <= 2 kappa + max(h) max |grad u|:
     twice the level, plus one cell of slack."""
     return kappa is not None and sup <= 2.0 * kappa + levels.cell_slack
 
 
-def empirical_iteration(
-    u: GridFunction,
-    field: ExponentField,
-    regime: str,
-    kappa_star_grid,
-    r=None,
-    s=None,
-    l=None,
-    h=None,
-    *,
-    _levels=None,
-) -> IterationReport:
+def empirical_iteration(levels: TruncationLevels, kappa_star_grid) -> IterationReport:
     """Grid search for the smallest admissible starting level.
 
     Candidates must be finite; nonpositive ones are skipped.  For each other
@@ -479,13 +446,12 @@ def empirical_iteration(
     is above ``_DECAY_TOL`` is settled by that one evaluation, with the final
     energy the full walk would end on; the others walk up from n = 0.  The
     report carries the one-sided supremum of u over interior nodes and whether
-    it is bounded by twice the chosen level (plus one-cell slack).  ``_levels``,
-    if given, is the ``_Levels`` of these arguments.
+    it is bounded by twice the chosen level (plus one-cell slack).
     """
     kappas = sorted(float(k) for k in kappa_star_grid)
     if not np.all(np.isfinite(kappas)):
         raise DomainError("kappa_star candidates must be finite")
-    levels = _Levels(u, field, regime, r, s, l, h) if _levels is None else _levels
+    regime = levels.regime
     sup_u = float(np.max(levels.values[~levels.bmask]))
 
     candidates = []
@@ -494,7 +460,7 @@ def empirical_iteration(
     for kappa in kappas:
         if kappa <= 0:
             continue
-        entry = entry_condition(u, field, regime, kappa, _levels=levels)
+        entry = entry_condition(levels, kappa)
         ladder = kappa_sequence(kappa, np.arange(_N_LEVELS + 1))
         # the energies never increase with n: an undecayed last level settles kappa
         energies = [IterationEnergy(regime, _N_LEVELS, float(ladder[-1]), *levels.energy(ladder[-1]))]
@@ -512,22 +478,14 @@ def empirical_iteration(
     return IterationReport(regime, chosen, sup_u, _bound_ok(levels, chosen, sup_u), candidates, chosen_energies)
 
 
-def two_sided_bound(
-    u: GridFunction,
-    field: ExponentField,
-    regime: str,
-    kappa_star_grid,
-    **kw,
-) -> IterationReport:
+def two_sided_bound(levels: TruncationLevels, kappa_star_grid) -> IterationReport:
     """Run the iteration for u and for -u and bound max |u| by twice the level.
 
-    ``kw`` holds the exponents r, s, l and h of ``empirical_iteration``.  Both
-    runs share one ``_Levels``: its Phi-functions, weights and gradient term do
-    not depend on the sign of u."""
-    levels = _Levels(u, field, regime, **kw)
-    up = empirical_iteration(u, field, regime, kappa_star_grid, _levels=levels)
-    down = empirical_iteration(-u, field, regime, kappa_star_grid, _levels=levels.negated())
+    The run for -u takes ``levels.negated()``: the Phi-functions, weights and
+    gradient term of u serve -u as well."""
+    up = empirical_iteration(levels, kappa_star_grid)
+    down = empirical_iteration(levels.negated(), kappa_star_grid)
     sup_abs = abs(max(up.esssup, down.esssup))  # abs: +0.0 when the interior holds only +-0
     kappa = max(up.kappa_star, down.kappa_star) if up.found and down.found else None
-    return IterationReport(regime, kappa, sup_abs, _bound_ok(levels, kappa, sup_abs),
+    return IterationReport(levels.regime, kappa, sup_abs, _bound_ok(levels, kappa, sup_abs),
                            up.candidates + down.candidates, up.energies + down.energies)

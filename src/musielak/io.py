@@ -92,6 +92,8 @@ def grid_from_json(obj: dict) -> GridDomain:
     _require_size(math.prod(map(float, shape)), f"the node count of a grid of shape {list(shape)!r:.40}")
     origin = _numbers(obj.get("origin", [0.0] * len(shape)), "origin")
     if "spacing" in obj:
+        if "lengths" in obj:
+            raise DomainError("'spacing' cannot be combined with 'lengths', which the run would ignore")
         return GridDomain(shape, _numbers(obj["spacing"], "spacing"), origin)
     return GridDomain.box(shape, _numbers(obj.get("lengths", [1.0] * len(shape)), "lengths"), origin)
 

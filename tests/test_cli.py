@@ -355,6 +355,28 @@ def test_bound_check_golden(tmp_path, regime):
             assert got[key] == ref, key
 
 
+@pytest.mark.parametrize("regime,specs", [("subcritical-D", 1), ("subcritical-N", 2), ("critical-D", 2),
+                                          ("critical-N", 3)])
+def test_a_bound_check_builds_one_levels_object_and_each_phi_function_once(tmp_path, monkeypatch, regime, specs):
+    # The norms of the a priori bound read the Phi-functions of the levels:
+    # the subcritical (and trace) function, and in the critical regimes the
+    # critical (and trace) function and H.
+    counts = {"levels": 0, "specs": 0}
+    levels_init, spec_init = degiorgi.TruncationLevels.__init__, PhiSpec.__init__
+
+    def counted(key, init):
+        def wrapper(obj, *args, **kwargs):
+            counts[key] += 1
+            init(obj, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(degiorgi.TruncationLevels, "__init__", counted("levels", levels_init))
+    monkeypatch.setattr(PhiSpec, "__init__", counted("specs", spec_init))
+    code, _ = _run(tmp_path, "bound-check", None, text=(DATA / f"bound_check_{regime}.json").read_text())
+    assert code == cli.EXIT_OK
+    assert counts == {"levels": 1, "specs": specs}
+
+
 BOUND = {"grid": {"shape": [9, 9]}, "field": {"N": 3, "p": 1.6, "q": 1.9, "mu": 1.0},
          "function": 0.25, "regime": "critical-D"}
 
@@ -668,6 +690,15 @@ MALFORMED = (
     # An empty kappa grid once exited 1 with kappa_star null.
     + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], kappa_grid=[]),
                     "'kappa_grid' must hold at least one candidate level", id="kappa_grid-empty")]
+    # Constants under a critical regime, which gives no a priori bound, once exited 0 and were dropped.
+    + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], regime=regime, constants=constants),
+                    f"'regime' = '{regime}' cannot be combined with 'constants'", id=f"{regime}-and-constants-{name}")
+       for regime in ("critical-D", "critical-N") for name, constants in [("C", {"C": 1e6, "tau1": 3}), ("empty", {})]]
+    # A grid's spacing once replaced its lengths without a word.
+    + [pytest.param("norm", dict(PAYLOADS["norm"], function={"grid": dict(GRID, spacing=[0.5] * 2, lengths=[2] * 2),
+                                                             "values": 0.25}),
+                    "'spacing' cannot be combined with 'lengths', which the run would ignore",
+                    id="function-spacing-and-lengths")]
 )
 
 
@@ -691,6 +722,59 @@ def test_a_csv_function_without_data_rows_is_one_input_error_line(tmp_path, caps
     assert code == cli.EXIT_INPUT_ERROR
     assert capsys.readouterr().err == f"input error: 'function': {path}: no data rows\n"
     assert list(out.iterdir()) == []
+
+
+def test_a_grid_with_spacing_and_lengths_is_an_input_error(tmp_path, capsys):
+    # With spacing [0.5, 0.5] added to its grid of lengths [2, 2], this input
+    # once ran on an 8 x 8 box and wrote a norm of 11.14 instead of 2.08.
+    message = "'spacing' cannot be combined with 'lengths', which the run would ignore"
+    payload = json.loads((DATA / "cli_norm_luxemburg.json").read_text())
+    grid = dict(payload["grid"], spacing=[0.5, 0.5])
+    # the same grid as the function file's own
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(dict(payload["function"], grid=grid)))
+    cases = [(dict(payload, grid=grid), ""), (dict(payload, function=str(path)), f"'function': {path}: ")]
+    for i, (case, prefix) in enumerate(cases):
+        (tmp_path / str(i)).mkdir()
+        code, out = _run(tmp_path / str(i), "norm", case)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"input error: {prefix}{message}\n"
+        assert list(out.iterdir()) == []
+
+
+LIPSCHITZ_FIELD = {"N": 3, "p": [1.5, 1.55, 1.6], "q": [1.6, 1.65, 1.7], "mu": [1.0] * 3, "lipschitz_bound": 1e-6}
+
+
+def test_validate_checks_a_declared_lipschitz_bound_at_h3_with_a_grid(tmp_path):
+    code, out = _run(tmp_path, "validate", {"field": LIPSCHITZ_FIELD, "grid": {"shape": [3]}, "level": "H3"})
+    assert code == cli.EXIT_CHECK_FAILED
+    report = json.loads((out / "report.json").read_text())
+    assert {v["condition"] for v in report["violations"]} == {"Lipschitz(p)", "Lipschitz(q)"}
+
+
+# A declared Lipschitz bound that the run does not check once exited 0 as if it held.
+@pytest.mark.parametrize("command,payload", [
+    pytest.param("validate", {"field": LIPSCHITZ_FIELD}, id="validate-no-grid"),
+    pytest.param("validate", {"field": LIPSCHITZ_FIELD, "level": "H3"}, id="validate-H3-no-grid"),
+    pytest.param("validate", {"field": LIPSCHITZ_FIELD, "grid": {"shape": [3]}, "level": "H2"}, id="validate-H2"),
+    pytest.param("validate", {"field": LIPSCHITZ_FIELD, "grid": {"shape": [3]}, "level": "H1"}, id="validate-H1"),
+] + [pytest.param(command, dict(base, field=dict(base["field"], lipschitz_bound=1.0)), id=command)
+      for command, base in PAYLOADS.items() if command != "validate"])
+def test_a_lipschitz_bound_the_run_would_not_check_is_an_input_error(tmp_path, capsys, command, payload):
+    (tmp_path / "bound").mkdir()
+    code, out = _run(tmp_path / "bound", command, payload)
+    assert code == cli.EXIT_INPUT_ERROR
+    message = "the field's 'lipschitz_bound' is read only by validate at level 'H3' with a 'grid'"
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    # null means absent: the same exit code and stderr as without the key
+    absent = {k: v for k, v in payload["field"].items() if k != "lipschitz_bound"}
+    runs = []
+    for name, field in [("null", dict(absent, lipschitz_bound=None)), ("absent", absent)]:
+        (tmp_path / name).mkdir()
+        runs.append((_run(tmp_path / name, command, dict(payload, field=field))[0], capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert "lipschitz_bound" not in runs[0][1]
 
 
 def test_bound_check_reads_its_constants(tmp_path):

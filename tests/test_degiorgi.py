@@ -15,6 +15,7 @@ from musielak import (
     GridFunction,
     PhiSpec,
     RecursionParams,
+    TruncationLevels,
     bound_estimate,
     empirical_iteration,
     entry_condition,
@@ -182,15 +183,21 @@ class TestTruncationEnergy:
         self.field = self.dom.constant_field(3, 2.0, 2.2, 1.0)
         self.r, self.s = 3.0, 3.5  # inside (p, p*) x (q, q*) = (2,6) x (2.2,8.25)
 
+    def levels(self, u, regime="subcritical-D", **kw):
+        """The levels of u in ``regime``; the subcritical ones take r, s of the setup."""
+        if regime.startswith("subcritical"):
+            kw = dict(kw, r=self.r, s=self.s)
+        return TruncationLevels(u, self.field, regime, **kw)
+
     def test_below_level_zero(self):
         u = GridFunction.constant(self.dom, 0.5)
-        e = truncation_energy(u, self.field, "subcritical-D", 1.0, 0, r=self.r, s=self.s)
+        e = truncation_energy(self.levels(u), 1.0, 0)
         assert e.total == 0.0
 
     def test_step_closed_form(self):
         kappa = 0.8
         u = step_function(self.dom, 2.0 * kappa)
-        e = truncation_energy(u, self.field, "subcritical-D", kappa, 0, r=self.r, s=self.s)
+        e = truncation_energy(self.levels(u), kappa, 0)
         # on the step, u - kappa_0 = kappa; measure 0.25 up to one cell
         expect = 0.25 * (kappa**self.r + kappa**self.s)
         assert e.interior == pytest.approx(expect, abs=2 * self.dom.spacing[0] * (kappa**self.r + kappa**self.s))
@@ -199,8 +206,9 @@ class TestTruncationEnergy:
         u = random_grid_function(rng, self.dom, scale=2.0)
         for kappa in (0.5, 1.5):
             prev = None
+            levels = self.levels(u)
             for n in range(10):
-                e = truncation_energy(u, self.field, "subcritical-D", kappa, n, r=self.r, s=self.s)
+                e = truncation_energy(levels, kappa, n)
                 if prev is not None:
                     assert e.total <= prev + 1e-12
                 prev = e.total
@@ -208,25 +216,25 @@ class TestTruncationEnergy:
     def test_missing_exponents_rejected(self):
         u = GridFunction.constant(self.dom, 0.5)
         with pytest.raises(DomainError, match="regime subcritical-D needs interior exponents r, s"):
-            truncation_energy(u, self.field, "subcritical-D", 1.0, 0)
+            TruncationLevels(u, self.field, "subcritical-D")
         with pytest.raises(DomainError, match="regime subcritical-N needs boundary exponents l, h"):
-            truncation_energy(u, self.field, "subcritical-N", 1.0, 0, r=self.r, s=self.s)
+            self.levels(u, "subcritical-N")
 
     def test_neumann_regime_has_boundary_term(self):
         vals = np.full(self.dom.shape, 2.0)
         u = GridFunction(self.dom, vals)
-        e = truncation_energy(u, self.field, "subcritical-N", 0.5, 0,
-                              r=self.r, s=self.s, l=2.5, h=3.0)
+        e = truncation_energy(self.levels(u, "subcritical-N", l=2.5, h=3.0), 0.5, 0)
         assert e.boundary > 0.0
         assert e.total == pytest.approx(e.interior + e.boundary)
 
     def test_critical_regime_includes_gradient(self):
         x = self.dom.axes[0]
         u = GridFunction(self.dom, np.sin(np.pi * x))
-        e0 = truncation_energy(u, self.field, "critical-D", 0.4, 0)
+        levels = self.levels(u, "critical-D")
+        e0 = truncation_energy(levels, 0.4, 0)
         # gradient term integrates over the level set, so it is positive here
         assert e0.interior > 0.0
-        e_above = truncation_energy(u, self.field, "critical-D", 1.1, 0)
+        e_above = truncation_energy(levels, 1.1, 0)
         assert e_above.total == 0.0
 
     def test_pointwise_truncation_bound(self, rng):
@@ -245,8 +253,9 @@ class TestTruncationEnergy:
         u = random_grid_function(rng, self.dom, scale=2.0)
         kappa_star = 0.7
         rplus = self.r
+        levels = self.levels(u)
         for n in range(8):
-            e = truncation_energy(u, self.field, "subcritical-D", kappa_star, n, r=self.r, s=self.s)
+            e = truncation_energy(levels, kappa_star, n)
             ls = level_set(u, kappa_sequence(kappa_star, n + 1))
             bound = 2.0 * (1.0 + kappa_star**-rplus) * 2.0 ** ((n + 1) * rplus) * e.interior
             assert ls.measure <= bound + 1e-9 * max(1.0, bound)
@@ -254,7 +263,7 @@ class TestTruncationEnergy:
     def test_zero_energy_forces_empty_next_level(self, rng):
         u = random_grid_function(rng, self.dom, scale=0.3)
         kappa_star = float(np.max(np.abs(u.values))) + 0.1
-        e = truncation_energy(u, self.field, "subcritical-D", kappa_star, 0, r=self.r, s=self.s)
+        e = truncation_energy(self.levels(u), kappa_star, 0)
         assert e.total == 0.0
         ls = level_set(u, kappa_sequence(kappa_star, 1))
         assert ls.measure == 0.0
@@ -267,8 +276,9 @@ class TestTruncationEnergy:
         u = GridFunction(dom, 3.0 * np.sin(np.pi * x))
         p_star_plus = float(np.max(field.critical("p")))
         kappa_star = 1.0
+        levels = TruncationLevels(u, field, "critical-D")
         for n in range(6):
-            e = truncation_energy(u, field, "critical-D", kappa_star, n)
+            e = truncation_energy(levels, kappa_star, n)
             ls = level_set(u, kappa_sequence(kappa_star, n + 1))
             bound = 2.0 ** ((n + 1) * p_star_plus) * e.interior
             assert ls.measure <= bound + 1e-9 * max(1.0, bound)
@@ -360,9 +370,8 @@ class TestEmpiricalIteration:
         field = dom.constant_field(3, 2.0, 2.2, 1.0)
         u = random_grid_function(rng, dom, scale=0.5, zero_boundary=True)
         top = float(np.max(np.abs(u.values)))
-        report = empirical_iteration(u, field, "subcritical-D",
-                                     kappa_star_grid=[top / 4, top / 2, top + 0.1],
-                                     r=3.0, s=3.5)
+        report = empirical_iteration(TruncationLevels(u, field, "subcritical-D", r=3.0, s=3.5),
+                                     kappa_star_grid=[top / 4, top / 2, top + 0.1])
         assert report.found
         assert report.esssup <= 2.0 * report.kappa_star + 1e-9
 
@@ -371,9 +380,8 @@ class TestEmpiricalIteration:
         field = dom.constant_field(3, 2.0, 2.2, 1.0)
         x = dom.axes[0]
         u = GridFunction(dom, np.sin(2 * np.pi * x))  # takes both signs
-        report = two_sided_bound(u, field, "subcritical-D",
-                                 kappa_star_grid=np.geomspace(0.05, 2.0, 12),
-                                 r=3.0, s=3.5)
+        report = two_sided_bound(TruncationLevels(u, field, "subcritical-D", r=3.0, s=3.5),
+                                 kappa_star_grid=np.geomspace(0.05, 2.0, 12))
         assert report.found and report.bound_ok
         assert report.esssup == float(np.max(np.abs(u.values[1:-1])))
 
@@ -382,7 +390,7 @@ class TestEmpiricalIteration:
         dom = GridDomain.interval(11)
         field = dom.constant_field(3, 2.0, 2.2, 1.0)
         u = GridFunction(dom, np.full(dom.shape, zero))
-        report = two_sided_bound(u, field, "subcritical-D", kappa_star_grid=[1.0], r=3.0, s=3.5)
+        report = two_sided_bound(TruncationLevels(u, field, "subcritical-D", r=3.0, s=3.5), kappa_star_grid=[1.0])
         assert report.found and report.bound_ok
         assert np.copysign(1.0, report.esssup) == 1.0
 
@@ -391,9 +399,10 @@ class TestEmpiricalIteration:
         field = dom.constant_field(5, 2.0, 2.5, 0.5)
         x = dom.axes[0]
         u = GridFunction(dom, 0.2 * np.sin(np.pi * x))
-        small = entry_condition(u, field, "critical-D", 5.0)
+        levels = TruncationLevels(u, field, "critical-D")
+        small = entry_condition(levels, 5.0)
         assert small == 0.0  # empty level set
-        big = entry_condition(u, field, "critical-D", 0.01)
+        big = entry_condition(levels, 0.01)
         assert big > 0.0
 
     def test_nonpositive_candidates_are_skipped(self, rng):
@@ -401,7 +410,8 @@ class TestEmpiricalIteration:
         field = dom.constant_field(3, 2.0, 2.2, 1.0)
         u = random_grid_function(rng, dom, scale=0.5, zero_boundary=True)
         top = float(np.max(np.abs(u.values))) + 0.1
-        report = empirical_iteration(u, field, "subcritical-D", kappa_star_grid=[-1.0, 0.0, top], r=3.0, s=3.5)
+        report = empirical_iteration(TruncationLevels(u, field, "subcritical-D", r=3.0, s=3.5),
+                                     kappa_star_grid=[-1.0, 0.0, top])
         assert [c[0] for c in report.candidates] == [top]
         assert report.kappa_star == top
 
@@ -413,9 +423,8 @@ class TestEmpiricalIteration:
         vals[30:60] = 50.0
         vals[dom.boundary_mask] = 0.0
         u = GridFunction(dom, vals)
-        report = empirical_iteration(u, field, "subcritical-D",
-                                     kappa_star_grid=[1e-4],
-                                     r=3.0, s=3.5)
+        report = empirical_iteration(TruncationLevels(u, field, "subcritical-D", r=3.0, s=3.5),
+                                     kappa_star_grid=[1e-4])
         # tiny level never empties the set: energies stall above the decay tol
         assert not report.found
         assert report.candidates
@@ -514,15 +523,15 @@ def _rel_close(a, b):
 def test_levels_match_per_level_reference(monkeypatch, regime, dim, varying):
     u, field = _case(dim, varying)
     kappas = [0.02, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7]
+    levels = TruncationLevels(u, field, regime, **EXPONENTS)
     for kappa in kappas:
-        assert _rel_close(entry_condition(u, field, regime, kappa, **EXPONENTS),
-                          _reference_entry(u, field, regime, kappa))
+        assert _rel_close(entry_condition(levels, kappa), _reference_entry(u, field, regime, kappa))
         for n in (0, 1, 5):
-            e = truncation_energy(u, field, regime, kappa, n, **EXPONENTS)
+            e = truncation_energy(levels, kappa, n)
             ref = _reference_energy(u, field, regime, kappa * (2.0 - 0.5**n))
             assert _rel_close((e.interior, e.boundary), ref)
     monkeypatch.setattr(degiorgi, "_N_LEVELS", 25)
-    report = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
+    report = empirical_iteration(levels, kappas)
     chosen, candidates, energies = _reference_iteration(u, field, regime, kappas, n_max=25)
     assert report.kappa_star == chosen
     assert len(report.candidates) == len(candidates)
@@ -534,7 +543,7 @@ def test_levels_match_per_level_reference(monkeypatch, regime, dim, varying):
 
 
 def _full_node_entry(levels, kappa_star):
-    """``_Levels.entry`` with every Phi-function evaluated at every node and then masked."""
+    """``TruncationLevels.entry`` with every Phi-function evaluated at every node and then masked."""
     above = levels.values > kappa_star
     on_set = above & ~levels.bmask
     absu = np.abs(levels.values)
@@ -551,7 +560,7 @@ def _full_node_entry(levels, kappa_star):
 @pytest.mark.parametrize("varying", [False, True])
 def test_level_set_evaluation_equals_full_node_evaluation(regime, dim, varying):
     u, field = _case(dim, varying)
-    levels = degiorgi._Levels(u, field, regime, **EXPONENTS)
+    levels = TruncationLevels(u, field, regime, **EXPONENTS)
     lo, hi = float(np.min(u.values)), float(np.max(u.values))
     assert lo > 0.0
     # below min u (every node), inside the range, and at and above max u (an empty set)
@@ -566,7 +575,7 @@ def test_level_set_evaluation_equals_full_node_evaluation(regime, dim, varying):
         assert levels.energy(kappa) == (interior, boundary)
         if kappa >= hi:
             assert levels.energy(kappa) == (0.0, 0.0)
-        entry = entry_condition(u, field, regime, kappa, _levels=levels)
+        entry = entry_condition(levels, kappa)
         if regime.startswith("subcritical"):
             assert entry == interior + boundary
         else:
@@ -607,7 +616,7 @@ def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
     for n_max in (2, 40):
         counts.update(specs=0, gradients=0)
         monkeypatch.setattr(degiorgi, "_N_LEVELS", n_max)
-        report = empirical_iteration(u, field, regime, [1e-3, 1e-2], **EXPONENTS)
+        report = empirical_iteration(TruncationLevels(u, field, regime, **EXPONENTS), [1e-3, 1e-2])
         assert not any(c[2] for c in report.candidates)  # every level up to n_max ran
         seen.append(dict(counts))
     assert seen[0] == seen[1]
@@ -618,46 +627,31 @@ def test_undecayed_candidate_costs_one_level(monkeypatch, regime):
     u, field = _plateau()
     kappas = [1e-3, 1e-2]
     levels = []
-    energy = degiorgi._Levels.energy
+    energy = TruncationLevels.energy
 
     def counted_energy(obj, kappa):
         levels.append(kappa)
         return energy(obj, kappa)
 
-    monkeypatch.setattr(degiorgi._Levels, "energy", counted_energy)
+    monkeypatch.setattr(TruncationLevels, "energy", counted_energy)
     # The subcritical entry condition is itself a level-0 energy; a constant
     # entry keeps the count to the level loop.
     monkeypatch.setattr(degiorgi, "entry_condition", lambda *args, **kwargs: 2.0)
     for n_max in (2, 40):
         levels.clear()
         monkeypatch.setattr(degiorgi, "_N_LEVELS", n_max)
-        report = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
+        report = empirical_iteration(TruncationLevels(u, field, regime, **EXPONENTS), kappas)
         assert not any(c[2] for c in report.candidates)
         assert levels == [kappa_sequence(k, np.arange(n_max + 1))[-1] for k in kappas]
-
-
-@pytest.mark.parametrize("regime", REGIMES)
-def test_one_levels_object_per_iteration(monkeypatch, regime):
-    u, field = _plateau()
-    kappas = [1e-3, 1e-2, 0.1, 1.0]
-    entries = [entry_condition(u, field, regime, k, **EXPONENTS) for k in kappas]
-    builds = []
-    init = degiorgi._Levels.__init__
-    monkeypatch.setattr(degiorgi._Levels, "__init__",
-                        lambda obj, *args: builds.append(1) or init(obj, *args))
-    monkeypatch.setattr(degiorgi, "_N_LEVELS", 4)
-    report = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
-    assert len(builds) == 1  # the entry conditions share it
-    assert [c[1] for c in report.candidates] == entries
 
 
 def _walk_all_levels(u, field, regime, kappas, n_max=60, decay_tol=1e-12):
     """The level loop of empirical_iteration before it settled undecayed
     candidates at their last level: every candidate walks up from n = 0."""
-    levels = degiorgi._Levels(u, field, regime, **EXPONENTS)
+    levels = TruncationLevels(u, field, regime, **EXPONENTS)
     candidates, chosen, chosen_energies = [], None, []
     for kappa in sorted(kappas):
-        entry = entry_condition(u, field, regime, kappa, **EXPONENTS)
+        entry = entry_condition(levels, kappa)
         energies = []
         for n, kappa_n in enumerate(kappa_sequence(kappa, np.arange(n_max + 1))):
             energies.append(degiorgi.IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
@@ -679,13 +673,14 @@ def test_settled_candidates_equal_full_walk(monkeypatch, regime, dim, varying, n
     kappas = [0.02, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7]
     monkeypatch.setattr(degiorgi, "_N_LEVELS", n_max)
     for v in (u, -u):
-        report = empirical_iteration(v, field, regime, kappas, **EXPONENTS)
+        report = empirical_iteration(TruncationLevels(v, field, regime, **EXPONENTS), kappas)
         chosen, candidates, energies = _walk_all_levels(v, field, regime, kappas, n_max)
         assert report.kappa_star == chosen
         assert report.candidates == candidates
         assert report.energies == energies
     # the case settles some candidates at their last level and walks others
-    assert {c[2] for c in empirical_iteration(u, field, regime, kappas, **EXPONENTS).candidates} == {False, True}
+    levels = TruncationLevels(u, field, regime, **EXPONENTS)
+    assert {c[2] for c in empirical_iteration(levels, kappas).candidates} == {False, True}
 
 
 @st.composite
@@ -717,25 +712,29 @@ def test_energies_never_increase_along_the_levels(regime, case):
     # settled by that level alone, which is exact only if the floating-point
     # energies do not increase from one level to the next.
     u, field, kappa_star = case
-    levels = degiorgi._Levels(u, field, regime, **EXPONENTS)
+    levels = TruncationLevels(u, field, regime, **EXPONENTS)
     totals = [i + b for i, b in map(levels.energy, kappa_sequence(kappa_star, np.arange(61)))]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda u, f: entry_condition(u, f, "bogus", 0.5), id="entry-unknown-regime"),
-    pytest.param(lambda u, f: truncation_energy(u, f, "bogus", 0.5, 0), id="energy-unknown-regime"),
-    pytest.param(lambda u, f: entry_condition(u, f, "critical-D", 0.0), id="critical-D-zero-level"),
-    pytest.param(lambda u, f: entry_condition(u, f, "critical-N", -1.0), id="critical-N-negative-level"),
-    pytest.param(lambda u, f: entry_condition(u, f, "critical-D", float("inf")), id="critical-D-infinite-level"),
-    pytest.param(lambda u, f: entry_condition(u, f, "subcritical-D", 0.0, **EXPONENTS),
+    pytest.param(lambda u, f: TruncationLevels(u, f, "bogus"), id="unknown-regime"),
+    pytest.param(lambda u, f: entry_condition(TruncationLevels(u, f, "critical-D"), 0.0), id="critical-D-zero-level"),
+    pytest.param(lambda u, f: entry_condition(TruncationLevels(u, f, "critical-N"), -1.0),
+                 id="critical-N-negative-level"),
+    pytest.param(lambda u, f: entry_condition(TruncationLevels(u, f, "critical-D"), float("inf")),
+                 id="critical-D-infinite-level"),
+    pytest.param(lambda u, f: entry_condition(TruncationLevels(u, f, "subcritical-D", **EXPONENTS), 0.0),
                  id="subcritical-D-zero-level"),
-    pytest.param(lambda u, f: truncation_energy(u, f, "critical-D", 0.5, -3), id="critical-negative-index"),
-    pytest.param(lambda u, f: truncation_energy(u, f, "subcritical-D", 0.5, -1, **EXPONENTS),
+    pytest.param(lambda u, f: truncation_energy(TruncationLevels(u, f, "critical-D"), 0.5, -3),
+                 id="critical-negative-index"),
+    pytest.param(lambda u, f: truncation_energy(TruncationLevels(u, f, "subcritical-D", **EXPONENTS), 0.5, -1),
                  id="subcritical-negative-index"),
-    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5, float("nan")]), id="nan-candidate"),
-    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [0.5, float("inf")]), id="inf-candidate"),
-    pytest.param(lambda u, f: empirical_iteration(u, f, "critical-D", [float("-inf"), 0.5]),
+    pytest.param(lambda u, f: empirical_iteration(TruncationLevels(u, f, "critical-D"), [0.5, float("nan")]),
+                 id="nan-candidate"),
+    pytest.param(lambda u, f: empirical_iteration(TruncationLevels(u, f, "critical-D"), [0.5, float("inf")]),
+                 id="inf-candidate"),
+    pytest.param(lambda u, f: empirical_iteration(TruncationLevels(u, f, "critical-D"), [float("-inf"), 0.5]),
                  id="minus-inf-candidate"),
 ])
 def test_out_of_contract_inputs_are_domain_errors(call):
@@ -747,15 +746,19 @@ def test_out_of_contract_inputs_are_domain_errors(call):
 @pytest.mark.parametrize("regime,specs", [("subcritical-D", 1), ("subcritical-N", 2), ("critical-D", 2),
                                           ("critical-N", 3)])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_two_sided_bound_builds_its_levels_once(monkeypatch, regime, specs, dim):
+def test_one_levels_object_serves_both_sides_of_the_bound(monkeypatch, regime, specs, dim):
     u, field = _case(dim, True)
     kappas = [0.02, 0.1, 0.3, 0.5, 0.7]
     # the report the two one-sided runs give, each with levels of its own
-    up = empirical_iteration(u, field, regime, kappas, **EXPONENTS)
-    down = empirical_iteration(-u, field, regime, kappas, **EXPONENTS)
+    up = empirical_iteration(TruncationLevels(u, field, regime, **EXPONENTS), kappas)
+    down = empirical_iteration(TruncationLevels(-u, field, regime, **EXPONENTS), kappas)
+    entries = [entry_condition(TruncationLevels(v, field, regime, **EXPONENTS), k) for v in (u, -u) for k in kappas]
     counts = _count_builds(monkeypatch)
-    report = two_sided_bound(u, field, regime, kappas, **EXPONENTS)
+    levels = TruncationLevels(u, field, regime, **EXPONENTS)
     assert counts == {"specs": specs, "gradients": 1}
+    report = two_sided_bound(levels, kappas)
+    assert counts == {"specs": specs, "gradients": 1}  # the iterations and entry conditions build nothing
+    assert [c[1] for c in report.candidates] == entries
     assert report.candidates == up.candidates + down.candidates
     assert report.energies == up.energies + down.energies
     assert report.esssup == abs(max(up.esssup, down.esssup))
@@ -773,7 +776,7 @@ def test_energies_of_an_overflowing_phi_are_inf_without_a_warning(regime):
     u = GridFunction.constant(dom, 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        interior, boundary = degiorgi._Levels(u, dom.constant_field(3, 1.7, 2.04, 1.0), regime,
+        interior, boundary = TruncationLevels(u, dom.constant_field(3, 1.7, 2.04, 1.0), regime,
                                               **EXPONENTS).energy(1.0)
     assert interior == math.inf
     assert boundary == (math.inf if regime.endswith("-N") else 0.0)

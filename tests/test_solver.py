@@ -10,6 +10,7 @@ from musielak import (
     GridDomain,
     GridFunction,
     ProblemSpec,
+    TruncationLevels,
     energy,
     energy_gradient,
     solve,
@@ -275,9 +276,8 @@ class TestSolutionsFeedTruncationMachinery:
         u, rep = solve(spec)
         assert rep.converged
         top = float(np.max(np.abs(u.values)))
-        report = two_sided_bound(u, spec.field, "subcritical-D",
-                                 kappa_star_grid=np.geomspace(top / 16, top + 0.1, 10),
-                                 r=3.0, s=3.5)
+        report = two_sided_bound(TruncationLevels(u, spec.field, "subcritical-D", r=3.0, s=3.5),
+                                 kappa_star_grid=np.geomspace(top / 16, top + 0.1, 10))
         assert report.found and report.bound_ok
 
 
@@ -348,12 +348,54 @@ def test_the_bound_check_of_the_1d_solve_meets_the_exact_supremum():
         # r and s at the middle of their windows, and the CLI's default kappa grid
         r, s = 0.5 * (field.p + field.critical("p")), 0.5 * (field.q + field.critical("q"))
         high = float(np.max(np.abs(u.values))) + 1.0
-        report = two_sided_bound(u, field, "subcritical-D", np.geomspace(high / 64.0, high, 16), r=r, s=s)
+        report = two_sided_bound(TruncationLevels(u, field, "subcritical-D", r=r, s=s),
+                                 np.geomspace(high / 64.0, high, 16))
         assert report.found and report.bound_ok, n
         assert 2.0 * report.kappa_star >= top, n
         errors.append(abs(report.esssup - top))
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all(orders >= 1.9), (errors, orders)
+
+
+def _manufactured_2d(x, y):
+    """u = sin(pi x) sin(pi y) (1 + 0.3 x) on the unit square, its exponent
+    field p = 2.2 + 0.3 x, q = 2.8 + 0.2 y, mu = 0.5 + x y, and the load
+    f = -div((|grad u|^(p-2) + mu |grad u|^(q-2)) grad u): grad u is exact,
+    the divergence a fourth-order central difference of the exact flux."""
+    pi = np.pi
+
+    def exponents(x, y):
+        return 2.2 + 0.3 * x, 2.8 + 0.2 * y, 0.5 + x * y
+
+    def flux(x, y):
+        gx = pi * np.cos(pi * x) * np.sin(pi * y) * (1 + 0.3 * x) + 0.3 * np.sin(pi * x) * np.sin(pi * y)
+        gy = pi * np.sin(pi * x) * np.cos(pi * y) * (1 + 0.3 * x)
+        t = np.hypot(gx, gy)
+        p, q, mu = exponents(x, y)
+        a = t ** (p - 2) + mu * t ** (q - 2)
+        return a * gx, a * gy
+
+    h = 1e-4
+
+    def central(g):
+        return (-g(2 * h) + 8 * g(h) - 8 * g(-h) + g(-2 * h)) / (12 * h)
+
+    div = central(lambda d: flux(x + d, y)[0]) + central(lambda d: flux(x, y + d)[1])
+    u = np.sin(pi * x) * np.sin(pi * y) * (1 + 0.3 * x)
+    return u, exponents(x, y), -div
+
+
+def test_the_2d_solve_converges_to_a_manufactured_solution_at_second_order():
+    errors = []
+    for n in (17, 33, 65, 129):
+        dom = GridDomain.box((n, n))
+        exact, (p, q, mu), f = _manufactured_2d(*dom.coordinates)
+        u, rep = solve(ProblemSpec(dom, dom.constant_field(4, p, q, mu), GridFunction(dom, f)))
+        assert rep.converged, (n, rep.message)
+        errors.append(float(np.max(np.abs(u.values - exact))))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 1.8), (errors, orders)
+    assert errors[-1] <= 4e-4, errors
 
 
 # p > 2: u' is only Holder continuous, with exponent 1 / (p - 1), where it vanishes.
