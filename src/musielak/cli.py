@@ -20,9 +20,11 @@ subcommand reads these payload keys (default in brackets, none means required):
   [1e-10], max_iter [200, at most 10000]; a solve fails (exit 1) unless the
   energy gradient on the free nodes reaches grad_tol in the max-norm
 - bound-check: field, grid, function, regime ["subcritical-D"], r, s, l, h
-  [none], constants [the BoundConstants defaults], kappa_grid [16 geometric
-  levels up to max |u| + 1; not empty]; each candidate runs for at most 60
-  levels, and a level has decayed when its energy is at most 1e-12
+  [none], constants [an object of positive C, mu1, mu2, delta1, delta2,
+  r_minus, s_plus (each 1), tau1 (delta1/mu2) and tau2 (delta2/mu1)],
+  kappa_grid [16 geometric levels up to max |u| + 1; not empty]; each
+  candidate runs for at most 60 levels, and a level has decayed when its
+  energy is at most 1e-12
 
 Each input has one spelling.  The lattice is the payload's grid: a field has
 none of its own, and a function's own grid, inline or in a file, must be the
@@ -32,9 +34,10 @@ ignore: norm "sobolev" with kind, r, s, l, h, alpha or mode; norm's kind with
 an exponent r, s, l, h or alpha that it does not take, or with mode unless it
 is "subcritical" or "subcritical_trace"; embed-scan's function with radius;
 flux with bc "dirichlet-zero"; bound-check's l and h with a regime other than
-"subcritical-N", and its constants with a critical regime; a grid's spacing
-with lengths; a field's lipschitz_bound anywhere but in validate at level "H3"
-with a grid.  norm, solve and bound-check need a bounded mu in the field.
+"subcritical-N", and its constants with a critical regime; a constant tau1
+with delta1 or mu2, and tau2 with delta2 or mu1; a grid's spacing with
+lengths; a field's lipschitz_bound anywhere but in validate at level "H3" with
+a grid.  norm, solve and bound-check need a bounded mu in the field.
 A function, source or flux is a number (a constant), a grid-function object,
 or the path of a file: a CSV as solve writes it, or a JSON grid-function
 object; an error about a file names the key and the file.  Counts such as
@@ -338,6 +341,9 @@ def _bound_constants(obj) -> degiorgi.BoundConstants:
     unknown = sorted(set(obj) - set(names))
     if unknown:
         raise DomainError(f"unknown constants {unknown}; the constants are {names}")
+    for tau, default in (("tau1", ("delta1", "mu2")), ("tau2", ("delta2", "mu1"))):
+        if tau in obj:  # a given tau replaces its default, the ratio of these two
+            _reject_ignored(obj, f"'{tau}'", default)
     return degiorgi.BoundConstants(**{k: io.number_from_json(v, k) for k, v in obj.items()})
 
 

@@ -22,7 +22,6 @@ dies, twice the starting level bounds the function from above.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -36,17 +35,13 @@ __all__ = [
     "RecursionTrace",
     "IterationEnergy",
     "BoundConstants",
-    "LevelSet",
     "IterationReport",
     "TruncationLevels",
     "recursion_thresholds",
     "iterate_recursion",
-    "level_set",
     "kappa_sequence",
     "truncation_energy",
     "entry_condition",
-    "kappa_star_dirichlet",
-    "kappa_star_admissible",
     "bound_estimate",
     "empirical_iteration",
     "two_sided_bound",
@@ -154,31 +149,8 @@ def iterate_recursion(Z0: float, params: RecursionParams, n_max: int = 200) -> R
 
 
 # ---------------------------------------------------------------------------
-# Level sets and truncation energies
+# Truncation energies
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelSet:
-    interior_mask: np.ndarray
-    measure: float
-    boundary_mask: np.ndarray
-    boundary_measure: float
-
-
-def level_set(u: GridFunction, kappa: float) -> LevelSet:
-    """Strict super-level set {u > kappa}, split into interior and boundary parts."""
-    dom = u.domain
-    bmask = dom.boundary_mask
-    above = u.values > kappa
-    interior = above & ~bmask
-    boundary = above & bmask
-    return LevelSet(
-        interior,
-        float(np.sum(dom.interior_weights[interior])),
-        boundary,
-        float(np.sum(dom.boundary_weights[boundary])),
-    )
-
 
 def kappa_sequence(kappa_star: float, n) -> float | np.ndarray:
     """Level n >= 0 of the doubling ladder: kappa_* (2 - 2^-n), increasing to 2 kappa_*."""
@@ -303,24 +275,22 @@ def entry_condition(levels: TruncationLevels, kappa_star: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form starting level and a priori bound
+# A priori bound
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Configuration for the closed-form bound machinery.
+    """Constants of the a priori bound C max(X^tau1, X^tau2) of ``bound_estimate``.
 
     The analytic proofs produce these constants from embedding constants that
     are not computable here, so they are explicit configuration with neutral
-    defaults.  ``recursion_constant`` is the prefactor of the truncation
-    recursion; ``delta``/``mu`` are its exponents; ``tau1``/``tau2`` default
-    to delta1/mu2 and delta2/mu1.  ``r_minus``/``s_plus`` convert a norm into
-    a modular bound via max(norm^r_minus, norm^s_plus).
+    defaults.  ``tau1``/``tau2`` default to delta1/mu2 and delta2/mu1, from
+    the exponents of the truncation recursion; a given tau must be positive.
+    ``r_minus``/``s_plus`` convert a norm into a modular bound via
+    max(norm^r_minus, norm^s_plus).
     """
 
     C: float = 1.0
-    recursion_constant: float = 1.0
-    b: float = 2.0
     mu1: float = 1.0
     mu2: float = 1.0
     delta1: float = 1.0
@@ -331,10 +301,10 @@ class BoundConstants:
     s_plus: float = 1.0
 
     def __post_init__(self):
-        positive = (self.C, self.recursion_constant, self.mu1, self.mu2,
-                    self.delta1, self.delta2, self.r_minus, self.s_plus)
-        if any(c <= 0 for c in positive) or self.b <= 1:
-            raise DomainError("constants must be positive and b > 1")
+        positive = (self.C, self.mu1, self.mu2, self.delta1, self.delta2, self.r_minus, self.s_plus,
+                    *(t for t in (self.tau1, self.tau2) if t is not None))
+        if not all(c > 0 for c in positive):
+            raise DomainError("constants must be positive")
         if self.delta1 > self.delta2 or self.mu1 > self.mu2:
             raise DomainError("need delta1 <= delta2 and mu1 <= mu2")
 
@@ -343,41 +313,6 @@ class BoundConstants:
         t1 = self.delta1 / self.mu2 if self.tau1 is None else self.tau1
         t2 = self.delta2 / self.mu1 if self.tau2 is None else self.tau2
         return t1, t2
-
-
-def kappa_star_dirichlet(psi_modular: float, constants: BoundConstants) -> float:
-    """Closed-form starting level from the modular of the subcritical function.
-
-    By construction the result satisfies both admissibility inequalities that
-    license the recursion collapse (checked directly in the test suite).  A
-    zero modular is degenerate and returns 0 with a warning.
-    """
-    if psi_modular < 0:
-        raise DomainError("modular must be nonnegative")
-    if psi_modular == 0.0:
-        warnings.warn("zero modular: degenerate starting level 0", stacklevel=2)
-        return 0.0
-    c = constants
-    C4 = 4.0 * c.recursion_constant
-    prefactor = max(C4 ** (1.0 / c.mu1), C4 ** (1.0 / c.mu2))
-    bpow = c.b ** ((1.0 / c.mu1) * (1.0 / c.delta1 + (c.delta2 - c.delta1) / c.delta2))
-    M = psi_modular
-    return prefactor * bpow * max(M ** (c.delta1 / c.mu2), M ** (c.delta2 / c.mu1))
-
-
-def kappa_star_admissible(kappa_star: float, psi_modular: float, constants: BoundConstants):
-    """The two admissibility inequalities for a candidate starting level.
-
-    Returns the pair of right-hand sides; the candidate is admissible when it
-    dominates both.
-    """
-    c = constants
-    M = psi_modular
-    C4 = 4.0 * c.recursion_constant
-    bexp = 1.0 / c.delta1 + (c.delta2 - c.delta1) / c.delta2
-    rhs1 = C4 ** (1.0 / c.mu1) * c.b ** (bexp / c.mu1) * max(M ** (c.delta1 / c.mu1), M ** (c.delta2 / c.mu1))
-    rhs2 = C4 ** (1.0 / c.mu2) * c.b ** (bexp / c.mu2) * max(M ** (c.delta1 / c.mu2), M ** (c.delta2 / c.mu2))
-    return rhs1, rhs2
 
 
 def bound_estimate(

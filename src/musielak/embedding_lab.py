@@ -19,17 +19,15 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .modular import GridDomain, GridFunction
-from .phi_core import ExponentField, sobolev_critical
+from .phi_core import ExponentField
 
 __all__ = [
     "SlopeFit",
     "EmbeddingSides",
-    "OptimalityResult",
     "bump_function",
     "scale_function",
     "embedding_sides",
     "exponent_scan",
-    "optimality_check",
 ]
 
 WEIGHT_MODES = ("unit", "radial")
@@ -198,45 +196,3 @@ def exponent_scan(
         out[name] = SlopeFit(float(slope), resid, predicted[name], vals)
     return out
 
-
-@dataclass(frozen=True)
-class OptimalityResult:
-    r_ok: bool
-    s_ok: bool
-    alpha_ok: bool
-    p_star: float
-    q_star: float
-    alpha_floor: float
-    epsilon: float
-    alpha_epsilon_threshold: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.r_ok and self.s_ok and self.alpha_ok
-
-
-def optimality_check(N: int, p: float, q: float, r: float, s: float, alpha: float) -> OptimalityResult:
-    """Necessary-exponent test for the two-term embedding with constant data.
-
-    Admissible triples satisfy r <= Np/(N-p), s <= Nq/(N-q) and
-    alpha >= (Nq/(N-q))/q.  Also reports the deficit
-    ``epsilon = 1 + 1/N - q/p`` and the relaxed weight-exponent threshold
-    ``s/q - N^2 epsilon / (N - q)`` it induces.
-    """
-    if not (1.0 < p < q < N):
-        raise DomainError("need 1 < p < q < N")
-    p_star, q_star = sobolev_critical(N, p), sobolev_critical(N, q)
-    alpha_floor = q_star / q
-    eps_cmp = 1e-12  # float slack so that exact boundary equality passes
-    epsilon = 1.0 + 1.0 / N - q / p
-    threshold = s / q - N**2 * epsilon / (N - q)
-    return OptimalityResult(
-        r_ok=r <= p_star * (1.0 + eps_cmp),
-        s_ok=s <= q_star * (1.0 + eps_cmp),
-        alpha_ok=alpha >= alpha_floor * (1.0 - eps_cmp),
-        p_star=p_star,
-        q_star=q_star,
-        alpha_floor=alpha_floor,
-        epsilon=epsilon,
-        alpha_epsilon_threshold=threshold,
-    )

@@ -38,7 +38,6 @@ __all__ = [
     "GridFunction",
     "NormResult",
     "modular_rho",
-    "modular_sobolev",
     "luxemburg_norm",
     "sobolev_norm",
     "boundary_modular",
@@ -234,15 +233,6 @@ def modular_rho(spec: PhiSpec, u: GridFunction) -> float:
     """Interior quadrature of phi(x, |u(x)|)."""
     _require_same_nodes(spec, u)
     return _terms_modular(spec, [(u.domain.interior_weights, np.abs(u.values))])
-
-
-def modular_sobolev(field: ExponentField, u: GridFunction) -> float:
-    """Double-phase modular of the gradient magnitude plus that of the function."""
-    spec = PhiSpec.double_phase(field)
-    _require_same_nodes(spec, u)
-    w = u.domain.interior_weights
-    grad = u.gradient_magnitude()
-    return float(np.sum(w * (spec.evaluate_nodes(grad) + spec.evaluate_nodes(np.abs(u.values)))))
 
 
 def boundary_modular(spec: PhiSpec, u: GridFunction) -> float:

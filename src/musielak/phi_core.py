@@ -131,9 +131,6 @@ class ValidationReport:
     passed: bool
     violations: list  # (node index, condition name) pairs
 
-    def conditions(self):
-        return sorted({name for _, name in self.violations})
-
 
 def _violating_nodes(mask):
     return [tuple(int(i) for i in idx) if idx.size > 1 else int(idx[0]) if idx.size else ()

@@ -601,6 +601,9 @@ MALFORMED = (
        for name, bad, what in [("string", "abc", "'constants' must be a JSON object"),
                                ("bogus", {"bogus": 1}, "unknown constants"),
                                ("beta", {"beta": 2}, "unknown constants"),
+                               ("recursion_constant", {"recursion_constant": 1e6}, "unknown constants"),
+                               ("b", {"b": 50}, "unknown constants"),
+                               ("tau-nonpositive", {"tau1": -1, "tau2": 0}, "constants must be positive"),
                                ("C-string", {"C": "2"}, "'C' must be a finite number"),
                                ("C-huge-int", {"C": 10**400}, "'C' must be a finite number")]]
     + [pytest.param("validate", {"grid": GRID}, "payload needs a 'field' entry", id="no-field"),
@@ -694,6 +697,12 @@ MALFORMED = (
     + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], regime=regime, constants=constants),
                     f"'regime' = '{regime}' cannot be combined with 'constants'", id=f"{regime}-and-constants-{name}")
        for regime in ("critical-D", "critical-N") for name, constants in [("C", {"C": 1e6, "tau1": 3}), ("empty", {})]]
+    # A given tau replaces its default delta1/mu2 or delta2/mu1, whose constants once exited 0 and were dropped.
+    + [pytest.param("bound-check", dict(PAYLOADS["bound-check"], regime="subcritical-D", r=2.5, s=3.0,
+                                        constants={tau: 1, key: value}),
+                    f"'{tau}' cannot be combined with '{key}', which the run would ignore", id=f"{tau}-and-{key}")
+       for tau, key, value in [("tau1", "delta1", 0.3), ("tau1", "mu2", 5),
+                               ("tau2", "delta2", 2), ("tau2", "mu1", 0.5)]]
     # A grid's spacing once replaced its lengths without a word.
     + [pytest.param("norm", dict(PAYLOADS["norm"], function={"grid": dict(GRID, spacing=[0.5] * 2, lengths=[2] * 2),
                                                              "values": 0.25}),

@@ -13,8 +13,8 @@ from musielak import (
     eval_phi,
     exponent_scan,
     luxemburg_norm,
-    optimality_check,
     scale_function,
+    sobolev_critical,
 )
 
 
@@ -144,37 +144,12 @@ class TestExponentScan:
             exponent_scan(z, field, r=3.0, s=3.0, alpha=1.0)
 
 
-class TestOptimalityCheck:
-    def test_all_pass_at_critical_triple(self):
-        res = optimality_check(4, 2.0, 3.0, 4.0, 12.0, 4.0)
-        assert res.all_ok
-        assert res.p_star == pytest.approx(4.0)
-        assert res.q_star == pytest.approx(12.0)
-        assert res.alpha_floor == pytest.approx(4.0)
-
-    def test_r_above_critical_fails(self):
-        assert not optimality_check(4, 2.0, 3.0, 5.0, 12.0, 4.0).r_ok
-
-    def test_alpha_below_floor_fails(self):
-        assert not optimality_check(4, 2.0, 3.0, 4.0, 12.0, 3.9).alpha_ok
-
-    def test_epsilon_relation(self):
-        res = optimality_check(4, 2.0, 3.0, 4.0, 12.0, 4.0)
-        assert res.epsilon == pytest.approx(1.0 + 0.25 - 1.5)
-        expect = 12.0 / 3.0 - 16.0 * res.epsilon / (4.0 - 3.0)
-        assert res.alpha_epsilon_threshold == pytest.approx(expect)
-
-    def test_invalid_exponents(self):
-        with pytest.raises(DomainError, match="need 1 < p < q < N"):
-            optimality_check(4, 3.0, 2.0, 1.0, 1.0, 1.0)
-
-    def test_admissible_pair_dominated_by_critical_plus_two(self, rng):
-        # two-exponent functions with admissible, strictly subcritical (r, s)
-        # stay below the critical function plus 2
-        field = ExponentField(4, 2.0, 3.0, rng.uniform(0.0, 2.0))
-        res = optimality_check(4, 2.0, 3.0, 3.5, 11.0, 11.0 / 3.0)
-        assert res.r_ok and res.s_ok
-        psi = PhiSpec.subcritical(field, 3.5, 11.0)
-        crit = PhiSpec.critical(field)
-        for t in rng.uniform(0.0, 10.0, 200):
-            assert eval_phi(psi, None, t) <= eval_phi(crit, None, t) + 2.0 + 1e-12
+def test_admissible_pair_dominated_by_critical_plus_two(rng):
+    # two-exponent functions with admissible, strictly subcritical (r, s)
+    # stay below the critical function plus 2
+    field = ExponentField(4, 2.0, 3.0, rng.uniform(0.0, 2.0))
+    assert 3.5 <= sobolev_critical(4, 2.0) and 11.0 <= sobolev_critical(4, 3.0)
+    psi = PhiSpec.subcritical(field, 3.5, 11.0)
+    crit = PhiSpec.critical(field)
+    for t in rng.uniform(0.0, 10.0, 200):
+        assert eval_phi(psi, None, t) <= eval_phi(crit, None, t) + 2.0 + 1e-12

@@ -14,7 +14,7 @@ def test_package_names_are_the_union_of_the_reexported_modules_all():
     package = {name for name, value in vars(musielak).items()
                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     declared = [name for module in _REEXPORTED for name in importlib.import_module(f"musielak.{module}").__all__]
-    assert len(declared) == len(set(declared)) == 53
+    assert len(declared) == len(set(declared)) == 46
     assert package == set(declared)
 
 

@@ -70,7 +70,7 @@ class TestExponentFieldData:
 
     def test_infinite_weight_kept_for_validation(self):
         report = validate_hypotheses(ExponentField(3, 1.5, 1.8, np.inf), "H2")
-        assert report.conditions() == ["mu bounded"]
+        assert {name for _, name in report.violations} == {"mu bounded"}
 
 
 class TestValidateHypotheses:
@@ -81,12 +81,12 @@ class TestValidateHypotheses:
     def test_h3_ratio_failure_names_condition(self):
         rep = validate_hypotheses(const_field(3, 2.0, 2.8, 0.5), "H3")
         assert not rep.passed
-        assert rep.conditions() == ["(q/p)^+ < 1 + 1/N"]
+        assert {name for _, name in rep.violations} == {"(q/p)^+ < 1 + 1/N"}
 
     def test_equal_exponents_fail_h1(self):
         rep = validate_hypotheses(const_field(3, 2.0, 2.0, 0.5), "H1")
         assert not rep.passed
-        assert "p(x) < q(x)" in rep.conditions()
+        assert "p(x) < q(x)" in {name for _, name in rep.violations}
 
     def test_level_implications(self, rng):
         # passing a stronger level implies passing every weaker one
@@ -100,7 +100,7 @@ class TestValidateHypotheses:
         f = const_field(3, 2.0, 6.5, 0.1)
         assert validate_hypotheses(f, "H1").passed
         rep = validate_hypotheses(f, "H2")
-        assert not rep.passed and "q(x) < p*(x)" in rep.conditions()
+        assert not rep.passed and "q(x) < p*(x)" in {name for _, name in rep.violations}
 
     def test_violating_nodes_are_reported(self):
         p = np.array([1.5, 1.5, 3.5])
@@ -120,7 +120,7 @@ class TestValidateHypotheses:
         f = ExponentField(3, p, q, np.zeros(4), lipschitz_bound=0.5, spacing=(0.1,))
         rep = validate_hypotheses(f, "H3")
         assert not rep.passed
-        assert any(c.startswith("Lipschitz") for c in rep.conditions())
+        assert any(name.startswith("Lipschitz") for _, name in rep.violations)
 
     def test_unknown_level_rejected(self):
         with pytest.raises(DomainError):
