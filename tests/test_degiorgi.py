@@ -21,6 +21,7 @@ from musielak import (
     entry_condition,
     iterate_recursion,
     kappa_sequence,
+    modular_rho,
     recursion_thresholds,
     truncation_energy,
     two_sided_bound,
@@ -254,6 +255,64 @@ class TestTruncationEnergy:
             measure = level_measure(u, kappa_sequence(kappa_star, n + 1))
             bound = 2.0 ** ((n + 1) * p_star_plus) * e.interior
             assert measure <= bound + 1e-9 * max(1.0, bound)
+
+
+class TestLevelSetEnergies:
+    """Truncation energies on level sets whose measure is known by hand."""
+
+    def setup_method(self):
+        self.r, self.s, self.l, self.h = 3.0, 3.5, 2.5, 3.0
+
+    def levels(self, u, regime):
+        field = u.domain.constant_field(3, 2.0, 2.2, 1.0)
+        kw = {}
+        if regime.startswith("subcritical"):
+            kw = dict(r=self.r, s=self.s)
+        if regime == "subcritical-N":
+            kw.update(l=self.l, h=self.h)
+        return TruncationLevels(u, field, regime, **kw)
+
+    def test_linear_ramp_is_the_modular_of_its_truncation(self):
+        dom = GridDomain.interval(201)
+        u = GridFunction(dom, dom.axes[0])
+        e = truncation_energy(self.levels(u, "subcritical-D"), 0.5, 0)
+        excess = GridFunction(dom, np.maximum(dom.axes[0] - 0.5, 0.0))
+        spec = PhiSpec.subcritical(dom.constant_field(3, 2.0, 2.2, 1.0), self.r, self.s)
+        assert e.interior == pytest.approx(modular_rho(spec, excess), rel=1e-13)
+
+    def test_linear_ramp_closed_form(self):
+        # integral of t^r + t^s over t = x - 1/2 in [0, 1/2]
+        dom = GridDomain.interval(201)
+        u = GridFunction(dom, dom.axes[0])
+        e = truncation_energy(self.levels(u, "subcritical-D"), 0.5, 0)
+        expect = 0.5 ** (self.r + 1) / (self.r + 1) + 0.5 ** (self.s + 1) / (self.s + 1)
+        assert e.interior == pytest.approx(expect, abs=2 * dom.spacing[0] * (0.5**self.r + 0.5**self.s))
+
+    @pytest.mark.parametrize("regime", ["subcritical-D", "subcritical-N", "critical-D", "critical-N"])
+    def test_level_above_max_has_zero_energy(self, regime):
+        dom = GridDomain.interval(11)
+        e = truncation_energy(self.levels(GridFunction.constant(dom, 1.0), regime), 2.0, 0)
+        assert (e.interior, e.boundary) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("regime", ["subcritical-D", "subcritical-N"])
+    def test_level_below_min_covers_the_domain(self, regime):
+        dom = GridDomain.interval(11)
+        e = truncation_energy(self.levels(GridFunction.constant(dom, 1.0), regime), 0.25, 0)
+        assert e.interior == pytest.approx(dom.volume * (0.75**self.r + 0.75**self.s), rel=1e-13)
+        # the two end points of the interval, each of facet weight 1
+        boundary = 2.0 * (0.75**self.l + 0.75**self.h) if regime == "subcritical-N" else 0.0
+        assert e.boundary == pytest.approx(boundary, rel=1e-13)
+
+    @pytest.mark.parametrize("regime", ["subcritical-N", "critical-N"])
+    def test_boundary_face_above_the_level(self, regime):
+        dom = GridDomain.box((9, 9))
+        vals = np.zeros(dom.shape)
+        vals[0, :] = 2.0  # one boundary face above the level, excess 1 there
+        e = truncation_energy(self.levels(GridFunction(dom, vals), regime), 1.0, 0)
+        assert e.interior == 0.0
+        # both Phi-functions are 2 at t = 1 with mu = 1; the face has length 1
+        # plus the corner shares owned by the adjacent faces
+        assert e.boundary == pytest.approx(2.0 * (1.0 + dom.spacing[1]), rel=1e-12)
 
 
 class TestBoundEstimate:

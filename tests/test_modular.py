@@ -295,6 +295,26 @@ class TestSobolevNorm:
         res = sobolev_norm(field, GridFunction.constant(unit_interval, 1.3))
         assert res.value == pytest.approx(1.3, abs=1e-9)
 
+    def test_constant_reduces_to_luxemburg_norm(self, unit_interval):
+        # the gradient of a constant is 0, leaving the double-phase modular of u
+        field = unit_interval.constant_field(3, 2.0, 3.0, 0.5)
+        u = GridFunction.constant(unit_interval, 1.7)
+        expect = luxemburg_norm(PhiSpec.double_phase(field), u).value
+        assert sobolev_norm(field, u).value == pytest.approx(expect, rel=1e-13)
+
+    def test_linear_ramp_quadrature_order(self):
+        # with t^2 the modular of x / lam is (4/3) / lam^2, so the norm is
+        # sqrt(4/3); the lumped rule is second order, so quartering h divides
+        # the error by ~16
+        errs = []
+        for n in (65, 257):
+            dom = GridDomain.interval(n)
+            field = dom.constant_field(3, 2.0, 3.0, 0.0)
+            u = GridFunction(dom, dom.axes[0])
+            errs.append(abs(sobolev_norm(field, u).value - math.sqrt(4.0 / 3.0)))
+        assert errs[1] < errs[0] / 8.0
+        assert errs[0] < 1e-3
+
     def test_unit_modular_gives_unit_norm(self, rng, unit_interval):
         field = random_field_h3(rng, unit_interval)
         u = random_grid_function(rng, unit_interval)
