@@ -22,9 +22,11 @@ subcommand reads these payload keys (default in brackets, none means required):
 - bound-check: field, grid, function, regime ["subcritical-D"], r, s, l, h
   [none], constants [an object of positive C, mu1, mu2, delta1, delta2,
   r_minus, s_plus (each 1), tau1 (delta1/mu2) and tau2 (delta2/mu1)],
-  kappa_grid [16 geometric levels up to max |u| + 1; not empty]; each
-  candidate runs for at most 60 levels, and a level has decayed when its
-  energy is at most 1e-12
+  kappa_grid [16 geometric levels up to max |u| + 1; not empty]; a
+  candidate is admissible when its entry value is below 1 and its energy
+  decays to at most 1e-12 within 60 levels, which is monotone in the
+  candidate, so the smallest admissible one is found by bisection: at most
+  5 of the 16 default candidates are probed for u and 5 for -u
 
 Each input has one spelling.  The lattice is the payload's grid: a field has
 none of its own, and a function's own grid, inline or in a file, must be the

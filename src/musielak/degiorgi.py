@@ -12,11 +12,16 @@ truncation depends on the level: a ``TruncationLevels`` builds the
 Phi-functions and the gradient term once per function, every function below
 takes it in place of (u, field, regime, r, s, l, h), u and -u share it in the
 two-sided bound, and each level evaluates its Phi-functions on the nodes of
-``{u > kappa_n}`` only.  The energies do not increase with n: the excess
-``(u - kappa_n)_+`` and the level set shrink, and every Phi-function and the
-gradient term are nonnegative and nondecreasing.  So a candidate whose last
-level has not decayed is settled by that one evaluation.  When the sequence
-dies, twice the starting level bounds the function from above.
+``{u > kappa_n}`` only.  The energies do not increase with the level: the
+excess ``(u - kappa_n)_+`` and the level set shrink, and every Phi-function
+and the gradient term are nonnegative and nondecreasing.  Each level sum runs
+over every node, with 0 off the level set, so its summation tree depends on
+the node count only and the floating-point sums do not increase either.  So
+a candidate whose last level has not decayed is settled by that one
+evaluation, and, as a larger starting level has higher levels, whether a
+candidate is admissible is monotone in it: ``empirical_iteration`` bisects
+the candidates.  When the sequence dies, twice the starting level bounds the
+function from above.
 """
 
 from __future__ import annotations
@@ -181,6 +186,13 @@ def _weighted(w, phi):
     return np.multiply(w, phi, where=w != 0.0, out=np.zeros_like(phi))
 
 
+def _masked_sum(values, mask):
+    """The sum of values over mask, as a sum over every node with +0.0 off the
+    mask: the summation tree depends on the node count only, so the sum cannot
+    grow when the mask shrinks."""
+    return float(np.sum(np.where(mask, values, 0.0)))
+
+
 class TruncationLevels:
     """The level-independent parts of one function's truncation energies:
     the regime, checked with its exponents (r, s; and l, h in
@@ -230,7 +242,7 @@ class TruncationLevels:
         excess = np.maximum(self.values - kappa, 0.0)
         interior = float(np.sum(_weighted(self.w, self.interior.evaluate_nodes(excess, above))))
         if self.gradient_term is not None:
-            interior += float(np.sum(self.gradient_term[above & ~self.bmask]))
+            interior += _masked_sum(self.gradient_term, above & ~self.bmask)
         if self.boundary is None:
             return interior, 0.0
         return interior, float(np.sum(_weighted(self.wb, self.boundary.evaluate_nodes(excess, above))))
@@ -240,12 +252,12 @@ class TruncationLevels:
         above = self.values > kappa_sequence(kappa_star, 0)  # level 0 is kappa_*, checked positive
         on_set = above & ~self.bmask
         absu = np.abs(self.values)
-        total = float(np.sum(self.gradient_term[on_set]))
-        total += float(np.sum(self.w[on_set] * self.interior.evaluate_nodes(absu, on_set)[on_set]))
+        total = _masked_sum(self.gradient_term, on_set)
+        total += float(np.sum(_weighted(self.w, self.interior.evaluate_nodes(absu, on_set))))
         if self.boundary is None:
-            return total + float(np.sum(self.w[on_set] * self.H.evaluate_nodes(absu, on_set)[on_set]))
+            return total + float(np.sum(_weighted(self.w, self.H.evaluate_nodes(absu, on_set))))
         on_set = above & self.bmask
-        return total + float(np.sum(self.wb[on_set] * self.boundary.evaluate_nodes(absu, on_set)[on_set]))
+        return total + float(np.sum(_weighted(self.wb, self.boundary.evaluate_nodes(absu, on_set))))
 
 
 def truncation_energy(levels: TruncationLevels, kappa_star: float, n: int) -> IterationEnergy:
@@ -286,6 +298,7 @@ class BoundConstants:
     are not computable here, so they are explicit configuration with neutral
     defaults.  ``tau1``/``tau2`` default to delta1/mu2 and delta2/mu1, from
     the exponents of the truncation recursion; a given tau must be positive.
+    With neither tau given, delta1 <= delta2 and mu1 <= mu2.
     ``r_minus``/``s_plus`` convert a norm into a modular bound via
     max(norm^r_minus, norm^s_plus).
     """
@@ -305,7 +318,8 @@ class BoundConstants:
                     *(t for t in (self.tau1, self.tau2) if t is not None))
         if not all(c > 0 for c in positive):
             raise DomainError("constants must be positive")
-        if self.delta1 > self.delta2 or self.mu1 > self.mu2:
+        # a given tau leaves one constant of each ordering unread: delta1 and mu2, or delta2 and mu1
+        if self.tau1 is None and self.tau2 is None and (self.delta1 > self.delta2 or self.mu1 > self.mu2):
             raise DomainError("need delta1 <= delta2 and mu1 <= mu2")
 
     @property
@@ -357,7 +371,8 @@ class IterationReport:
     kappa_star: float | None
     esssup: float
     bound_ok: bool
-    candidates: list = dc_field(default_factory=list)  # (kappa, entry, decayed, final energy)
+    # (kappa, entry, decayed, final energy) of the probed candidates only, in ascending kappa
+    candidates: list = dc_field(default_factory=list)
     energies: list = dc_field(default_factory=list)  # IterationEnergy list of the chosen run
 
     @property
@@ -371,46 +386,60 @@ def _bound_ok(levels: TruncationLevels, kappa, sup: float) -> bool:
     return kappa is not None and sup <= 2.0 * kappa + levels.cell_slack
 
 
-def empirical_iteration(levels: TruncationLevels, kappa_star_grid) -> IterationReport:
-    """Grid search for the smallest admissible starting level.
+def _probe(levels: TruncationLevels, kappa: float):
+    """One candidate's record (kappa, entry, decayed, final energy) and its
+    energies.  The energies never increase with the level, so an undecayed
+    level ``_N_LEVELS`` settles the candidate with the final energy the full
+    walk would end on; a decayed one walks up from n = 0."""
+    regime = levels.regime
+    entry = entry_condition(levels, kappa)
+    ladder = kappa_sequence(kappa, np.arange(_N_LEVELS + 1))
+    energies = [IterationEnergy(regime, _N_LEVELS, float(ladder[-1]), *levels.energy(ladder[-1]))]
+    if energies[-1].total <= _DECAY_TOL:
+        energies = []
+        for n, kappa_n in enumerate(ladder):
+            energies.append(IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
+            if energies[-1].total <= _DECAY_TOL:
+                break
+    decayed = energies[-1].total <= _DECAY_TOL
+    return (kappa, entry, decayed, energies[-1].total), energies
 
-    Candidates must be finite; nonpositive ones are skipped.  For each other
-    candidate the entry condition must be < 1 and the energy sequence must
-    decay to at most ``_DECAY_TOL`` within ``_N_LEVELS`` steps.  The energies
-    do not increase with the level, so a candidate whose level ``_N_LEVELS``
-    is above ``_DECAY_TOL`` is settled by that one evaluation, with the final
-    energy the full walk would end on; the others walk up from n = 0.  The
-    report carries the one-sided supremum of u over interior nodes and whether
+
+def empirical_iteration(levels: TruncationLevels, kappa_star_grid) -> IterationReport:
+    """Bisection for the smallest admissible starting level on a grid.
+
+    Candidates must be finite; nonpositive ones are skipped.  A candidate is
+    admissible when its entry condition is < 1 and its energy sequence decays
+    to at most ``_DECAY_TOL`` within ``_N_LEVELS`` steps.  Admissibility is
+    monotone in the candidate: the excess and the level set shrink as kappa
+    grows, and the level sums run over every node, so in floating point too
+    neither the entry value nor the energy of a level increases with kappa.
+    So a bisection over the n sorted positive candidates finds the smallest
+    admissible one, or none, in at most ceil(log2(n + 1)) probes.  The report
+    lists the probed candidates in ascending kappa, the energies of the
+    chosen one, the one-sided supremum of u over interior nodes and whether
     it is bounded by twice the chosen level (plus one-cell slack).
     """
     kappas = sorted(float(k) for k in kappa_star_grid)
     if not np.all(np.isfinite(kappas)):
         raise DomainError("kappa_star candidates must be finite")
-    regime = levels.regime
+    kappas = [k for k in kappas if k > 0]
     sup_u = float(np.max(levels.values[~levels.bmask]))
 
-    candidates = []
-    chosen = None
-    chosen_energies = []
-    for kappa in kappas:
-        if kappa <= 0:
-            continue
-        entry = entry_condition(levels, kappa)
-        ladder = kappa_sequence(kappa, np.arange(_N_LEVELS + 1))
-        # the energies never increase with n: an undecayed last level settles kappa
-        energies = [IterationEnergy(regime, _N_LEVELS, float(ladder[-1]), *levels.energy(ladder[-1]))]
-        if energies[-1].total <= _DECAY_TOL:
-            energies = []
-            for n, kappa_n in enumerate(ladder):
-                energies.append(IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
-                if energies[-1].total <= _DECAY_TOL:
-                    break
-        decayed = energies[-1].total <= _DECAY_TOL
-        candidates.append((kappa, entry, decayed, energies[-1].total))
-        if entry < 1.0 and decayed and chosen is None:
-            chosen = kappa
-            chosen_energies = energies
-    return IterationReport(regime, chosen, sup_u, _bound_ok(levels, chosen, sup_u), candidates, chosen_energies)
+    probes = {}
+    # kappas[:lo] are inadmissible; kappas[hi] is admissible, or hi == len(kappas)
+    lo, hi = 0, len(kappas)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes[mid] = _probe(levels, kappas[mid])
+        _, entry, decayed, _ = probes[mid][0]
+        if entry < 1.0 and decayed:
+            hi = mid
+        else:
+            lo = mid + 1
+    chosen, energies = (kappas[hi], probes[hi][1]) if hi < len(kappas) else (None, [])
+    candidates = [probes[i][0] for i in sorted(probes)]
+    return IterationReport(levels.regime, chosen, sup_u, _bound_ok(levels, chosen, sup_u), candidates, energies)
 
 
 def two_sided_bound(levels: TruncationLevels, kappa_star_grid) -> IterationReport:

@@ -797,6 +797,19 @@ def test_bound_check_reads_its_constants(tmp_path):
     assert bounds[1] == pytest.approx(2.0 * bounds[0], rel=1e-15)
 
 
+@pytest.mark.parametrize("constants,code", [
+    # a given tau leaves one constant of each ordering unread, so the two may be out of order
+    ({"tau1": 1, "delta2": 0.5}, cli.EXIT_OK),
+    ({"tau2": 1, "mu2": 0.5}, cli.EXIT_OK),
+    ({"delta1": 2, "delta2": 1}, cli.EXIT_INPUT_ERROR),
+], ids=["tau1-delta2", "tau2-mu2", "no-tau"])
+def test_bound_check_orders_only_the_constants_it_reads(tmp_path, capsys, constants, code):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(_mutated("bound_check_subcritical-D", None, "constants", constants, {})))
+    assert cli.run("bound-check", src, tmp_path / "out") == code
+    assert ("need delta1 <= delta2 and mu1 <= mu2" in capsys.readouterr().err) == (code == cli.EXIT_INPUT_ERROR)
+
+
 def _read_standard_json(path):
     """The JSON in ``path``; NaN, Infinity and -Infinity, which standard JSON
     does not have, raise ValueError."""

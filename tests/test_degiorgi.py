@@ -435,6 +435,12 @@ REGIMES = ("subcritical-D", "subcritical-N", "critical-D", "critical-N")
 EXPONENTS = {"r": 2.5, "s": 3.0, "l": 2.0, "h": 2.5}
 
 
+def _masked_sum(values, mask):
+    """The sum of values over mask, taken over every node with 0 off the mask,
+    the summation order of ``TruncationLevels``."""
+    return float(np.sum(np.where(mask, values, 0.0)))
+
+
 def _reference_specs(field, regime):
     e = EXPONENTS
     if regime.startswith("subcritical"):
@@ -454,7 +460,7 @@ def _reference_energy(u, field, regime, kappa_n):
     if regime.startswith("critical"):
         on_set = (u.values > kappa_n) & ~dom.boundary_mask
         grad_term = PhiSpec.double_phase(field).evaluate_nodes(u.gradient_magnitude())
-        interior += float(np.sum(dom.interior_weights[on_set] * grad_term[on_set]))
+        interior += _masked_sum(dom.interior_weights * grad_term, on_set)
     boundary = 0.0
     if boundary_spec is not None:
         boundary = float(np.sum(dom.boundary_weights * boundary_spec.evaluate_nodes(excess)))
@@ -470,12 +476,12 @@ def _reference_entry(u, field, regime, kappa_star):
     on_boundary = (u.values > kappa_star) & dom.boundary_mask
     absu = np.abs(u.values)
     H = PhiSpec.double_phase(field)
-    total = float(np.sum(w[inside] * H.evaluate_nodes(u.gradient_magnitude())[inside]))
-    total += float(np.sum(w[inside] * PhiSpec.critical(field).evaluate_nodes(absu)[inside]))
+    total = _masked_sum(w * H.evaluate_nodes(u.gradient_magnitude()), inside)
+    total += _masked_sum(w * PhiSpec.critical(field).evaluate_nodes(absu), inside)
     if regime == "critical-D":
-        return total + float(np.sum(w[inside] * H.evaluate_nodes(absu)[inside]))
+        return total + _masked_sum(w * H.evaluate_nodes(absu), inside)
     trace = PhiSpec.critical_trace(field).evaluate_nodes(absu)
-    return total + float(np.sum(wb[on_boundary] * trace[on_boundary]))
+    return total + _masked_sum(wb * trace, on_boundary)
 
 
 def _reference_iteration(u, field, regime, kappas, n_max, decay_tol=1e-12):
@@ -529,12 +535,15 @@ def test_levels_match_per_level_reference(monkeypatch, regime, dim, varying):
     report = empirical_iteration(levels, kappas)
     chosen, candidates, energies = _reference_iteration(u, field, regime, kappas, n_max=25)
     assert report.kappa_star == chosen
-    assert len(report.candidates) == len(candidates)
-    for got, ref in zip(report.candidates, candidates):
-        assert got[0] == ref[0] and got[2] == ref[2]
+    reference = {ref[0]: ref for ref in candidates}
+    assert report.candidates
+    for got in report.candidates:
+        ref = reference[got[0]]
+        assert got[2] == ref[2]
         assert _rel_close(got[1], ref[1]) and _rel_close(got[3], ref[3])
     assert [(e.n, e.kappa_n) for e in report.energies] == [ref[:2] for ref in energies]
     assert _rel_close([(e.interior, e.boundary) for e in report.energies], [ref[2:] for ref in energies])
+    _assert_bisects_the_full_walk(report, _walk_all_levels(u, field, regime, kappas, n_max=25))
 
 
 def _full_node_entry(levels, kappa_star):
@@ -542,12 +551,12 @@ def _full_node_entry(levels, kappa_star):
     above = levels.values > kappa_star
     on_set = above & ~levels.bmask
     absu = np.abs(levels.values)
-    total = float(np.sum(levels.gradient_term[on_set]))
-    total += float(np.sum(levels.w[on_set] * levels.interior.evaluate_nodes(absu)[on_set]))
+    total = _masked_sum(levels.gradient_term, on_set)
+    total += _masked_sum(levels.w * levels.interior.evaluate_nodes(absu), on_set)
     if levels.boundary is None:
-        return total + float(np.sum(levels.w[on_set] * levels.H.evaluate_nodes(absu)[on_set]))
+        return total + _masked_sum(levels.w * levels.H.evaluate_nodes(absu), on_set)
     on_set = above & levels.bmask
-    return total + float(np.sum(levels.wb[on_set] * levels.boundary.evaluate_nodes(absu)[on_set]))
+    return total + _masked_sum(levels.wb * levels.boundary.evaluate_nodes(absu), on_set)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -563,7 +572,7 @@ def test_level_set_evaluation_equals_full_node_evaluation(regime, dim, varying):
         excess = np.maximum(u.values - kappa, 0.0)
         interior = float(np.sum(levels.w * levels.interior.evaluate_nodes(excess)))
         if levels.gradient_term is not None:
-            interior += float(np.sum(levels.gradient_term[(u.values > kappa) & ~levels.bmask]))
+            interior += _masked_sum(levels.gradient_term, (u.values > kappa) & ~levels.bmask)
         boundary = 0.0
         if levels.boundary is not None:
             boundary = float(np.sum(levels.wb * levels.boundary.evaluate_nodes(excess)))
@@ -620,7 +629,7 @@ def test_phi_builds_and_gradients_do_not_grow_with_levels(monkeypatch, regime):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_undecayed_candidate_costs_one_level(monkeypatch, regime):
     u, field = _plateau()
-    kappas = [1e-3, 1e-2]
+    kappas = [1e-3, 3e-3, 1e-2]
     levels = []
     energy = TruncationLevels.energy
 
@@ -637,16 +646,23 @@ def test_undecayed_candidate_costs_one_level(monkeypatch, regime):
         monkeypatch.setattr(degiorgi, "_N_LEVELS", n_max)
         report = empirical_iteration(TruncationLevels(u, field, regime, **EXPONENTS), kappas)
         assert not any(c[2] for c in report.candidates)
-        assert levels == [kappa_sequence(k, np.arange(n_max + 1))[-1] for k in kappas]
+        # no candidate is admissible, so the bisection probes upward: 3e-3, then 1e-2
+        assert [c[0] for c in report.candidates] == [3e-3, 1e-2]
+        assert levels == [kappa_sequence(c[0], np.arange(n_max + 1))[-1] for c in report.candidates]
+        _assert_bisects_the_full_walk(report, _walk_all_levels(u, field, regime, kappas, n_max))
 
 
 def _walk_all_levels(u, field, regime, kappas, n_max=60, decay_tol=1e-12):
-    """The level loop of empirical_iteration before it settled undecayed
-    candidates at their last level: every candidate walks up from n = 0."""
+    """empirical_iteration before it bisected the candidates and settled
+    undecayed ones at their last level: every positive candidate walks up from
+    n = 0, and the report lists them all.  The entry condition is looked up on
+    the module, so a test that replaces it replaces it here too."""
     levels = TruncationLevels(u, field, regime, **EXPONENTS)
     candidates, chosen, chosen_energies = [], None, []
     for kappa in sorted(kappas):
-        entry = entry_condition(levels, kappa)
+        if kappa <= 0:
+            continue
+        entry = degiorgi.entry_condition(levels, kappa)
         energies = []
         for n, kappa_n in enumerate(kappa_sequence(kappa, np.arange(n_max + 1))):
             energies.append(degiorgi.IterationEnergy(regime, n, float(kappa_n), *levels.energy(kappa_n)))
@@ -656,7 +672,23 @@ def _walk_all_levels(u, field, regime, kappas, n_max=60, decay_tol=1e-12):
         candidates.append((kappa, entry, decayed, energies[-1].total))
         if entry < 1.0 and decayed and chosen is None:
             chosen, chosen_energies = kappa, energies
-    return chosen, candidates, chosen_energies
+    sup = float(np.max(u.values[~u.domain.boundary_mask]))
+    slack = max(u.domain.spacing) * float(np.max(u.gradient_magnitude()))
+    bound_ok = chosen is not None and sup <= 2.0 * chosen + slack
+    return degiorgi.IterationReport(regime, chosen, sup, bound_ok, candidates, chosen_energies)
+
+
+def _assert_bisects_the_full_walk(report, walk):
+    """The bisection chose what the full walk chose, probed in ascending kappa
+    at most ceil(log2(n + 1)) of the walk's n candidates, and recorded for
+    each probe what the walk recorded for that kappa."""
+    assert (report.kappa_star, report.esssup, report.bound_ok) == (walk.kappa_star, walk.esssup, walk.bound_ok)
+    assert report.energies == walk.energies
+    probed = [c[0] for c in report.candidates]
+    assert probed == sorted(probed)
+    assert len(probed) <= len(walk.candidates).bit_length()
+    recorded = {c[0]: c for c in walk.candidates}
+    assert report.candidates == [recorded[k] for k in probed]
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -669,13 +701,9 @@ def test_settled_candidates_equal_full_walk(monkeypatch, regime, dim, varying, n
     monkeypatch.setattr(degiorgi, "_N_LEVELS", n_max)
     for v in (u, -u):
         report = empirical_iteration(TruncationLevels(v, field, regime, **EXPONENTS), kappas)
-        chosen, candidates, energies = _walk_all_levels(v, field, regime, kappas, n_max)
-        assert report.kappa_star == chosen
-        assert report.candidates == candidates
-        assert report.energies == energies
-    # the case settles some candidates at their last level and walks others
-    levels = TruncationLevels(u, field, regime, **EXPONENTS)
-    assert {c[2] for c in empirical_iteration(levels, kappas).candidates} == {False, True}
+        _assert_bisects_the_full_walk(report, _walk_all_levels(v, field, regime, kappas, n_max))
+    # the case has candidates settled at their last level and candidates walked
+    assert {c[2] for c in _walk_all_levels(u, field, regime, kappas, n_max).candidates} == {False, True}
 
 
 @st.composite
@@ -699,17 +727,42 @@ def _level_cases(draw):
     return u, field, kappa_star
 
 
+# Candidate levels as powers of ten times the case's kappa_star, from 1 to 29 of them
+_SPREADS = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=29)
+
+
+def _nonincreasing(values):
+    return all(b <= a for a, b in zip(values, values[1:]))
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 @settings(max_examples=75, deadline=None)
-@given(case=_level_cases())
-def test_energies_never_increase_along_the_levels(regime, case):
+@given(case=_level_cases(), spread=_SPREADS)
+def test_energies_never_increase_along_the_levels(regime, case, spread):
     # Exact, with no slack: a candidate whose last level has not decayed is
     # settled by that level alone, which is exact only if the floating-point
-    # energies do not increase from one level to the next.
+    # energies do not increase from one level to the next.  The bisection over
+    # the candidates is exact only if the entry value and the last level's
+    # energy do not increase from one candidate to the next.
     u, field, kappa_star = case
     levels = TruncationLevels(u, field, regime, **EXPONENTS)
     totals = [i + b for i, b in map(levels.energy, kappa_sequence(kappa_star, np.arange(61)))]
-    assert all(b <= a for a, b in zip(totals, totals[1:]))
+    assert _nonincreasing(totals)
+    kappas = sorted(kappa_star * 10.0**f for f in spread)
+    assert _nonincreasing([entry_condition(levels, k) for k in kappas])
+    last = [sum(levels.energy(kappa_sequence(k, degiorgi._N_LEVELS))) for k in kappas]
+    assert _nonincreasing(last)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@settings(max_examples=40, deadline=None)
+@given(case=_level_cases(), spread=_SPREADS)
+def test_bisection_chooses_what_the_full_walk_chooses(regime, case, spread):
+    u, field, kappa_star = case
+    kappas = [kappa_star * 10.0**f for f in spread]
+    for v in (u, -u):
+        report = empirical_iteration(TruncationLevels(v, field, regime, **EXPONENTS), kappas)
+        _assert_bisects_the_full_walk(report, _walk_all_levels(v, field, regime, kappas))
 
 
 @pytest.mark.parametrize("call", [
@@ -747,20 +800,24 @@ def test_one_levels_object_serves_both_sides_of_the_bound(monkeypatch, regime, s
     # the report the two one-sided runs give, each with levels of its own
     up = empirical_iteration(TruncationLevels(u, field, regime, **EXPONENTS), kappas)
     down = empirical_iteration(TruncationLevels(-u, field, regime, **EXPONENTS), kappas)
-    entries = [entry_condition(TruncationLevels(v, field, regime, **EXPONENTS), k) for v in (u, -u) for k in kappas]
+    entries = [{k: entry_condition(TruncationLevels(v, field, regime, **EXPONENTS), k) for k in kappas}
+               for v in (u, -u)]
     counts = _count_builds(monkeypatch)
     levels = TruncationLevels(u, field, regime, **EXPONENTS)
     assert counts == {"specs": specs, "gradients": 1}
     report = two_sided_bound(levels, kappas)
     assert counts == {"specs": specs, "gradients": 1}  # the iterations and entry conditions build nothing
-    assert [c[1] for c in report.candidates] == entries
     assert report.candidates == up.candidates + down.candidates
+    assert [c[1] for c in report.candidates] == ([entries[0][c[0]] for c in up.candidates]
+                                                 + [entries[1][c[0]] for c in down.candidates])
     assert report.energies == up.energies + down.energies
     assert report.esssup == abs(max(up.esssup, down.esssup))
     found = up.found and down.found
     assert report.kappa_star == (max(up.kappa_star, down.kappa_star) if found else None)
     assert report.bound_ok == (found and report.esssup <= 2.0 * report.kappa_star + max(u.domain.spacing)
                                * float(np.max(u.gradient_magnitude())))
+    for side, v in ((up, u), (down, -u)):
+        _assert_bisects_the_full_walk(side, _walk_all_levels(v, field, regime, kappas))
 
 
 @pytest.mark.parametrize("regime", REGIMES)
